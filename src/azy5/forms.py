@@ -16,9 +16,11 @@ integer arithmetic) times a theta monomial at tau, so the symmetrized sum
 collects into few monomials with integer coefficients.  This module does
 that collection once, asserts the expected multiplicities, and evaluates
 the resulting short signed sums with certified error bounds.  The bounds
-track series truncation propagated through the products; arithmetic
-rounding (about 1e-16 relative in double, negligible at high precision)
-is not included and dominates whenever a bound falls below it.
+propagate each theta constant's certified error, which covers both the
+truncation and the rounding of its series, through the products; the
+rounding of the products and signed sums themselves (a few units of
+roundoff relative to the largest monomial: about 1e-16 in double,
+negligible at high precision) is not included.
 
 Forms provided:
   * chi5_product: the weight-5 product of the ten even constants, and its

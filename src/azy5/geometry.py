@@ -226,7 +226,9 @@ def all_tetrahedra(seed=0):
 
 def f_m(quad, tau, eps=1e-12, hiprec=False, dps=None):
     """The tetrahedral quartic F_M evaluated at the second-order constants
-    of tau.  Face coefficients stay double precision."""
-    T = tetrahedron(frozenset(quad))
+    of tau.  Face coefficients stay double precision.  Uses the seed-0
+    tetrahedron, passed positionally so that it shares the cache entry
+    all_tetrahedra() fills."""
+    T = tetrahedron(frozenset(quad), 0)
     x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
     return T.form_value(x)

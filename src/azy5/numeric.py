@@ -8,11 +8,11 @@ behave identically in both precisions.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 
 import mpmath as mp
+import numpy as np
 
 # Working decimal precision for all high-precision code paths.
 HIPREC_DPS = 50
@@ -30,8 +30,8 @@ def value_prec(hiprec, dps=None):
 
 def fsum_complex(values):
     """Exactly rounded sum of an iterable of complex numbers."""
-    vals = list(values)
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    vals = np.asarray(values, dtype=complex)
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
 def m2_add(A, B):
@@ -85,16 +85,6 @@ def sym2_eig_bounds(y):
     disc = (tr * tr) / 4 - det
     root = math.sqrt(disc) if disc > 0 else 0.0
     return tr / 2 - root, tr / 2 + root
-
-
-def expi(w):
-    """e^{pi i w} for complex w (the theta-series exponential convention)."""
-    return cmath.exp(1j * math.pi * w)
-
-
-def expi_mp(w):
-    """e^{pi i w} in the current mpmath working precision."""
-    return mp.expjpi(w)
 
 
 def to_mpc(z):

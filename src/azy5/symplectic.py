@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -317,10 +318,12 @@ def _bfs_transversal(key_fn, expected, max_level=40):
     return tuple(reps), tuple(words)
 
 
+@lru_cache(maxsize=None)
 def coset_reps(spec):
     """Deterministic right-coset representatives of spec in Sp(4,Z), found
     breadth-first over GENERATORS words (shortest word per coset, ties
     broken lexicographically; identity represents the trivial coset).
+    Cached: spec is hashable and the returned CosetSystem is immutable.
 
     Supported: theta0(2), keyed by gamma^{-1}.M0 (15 cosets, one per plus
     quadruple, since theta0(2) is the stabilizer of M0); principal(2),

@@ -10,17 +10,47 @@ the z = 0 value of the classical series; it vanishes identically for odd m.
 Second-order constants are Theta_{m'}(tau) = theta_{[m';0]}(2 tau), indexed
 by m' in {00, 01, 10, 11} (this order fixes all matrix and vector layouts).
 
-Truncation is over max-norm shells ||n||_inf <= R summed in a fixed order
-(shells outward, lexicographic inside a shell, exactly rounded summation),
-so results are bit-reproducible.  A term on shell r has modulus
-e^{-pi (n+a)^T Y (n+a)} <= e^{-pi lam (r-1/2)^2} with lam the least
-eigenvalue of Y = Im tau and a in [-1/2,1/2]^g, and genus-2 shells hold
-8r points (2 at genus 1), giving the certified tail majorant
+Truncation is over the box of max-norm shells ||n||_inf <= R.  A term on
+shell r has modulus e^{-pi (n+a)^T Y (n+a)} <= e^{-pi lam (r-1/2)^2} with
+lam the least eigenvalue of Y = Im tau and a in [-1/2,1/2]^g, and genus-2
+shells hold 8r points (2 at genus 1), giving the certified tail majorant
 
     tail(R) <= C(g) * sum_{r > R} r^{g-1} e^{-pi lam (r-1/2)^2},  C(2) = 8,
 
 evaluated numerically with a geometric remainder.  Derivative series carry
-an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.
+an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
+err of a value is this tail plus a rounding bound for the summation.
+
+Double precision sums the box with numpy in a fixed order (shells outward,
+lexicographic inside a shell, exactly rounded summation), so results are
+bit-reproducible; _series_value_double states its rounding bound.
+
+High precision runs one kernel, _walk, a fixed-point row recurrence.  Each
+row fixes n2 and walks n1 outward, both ways, from the row's largest term
+at n1 = nint(-Y12 v2 / Y11 - a1), clipped to the box.  A step costs two
+multiplications, t <- t u and u <- u e^{2 pi i T11}, where u is the ratio
+of neighbouring terms (the downward walk has its own ratio w), so a row
+needs three full-precision exponentials, for t, u and w at its centre,
+plus one per walk for e^{2 pi i T11}; their arguments are formed exactly
+from the binary entries of T.  Every quantity has modulus at most 1, since
+the walk moves away from the row's minimum of the real quadratic form, so
+the arithmetic is Python-integer fixed point with the working precision
+plus GUARD_BITS fractional bits, and its error is absolute.  Counted in
+units of 2^-wp, each exponential is off by at most 5 (mpmath's result at
+wp bits, then truncated) and each product by at most 1.5, so a term k
+steps from its row centre is off by at most 5 + 4k + 4k^2; the walk's
+bound is twice the sum of that over the box, the factor two covering
+second-order terms.  The integer sums are exact, so the result does not
+depend on summation order and is deterministic; it is rounded once to the
+working precision, which adds 2^(1-prec) |value| to the bound.
+
+The walk returns four sums S_pq split by n mod 2.  Characteristics sharing
+m' differ only in the factor e^{pi i m''.v} = i^{(m' mod 2).m''}
+(-1)^{p m''_1 + q m''_2}, so one walk serves every m'':
+theta_all_even needs four walks for its ten constants.  The second-order
+constants Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are
+the classes k = m' mod 2 of one walk over k in [-2R, 2R+1]^2 at tau/2:
+the same terms as four separate series, in half the rows.
 
 The transformation factors under gamma in Sp(4,Z) are
 
@@ -44,12 +74,14 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (from_man_exp, fzero, mpc_expjpi, mpf_shift,
+                          to_fixed)
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
 from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius
 from .siegel import SiegelPoint
-from .symplectic import SymplecticMatrix, act_tau
+from .symplectic import act_tau
 
 MPRIME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -127,38 +159,176 @@ def truncation_radius(tau, eps):
     return _radius(tau.lam_min, eps, g=tau.g)
 
 
+# Unit roundoff of IEEE double.
+_U = 2.0 ** -53
+
+
 def _series_value_double(T, a, b, R, g):
+    """(sum, rounding bound) of the truncated series in IEEE double.
+
+    With v = n + a, the lattice values v and b.v are exact, so forming
+    q = v^T T v + 2 b.v left to right costs two roundings per monomial and
+    one per addition: at most 5 u Q, u the unit roundoff and Q = |T11| v1^2
+    + 2 |T12| |v1 v2| + |T22| v2^2 + 2 |b.v| the sum of the moduli of its
+    monomials.  The factor pi i, with pi rounded, adds 2 u |q| <= 2 u Q,
+    and the complex exponential at most 5 u (exp, cos and sin within one
+    ulp each, and one product).  Each term is therefore off by at most
+    8 u |t| (1 + pi Q), the slack covering second-order terms, and the
+    exactly rounded final sum adds u |sum| per component, counted as
+    2 u |sum|."""
     pts = _lattice(g, R)
+    v0 = pts[:, 0] + a[0]
     if g == 1:
-        v0 = pts[:, 0] + a[0]
-        q = T[0][0] * v0 * v0 + 2 * b[0] * v0
+        bv = b[0] * v0
+        q = T[0][0] * v0 * v0 + 2 * bv
+        qabs = abs(T[0][0]) * v0 * v0 + 2 * np.abs(bv)
     else:
-        v0 = pts[:, 0] + a[0]
         v1 = pts[:, 1] + a[1]
-        q = (T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1
-             + 2 * (b[0] * v0 + b[1] * v1))
-    return fsum_complex(np.exp(1j * np.pi * q))
+        bv = b[0] * v0 + b[1] * v1
+        q = T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1 + 2 * bv
+        qabs = (abs(T[0][0]) * v0 * v0 + 2 * abs(T[0][1]) * np.abs(v0 * v1)
+                + abs(T[1][1]) * v1 * v1 + 2 * np.abs(bv))
+    t = np.exp(1j * np.pi * q)
+    total = fsum_complex(t)
+    rounding = 8 * _U * float(np.dot(np.abs(t), 1 + np.pi * qabs)) + 2 * _U * abs(total)
+    return total, rounding
 
 
-def _series_value_mp(T, a, b, R, g):
-    pts = _lattice(g, R)
-    half = mp.mpf(1) / 2
-    aa = [mp.mpf(2 * x) * half for x in a]
-    bb = [mp.mpf(2 * x) * half for x in b]
+# Fractional bits the fixed-point walk carries beyond the working precision.
+GUARD_BITS = 32
+
+
+def _raw_entries(tau, shift=0):
+    """(tau11, tau12, tau22) of 2^shift tau as raw mpmath (re, im) pairs,
+    scaled exactly; a genus-1 point is padded with zeros."""
+    T = tau.entries_mp()
+    ents = (T[0][0],) if tau.g == 1 else (T[0][0], T[0][1], T[1][1])
+    raw = [tuple(mpf_shift(x, shift) for x in z._mpc_) for z in ents]
+    return tuple(raw + [(fzero, fzero)] * (3 - len(raw)))
+
+
+def _ray(xr, xi, ur, ui, er, ei, count, wp):
+    """`count` further terms of a row: x <- x u, then u <- u e, in fixed
+    point with wp fractional bits (floor rounding)."""
     re, im = [], []
-    for row in pts:
-        if g == 1:
-            v0 = row[0] + aa[0]
-            q = T[0][0] * v0 * v0 + 2 * bb[0] * v0
-        else:
-            v0 = row[0] + aa[0]
-            v1 = row[1] + aa[1]
-            q = (T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1
-                 + 2 * (bb[0] * v0 + bb[1] * v1))
-        t = mp.expjpi(q)
-        re.append(t.real)
-        im.append(t.imag)
-    return mp.mpc(mp.fsum(re), mp.fsum(im))
+    for _ in range(count):
+        xr, xi = (xr * ur - xi * ui) >> wp, (xr * ui + xi * ur) >> wp
+        ur, ui = (ur * er - ui * ei) >> wp, (ur * ei + ui * er) >> wp
+        re.append(xr)
+        im.append(xi)
+    return re, im
+
+
+def _walk(t, a2, box, wp, moments=False):
+    """The row-recurrence kernel behind every high-precision series.
+
+    Sums e^{pi i v^T T v} over v = n + a2/2, n in the box
+    ((lo1, hi1), (lo2, hi2)), T given by _raw_entries, a2 in {0, 1}^2.
+    Returns (sums, mom, bound): sums[p][q] is the (re, im) fixed-point
+    integer sum, wp fractional bits, over n = (p, q) mod 2; with moments,
+    mom is the three sums weighted by k1^2, 2 k1 k2 and k2^2, k = 2v
+    (else None); bound is the rounding bound of one sum (module docstring).
+    """
+    (lo0, hi0), (lo1, hi1) = box
+    parts = [x for z in t for x in z]
+    e = min((x[2] for x in parts if x[1]), default=0)
+    r00, i00, r01, i01, r11, i11 = [
+        (-x[1] if x[0] else x[1]) << (x[2] - e) if x[1] else 0 for x in parts]
+
+    def seed(c00, c01, c11):
+        # e^{pi i (c00 T11 + c01 T12 + c11 T22) / 4}: exact argument,
+        # exponential at wp bits, truncated to wp fractional bits
+        q = (from_man_exp(c00 * r00 + c01 * r01 + c11 * r11, e - 2),
+             from_man_exp(c00 * i00 + c01 * i01 + c11 * i11, e - 2))
+        xr, xi = mpc_expjpi(q, wp)
+        return to_fixed(xr, wp), to_fixed(xi, wp)
+
+    slope = -i01 / i00 if i00 else 0.0
+    er, ei = seed(8, 0, 0)
+    sums = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    mom = [[0, 0], [0, 0], [0, 0]]
+    ks = range(2 * lo0 + a2[0], 2 * hi0 + a2[0] + 1, 2)
+    for n1 in range(lo1, hi1 + 1):
+        k1 = 2 * n1 + a2[1]
+        # the row's largest term sits at the nearest lattice point to the
+        # minimum of Y11 v1^2 + 2 Y12 v1 v2 in v1
+        c = min(hi0, max(lo0, round((slope * k1 - a2[0]) / 2)))
+        k0 = 2 * c + a2[0]
+        tr, ti = seed(k0 * k0, 2 * k0 * k1, k1 * k1)
+        re, im = [tr], [ti]
+        if c < hi0:
+            ur, ui = seed(4 * (k0 + 1), 4 * k1, 0)
+            up = _ray(tr, ti, ur, ui, er, ei, hi0 - c, wp)
+            re += up[0]
+            im += up[1]
+        if c > lo0:
+            wr, wi = seed(4 * (1 - k0), -4 * k1, 0)
+            down = _ray(tr, ti, wr, wi, er, ei, c - lo0, wp)
+            re = down[0][::-1] + re
+            im = down[1][::-1] + im
+        p, q = lo0 & 1, n1 & 1
+        for cls, sl in ((p, slice(0, None, 2)), (1 - p, slice(1, None, 2))):
+            sums[cls][q][0] += sum(re[sl])
+            sums[cls][q][1] += sum(im[sl])
+        if moments:
+            for j, row in enumerate((re, im)):
+                m1 = sum(k * x for k, x in zip(ks, row))
+                mom[0][j] += sum(k * k * x for k, x in zip(ks, row))
+                mom[1][j] += 2 * k1 * m1
+                mom[2][j] += k1 * k1 * sum(row)
+    count = (hi0 - lo0 + 1) * (hi1 - lo1 + 1)
+    steps = hi0 - lo0
+    bound = 2 * count * (5 + 4 * steps + 4 * steps * steps) * 2.0 ** -wp
+    return sums, (mom if moments else None), bound
+
+
+def _to_mpc(z, wp):
+    """Fixed-point pair (re, im) with wp fractional bits as an mpc,
+    rounded once to the ambient precision."""
+    return mp.mpc(mp.mpf((z[0], -wp)), mp.mpf((z[1], -wp)))
+
+
+def _rounding(value, walk_bound):
+    """Walk bound plus the final rounding of value to the ambient
+    precision."""
+    return walk_bound + 2.0 ** (1 - mp.mp.prec) * float(abs(value))
+
+
+def _character_sum(sums, a2, mdbl):
+    """theta[m'; m''] from the parity sums of its m' class, as a
+    fixed-point pair: i^{a2.m''} sum_pq (-1)^{p m''_1 + q m''_2} S_pq."""
+    re = im = 0
+    for p in (0, 1):
+        for q in (0, 1):
+            sr, si = sums[p][q]
+            if (p * mdbl[0] + q * mdbl[1]) % 2:
+                sr, si = -sr, -si
+            re += sr
+            im += si
+    for _ in range((a2[0] * mdbl[0] + a2[1] * mdbl[1]) % 4):
+        re, im = -im, re
+    return re, im
+
+
+def _theta_hiprec(mprime, mdbls, tau, eps, dps):
+    """theta[m'; m''] for each m'' in mdbls, all from one walk over the
+    parity classes of m'."""
+    g = tau.g
+    pad = (0,) * (2 - g)
+    a2 = tuple(int(x) % 2 for x in mprime) + pad
+    lam = tau.lam_min
+    R = _radius(lam, eps, g=g)
+    tail = _tail(lam, R, g=g)
+    box = ((-R, R), (-R, R) if g == 2 else (0, 0))
+    with mp.workdps(dps or HIPREC_DPS):
+        wp = mp.mp.prec + GUARD_BITS
+        sums, _, bound = _walk(_raw_entries(tau), a2, box, wp)
+        out = []
+        for mdbl in mdbls:
+            b = tuple(int(x) for x in mdbl) + pad
+            val = _to_mpc(_character_sum(sums, a2, b), wp)
+            out.append(ThetaValue(val, tail + _rounding(val, bound)))
+    return out
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
@@ -166,22 +336,15 @@ def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
     vectors.  The m' part is reduced internally by an exact lattice shift;
     the m'' part is kept as given, so the classical shift sign
     theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
+    if hiprec:
+        return _theta_hiprec(mprime, [mdbl], tau, eps, dps)[0]
     g = tau.g
-    a = tuple(Fraction(int(x) % 2, 2) for x in mprime)
-    b = tuple(Fraction(int(x), 2) for x in mdbl)
+    a = [int(x) % 2 / 2 for x in mprime]
+    b = [int(x) / 2 for x in mdbl]
     lam = tau.lam_min
     R = _radius(lam, eps, g=g)
-    err = _tail(lam, R, g=g)
-    if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            T = tau.entries_mp()
-            af = [mp.mpf(x.numerator) / x.denominator for x in a]
-            bf = [mp.mpf(x.numerator) / x.denominator for x in b]
-            val = _series_value_mp(T, af, bf, R, g)
-        return ThetaValue(val, err)
-    T = tau.entries()
-    val = _series_value_double(T, [float(x) for x in a], [float(x) for x in b], R, g)
-    return ThetaValue(val, err)
+    val, rounding = _series_value_double(tau.entries(), a, b, R, g)
+    return ThetaValue(val, _tail(lam, R, g=g) + rounding)
 
 
 def theta_constant(m, tau, eps=1e-12, hiprec=False, dps=None):
@@ -217,41 +380,56 @@ def theta_second_order(mprime, tau, eps=1e-12, hiprec=False, dps=None):
 
 
 def theta_second_vector(tau, eps=1e-12, hiprec=False, dps=None):
-    """The four second-order constants in MPRIME_ORDER."""
-    return tuple(theta_second_order(mpv, tau, eps, hiprec, dps) for mpv in MPRIME_ORDER)
+    """The four second-order constants in MPRIME_ORDER.  In high precision
+    they come from one walk: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k}
+    over k = 2n + m', so the box k in [-2R, 2R+1]^2 at tau/2, split by
+    k mod 2, holds exactly the terms of the four separate series."""
+    if not hiprec:
+        return tuple(theta_second_order(mpv, tau, eps) for mpv in MPRIME_ORDER)
+    lam = 2 * tau.lam_min  # least eigenvalue of Im 2 tau, exactly
+    R = _radius(lam, eps)
+    tail = _tail(lam, R)
+    with mp.workdps(dps or HIPREC_DPS):
+        wp = mp.mp.prec + GUARD_BITS
+        sums, _, bound = _walk(_raw_entries(tau, -1), (0, 0),
+                               ((-2 * R, 2 * R + 1),) * 2, wp)
+        out = []
+        for p, q in MPRIME_ORDER:
+            val = _to_mpc(sums[p][q], wp)
+            out.append(ThetaValue(val, tail + _rounding(val, bound)))
+    return tuple(out)
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False, dps=None):
-    """All ten even first-order constants, keyed by 4-bit index."""
-    return {m: theta_constant(m, tau, eps, hiprec, dps) for m in EVEN_CHARS}
+    """All ten even first-order constants, keyed by 4-bit index.  In high
+    precision the constants sharing m' come from one walk."""
+    if not hiprec:
+        return {m: theta_constant(m, tau, eps) for m in EVEN_CHARS}
+    out = {}
+    for mpv in MPRIME_ORDER:
+        ms = [m for m in EVEN_CHARS if mprime_of(m) == mpv]
+        out.update(zip(ms, _theta_hiprec(mpv, [mdbl_of(m) for m in ms], tau, eps, dps)))
+    return {m: out[m] for m in EVEN_CHARS}
 
 
 def theta_gradient(mprime, tau, eps=1e-12, hiprec=False, dps=None):
     """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau, the off-diagonal
     derivative counting the symmetric entry once.  Differentiating the
     2 tau series termwise gives weights 2 pi i v1^2, 4 pi i v1 v2,
-    2 pi i v2^2 on the shifted lattice points v = n + m'/2."""
+    2 pi i v2^2 on the shifted lattice points v = n + m'/2; in high
+    precision the walk accumulates the exact integer weights k1^2,
+    2 k1 k2, k2^2 of k = 2v, and the prefactor becomes pi i / 2."""
     lam2 = 2 * tau.lam_min
     R = _radius(lam2, eps, g=2, poly=2, scale=4 * math.pi)
-    a0, a1 = mprime[0] / 2, mprime[1] / 2
     if hiprec:
         with mp.workdps(dps or HIPREC_DPS):
-            T = _doubled(tau, dps).entries_mp()
-            half = mp.mpf(1) / 2
-            aa0, aa1 = mprime[0] * half, mprime[1] * half
-            acc = [[[], []] for _ in range(3)]
-            for row in _lattice(2, R):
-                v0 = row[0] + aa0
-                v1 = row[1] + aa1
-                q = T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1
-                t = mp.expjpi(q)
-                for k, w in enumerate((v0 * v0, 2 * v0 * v1, v1 * v1)):
-                    tw = t * w
-                    acc[k][0].append(tw.real)
-                    acc[k][1].append(tw.imag)
-            tpi = 2j * mp.pi
-            return tuple(tpi * mp.mpc(mp.fsum(acc[k][0]), mp.fsum(acc[k][1]))
-                         for k in range(3))
+            wp = mp.mp.prec + GUARD_BITS
+            a2 = tuple(int(x) % 2 for x in mprime)
+            _, mom, _ = _walk(_raw_entries(tau, 1), a2, ((-R, R), (-R, R)), wp,
+                              moments=True)
+            half_pi_i = mp.mpc(0, mp.pi / 2)
+            return tuple(half_pi_i * _to_mpc(z, wp) for z in mom)
+    a0, a1 = mprime[0] / 2, mprime[1] / 2
     T = _doubled(tau).entries()
     pts = _lattice(2, R)
     v0 = pts[:, 0] + a0
@@ -330,17 +508,6 @@ def trace_btc(gamma):
 def kappa4(gamma):
     """Exact kappa(gamma)^4 = e^{pi i Tr(b^T c)} = +-1."""
     return -1 if trace_btc(gamma) % 2 else 1
-
-
-def gamma_tilde(gamma):
-    """[[a, 2b], [c/2, d]] for gamma with even c block; the element that
-    governs second-order constants through the 2 tau substitution."""
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    if any(c[i][j] % 2 for i in range(2) for j in range(2)):
-        raise ValueError("gamma_tilde requires c to be even")
-    return SymplecticMatrix.from_blocks(
-        a, tuple(tuple(2 * x for x in row) for row in b),
-        tuple(tuple(x // 2 for x in row) for row in c), d)
 
 
 _DEFAULT_PROBE_TAU = None

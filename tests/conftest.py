@@ -2,9 +2,11 @@
 brute-force theta oracles that the library code never touches."""
 
 import cmath
+import itertools
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from azy5.siegel import SiegelPoint, sample_taus
@@ -57,6 +59,29 @@ def brute_theta_g1(a_bit, b_bit, tau1, N=40):
         v = n + a
         s += cmath.exp(1j * math.pi * (tau1 * v * v + 2 * b * v))
     return s
+
+
+def direct_theta_mp(mprime, mdbl, entries, R, dps):
+    """Direct mpmath lattice sum over the box ||n||_inf <= R, one
+    mp.expjpi per point at dps digits, of
+    e^{pi i [v^T T v + v.m'']} with v = n + (m' mod 2)/2 and m'' as
+    given, entries (nested, g x g) taken exactly.  Genus 1 or 2."""
+    g = len(entries)
+    with mp.workdps(dps):
+        T = [[mp.mpmathify(entries[i][j]) for j in range(g)] for i in range(g)]
+        a = [mp.mpf(int(x) % 2) / 2 for x in mprime]
+        total = mp.mpc(0)
+        for n in itertools.product(range(-R, R + 1), repeat=g):
+            v = [n[i] + a[i] for i in range(g)]
+            q = (sum(T[i][j] * v[i] * v[j] for i in range(g) for j in range(g))
+                 + sum(v[i] * int(mdbl[i]) for i in range(g)))
+            total += mp.expjpi(q)
+        return total
+
+
+@pytest.fixture(scope="session")
+def direct_mp():
+    return direct_theta_mp
 
 
 @pytest.fixture(scope="session")

@@ -133,3 +133,10 @@ def test_reports_are_byte_identical(tmp_path):
     assert run(["geometry", "--out", str(c)]) == 0
     assert run(["geometry", "--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_hiprec_reports_are_byte_identical(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["lambda", "--hiprec", "--samples", "2", "--out", str(a)]) == 0
+    assert run(["lambda", "--hiprec", "--samples", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()

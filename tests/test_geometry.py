@@ -97,6 +97,16 @@ def test_all_fifteen_tetrahedra():
                 assert abs(quadric_value(n, v)) < 1e-8
 
 
+def test_f_m_shares_the_all_tetrahedra_cache(taus):
+    """f_m reuses the tetrahedra all_tetrahedra(seed=0) solved: fifteen
+    solves in all, none repeated."""
+    tetrahedron.cache_clear()
+    all_tetrahedra(seed=0)
+    for quad in even_quadruples("plus"):
+        f_m(quad, taus[0])
+    assert tetrahedron.cache_info().misses == 15
+
+
 def test_vertices_are_projectively_distinct():
     for T in all_tetrahedra().values():
         for i in range(4):

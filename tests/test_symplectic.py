@@ -112,6 +112,11 @@ def test_coset_system_principal2():
     assert system.reps[0] == IDENTITY
 
 
+def test_coset_reps_is_cached():
+    for spec in (THETA0_2, PRINCIPAL2):
+        assert coset_reps(spec) is coset_reps(spec)
+
+
 def test_trivial_transversals():
     assert coset_reps(FULL).index == 1
     assert coset_reps(SubgroupSpec("principal", 1)).index == 1

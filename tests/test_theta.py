@@ -81,6 +81,34 @@ def test_certified_error_bound(taus):
         assert fine.err < coarse.err
 
 
+def _near_boundary(lam, gap, angle, x11, x12, x22):
+    """tau = X + iY with Y = U diag(lam, lam + gap) U^T, U the rotation by
+    angle: least eigenvalue of Im tau exactly lam up to rounding."""
+    c, s = math.cos(angle), math.sin(angle)
+    u = np.array([[c, -s], [s, c]])
+    y = u @ np.diag([lam, lam + gap]) @ u.T
+    y = (y + y.T) / 2
+    return SiegelPoint(np.array([[x11, x12], [x12, x22]]) + 1j * y)
+
+
+def test_double_error_bound_covers_rounding(taus, direct_mp):
+    """The reported err of a double-precision constant bounds its distance
+    from a 30-digit direct sum over a box three shells wider, at generic
+    points and at points with lam_min in [0.12, 0.35]."""
+    near = [_near_boundary(0.12, 0.5, 0.4, 0.3, -0.2, 0.25),
+            _near_boundary(0.2, 0.7, 1.1, -0.3, 0.3, 0.1),
+            _near_boundary(0.35, 0.4, 0.8, 0.2, 0.15, -0.3)]
+    assert all(0.12 <= t.lam_min <= 0.35 for t in near)
+    for tau in list(taus[:3]) + near:
+        R = truncation_radius(tau, 1e-12) + 3
+        for m in EVEN_CHARS:
+            tv = theta_constant(m, tau)
+            ref = direct_mp(mprime_of(m), mdbl_of(m), tau.entries(), R, 30)
+            with mp.workdps(30):
+                diff = float(abs(mp.mpmathify(tv.value) - ref))
+            assert diff <= tv.err, (tau, m, diff, tv.err)
+
+
 def test_truncation_radius_monotone(taus):
     tau = taus[0]
     assert truncation_radius(tau, 1e-6) <= truncation_radius(tau, 1e-12)

@@ -15,14 +15,14 @@ from .chars import (EVEN_CHARS, M0, ODD_CHARS, act_char, act_set, chi_p,
 from .construction import (AZY_NORMALIZATION, LambdaEstimate,
                            alternate_system, estimate_lambda,
                            geometric_crosscheck, invariance_word, phi,
-                           phi_gamma, phi_modularity_error,
+                           phi_gamma, phi_modularity_error, phi_transversal,
                            rep_independence_error)
 from .forms import (azy, azy_eval, chi5_determinant, chi5_product, chi10,
                     chi12, mono_key, monomial_at, mu_ratio, p2, slash_unit,
                     symmetrize_exact, symmetrize_numeric)
 from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residual,
-                       all_tetrahedra, f_m, faces_from_vertices,
-                       intersect_quadrics, quadric_value, tetrahedron)
+                       all_faces, all_tetrahedra, f_m, faces_from_vertices,
+                       quadric_value, tetrahedron)
 from .reports import CheckResult, EvalReport
 from .siegel import SiegelPoint, sample_tau, sample_taus
 from .symplectic import (ETA0, GENERATORS, IDENTITY, J, PRINCIPAL2,
@@ -53,12 +53,13 @@ __all__ = [
     "mono_key", "monomial_at", "slash_unit", "symmetrize_exact",
     "symmetrize_numeric", "chi5_product", "chi5_determinant", "chi10",
     "chi12", "p2", "azy", "azy_eval", "mu_ratio",
-    "ADDITION_TABLE", "Tetrahedron", "addition_residual", "all_tetrahedra",
-    "f_m", "faces_from_vertices", "intersect_quadrics", "quadric_value",
+    "ADDITION_TABLE", "Tetrahedron", "addition_residual", "all_faces",
+    "all_tetrahedra", "f_m", "faces_from_vertices", "quadric_value",
     "tetrahedron",
     "AZY_NORMALIZATION", "LambdaEstimate", "alternate_system",
     "estimate_lambda", "geometric_crosscheck", "invariance_word", "phi",
-    "phi_gamma", "phi_modularity_error", "rep_independence_error",
+    "phi_gamma", "phi_modularity_error", "phi_transversal",
+    "rep_independence_error",
     "CheckResult", "EvalReport",
     "__version__",
 ]

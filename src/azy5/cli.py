@@ -19,19 +19,18 @@ import sys
 import time
 
 from .chars import (EVEN_CHARS, ODD_CHARS, even_quadruples, even_triples,
-                    format_char, chi_p)
-from .construction import (AZY_NORMALIZATION, alternate_system,
-                           estimate_lambda, geometric_crosscheck, phi,
-                           phi_modularity_error, rep_independence_error)
+                    format_char)
+from .construction import (AZY_NORMALIZATION, estimate_lambda,
+                           geometric_crosscheck, phi_modularity_error,
+                           rep_independence_error)
 from .forms import (azy, chi5_determinant, chi5_product, chi10, chi12,
                     mu_ratio, p2)
-from .geometry import addition_residual, all_tetrahedra, tetrahedron
+from .geometry import addition_residual, all_tetrahedra
 from .reports import EvalReport
 from .siegel import SiegelPoint, sample_taus
 from .symplectic import (ETA0, GENERATORS, PRINCIPAL2, THETA0_2, act_tau,
                          coset_reps, random_word, FULL)
-from .theta import (kappa4, kappa_probes, theta_constant, theta_constant_g1,
-                    theta_gradient, theta_second_order)
+from .theta import kappa4, kappa_probes
 
 _SUBGROUPS = {"theta0-2": (THETA0_2, 15), "principal-2": (PRINCIPAL2, 720)}
 _FORMS = {
@@ -149,7 +148,7 @@ def cmd_geometry(args):
         taus = _load_taus(args)
         _addition_checks(rep, taus, args.eps, args.hiprec)
         return rep
-    tets = all_tetrahedra(seed=args.seed)
+    tets = all_tetrahedra()
     listing = []
     for quad in sorted(tets, key=lambda q: tuple(sorted(q))):
         t = tets[quad]
@@ -237,7 +236,7 @@ def cmd_azy_verify(args):
         worst = max(worst, abs(base ** 4 - kappa4(g)))
     rep.add_check("kappa^4 identity (10 words)", worst, 1e-8)
 
-    tets = all_tetrahedra(seed=args.seed)
+    tets = all_tetrahedra()
     rep.add_check("tetrahedra residuals", max(t.residual for t in tets.values()), 1e-8)
 
     worst = 0.0
@@ -309,17 +308,13 @@ def _build_parser():
         help="the ten quadric addition identities at sample points")
     add("verify-transform", cmd_verify_transform,
         help="theta multiplier probes and the exact kappa^4 identity")
-    p = add("geometry", cmd_geometry, help="tetrahedron solver and geometry checks")
+    p = add("geometry", cmd_geometry, help="the fifteen exact tetrahedra and geometry checks")
     p.add_argument("what", nargs="?", choices=["tetrahedra", "verify-addition"],
                    help="default: tetrahedra")
-    p.add_argument("--all", action="store_true",
-                   help="accepted for compatibility; all fifteen are always emitted")
-    p = add("azy-verify", cmd_azy_verify, aliases=["verify"],
-            help="full verification pipeline")
-    p.add_argument("--all", action="store_true",
-                   help="accepted for compatibility; the pipeline always runs fully")
-    p = add("azy-lambda", cmd_azy_lambda, aliases=["lambda"],
-            help="the proportionality-constant experiment alone")
+    add("azy-verify", cmd_azy_verify, aliases=["verify"],
+        help="full verification pipeline")
+    add("azy-lambda", cmd_azy_lambda, aliases=["lambda"],
+        help="the proportionality-constant experiment alone")
     p = add("forms-eval", cmd_forms_eval, aliases=["forms"],
             help="evaluate a named form at sample points")
     p.add_argument("verb", nargs="?", choices=["eval"],

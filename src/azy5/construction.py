@@ -1,57 +1,57 @@
-"""The fifteen-factor tetrahedral product and its certification.
+"""The weight-30 form as a product of 60 face forms, and its certification.
 
-For a coset representative gamma of the index-15 subgroup fixing the
-coordinate quadruple, the factor
+Each of the fifteen plus-quadruples carries a tetrahedron in the
+projective space of the second-order constants (azy5.geometry), whose
+four faces are linear forms with coefficients in {0, +-1, +-i}.  The
+production form is one evaluation of Theta(tau) and 60 linear forms:
 
-    phi_gamma(tau) = chi_P(gamma) det(c tau + d)^{-2} P2(gamma tau)
+    phi(tau) = PHI_CONSTANT * prod_{60 faces l} l(Theta(tau)).
 
-transforms under left multiplication of gamma by a stabilizer element eta
-as phi_{eta gamma} = pair_sign(eta) phi_gamma: the weight-2 multiplier of
-P2 on the stabilizer differs from chi_P by the sign of the permutation eta
-induces on the three matched pairs of odd characteristics (chi_P restricts
-to the in-pair flip parity, the P2 multiplier to flips times pair moves;
-GL rotations that transpose two pairs leave P2 fixed while chi_P sees
-them as odd).  The factors are therefore genuinely coset-invariant exactly
-under the index-two kernel of pair_sign, and the product
+The independent definition, phi_transversal, multiplies fifteen coset
+factors over a transversal of the index-15 subgroup fixing M0,
 
-    phi(tau) = prod_{i=1}^{15} phi_{gamma_i}(tau)
+    phi_gamma(tau) = chi_P(gamma) det(c tau + d)^{-2} P2(gamma tau).
 
-is independent of the transversal up to the product of the fifteen pair
-signs; transversals obtained from one another by kernel elements give
-identical values.  alternate_system draws its stabilizer words from that
-kernel, which is what representative independence means here.
+Left multiplication of gamma by a stabilizer element eta scales the
+factor by pair_sign(eta): the weight-2 multiplier of P2 on the stabilizer
+differs from chi_P by the sign of the permutation eta induces on the
+three matched pairs of odd characteristics (chi_P restricts to the
+in-pair flip parity, the P2 multiplier to flips times pair moves).  The
+product is therefore independent of the transversal under the index-two
+kernel of pair_sign, from which alternate_system draws its words: that is
+what representative independence means here.  For the canonical
+transversal, phi_transversal(gamma tau) / det(c tau+d)^30
+phi_transversal(tau) is a character of the full group (a fixed function
+over a cocycle), measured to be chi_P on the four generators.
 
-For the fixed canonical transversal, phi(gamma tau) / det(c tau+d)^30
-phi(tau) is automatically a character of the full group (quotient of a
-fixed function by a cocycle) and is measured to be the sign character on
-all four generators, hence everywhere: phi has weight 30 and character
-chi_P, and is proportional to the weight-30 signed triple sum;
-estimate_lambda measures the constant.
-
-The geometric cross-check: gamma_i pairs with the tetrahedron of the
-plus-quadruple gamma_i^{-1} M0, whose quartic form F evaluated at the
-second-order constants is a constant multiple of phi_{gamma_i} (the
-constant reflects the unit-norm face normalization), so each ratio is
-constant in tau and the product of all fifteen F values is a constant
-multiple of phi.
+Each phi_gamma is a constant multiple of the quartic F of the tetrahedron
+over gamma^{-1} M0 at Theta(tau) (geometric_crosscheck), so the product of
+the 60 faces is a constant multiple of phi_transversal: PHI_CONSTANT =
+-2^-44 under the face normalization of azy5.geometry, measured in high
+precision and pinned by the tests.  estimate_lambda compares phi with the
+60-monomial signed sum, which is computed from the first-order constants
+and so independently of Theta.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import mpf_neg, mpf_pos, mpf_sum, round_nearest
 
 from .chars import M0, act_set, chi_p, pair_sign
 from .forms import azy_eval, p2, product_err
-from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius, value_prec
-from .geometry import f_m
-from .siegel import SiegelPoint, sample_tau
-from .symplectic import (E11, E22, ESYM, GENERATORS, THETA0_2, CosetSystem,
-                         act_tau, coset_reps, gl_rotation, lower_translation,
-                         translation)
-from .theta import ThetaValue
+from .geometry import all_faces, f_m
+from .numeric import HIPREC_DPS, value_prec
+from .siegel import sample_tau
+from .symplectic import (E11, E22, ESYM, THETA0_2, CosetSystem, act_tau,
+                         automorphy_factor, coset_reps, gl_rotation,
+                         lower_translation, translation)
+from .theta import ThetaValue, theta_second_vector
 
 AZY_NORMALIZATION = (
     "weight-30 signed triple sum normalized so the monomial "
@@ -60,33 +60,106 @@ AZY_NORMALIZATION = (
     "chi_P(gamma) det(c tau + d)^-2 P2(gamma tau)."
 )
 
+# phi_transversal / (product of the 60 faces at Theta), a power of two.
+PHI_CONSTANT = -(2.0 ** -44)
 
-def _det_ctd(gamma, tau, hiprec=False, dps=None):
+# Bounds on sum log|L| over the faces below and above 1 in modulus that
+# keep every partial product of the double product, and phi, normal:
+# 2^-969 leaves 53 bits after the scaling by 2^-44, 2^1000 room to round.
+_LOG_TINY = -969 * math.log(2)
+_LOG_HUGE = 1000 * math.log(2)
+
+
+def _face_values(x, hiprec):
+    """The 60 faces of all_faces() at the length-4 vector x.  A unit
+    times x_k is exact, and the real and imaginary part of each face are
+    rounded once: math.fsum in double, an exact mpf_sum rounded to the
+    working precision in mpmath."""
     if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            _, den = mobius(gamma, tau.entries_mp())
-            return m2_det(den)
-    _, den = mobius(gamma, tau.entries())
-    return m2_det(den)
+        prec, neg = mp.mp.prec, mpf_neg
+        parts = [(v.real._mpf_, v.imag._mpf_) for v in x]
+
+        def total(terms):
+            return mpf_pos(mpf_sum(terms), prec, round_nearest)
+
+        def make(re, im):
+            return mp.make_mpc((re, im))
+    else:
+        neg, total, make = operator.neg, math.fsum, complex
+        parts = [(v.real, v.imag) for v in x]
+    # (Re, Im) of a * x_k for the four units a
+    rot = [{1: (r, i), -1: (neg(r), neg(i)), 1j: (neg(i), r), -1j: (i, neg(r))}
+           for r, i in parts]
+    out = []
+    for face in all_faces():
+        terms = [rot[k][a] for k, a in enumerate(face) if a]
+        out.append(make(total(t[0] for t in terms), total(t[1] for t in terms)))
+    return out
+
+
+def _pairwise_product(vals):
+    """Product of a list as a balanced tree of n - 1 multiplications."""
+    while len(vals) > 1:
+        nxt = [a * b for a, b in zip(vals[::2], vals[1::2])]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def phi(tau, eps=1e-12, hiprec=False, dps=None):
+    """The weight-30 form PHI_CONSTANT * prod of the 60 faces of
+    all_faces() at Theta(tau).
+
+    Error bound.  Let Theta_i carry the certified error e_i and let u be
+    the unit roundoff (2^-53 in double, 2^(1-prec) in mpmath).  A face l
+    has coefficients a_i in {0, +-1, +-i}, so every a_i Theta_i is exact
+    and l(Theta) moves by at most d = sum_{a_i != 0} e_i under the errors
+    of Theta.  The real and imaginary parts of l are each summed with one
+    rounding (_face_values), so the computed value L is within
+    u |l| <= 2u |L| of l at the computed Theta; each factor is thus
+    within E = d + 2u |L| of l at the true Theta, and product_err bounds
+    the effect on the product by prod(|L| + E) - prod |L|.  Each of the
+    59 complex multiplications of the pairwise product has relative
+    error at most sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp.
+    76 (2007)), so the computed product P is within
+    ((1 + sqrt(5) u)^59 - 1) prod |L| <= 2 * 59 sqrt(5) u |P| of prod L.
+    The scaling by a power of two is exact.  In double, all this needs
+    every partial product in the normal range; a point where the faces
+    could leave it raises instead of returning a false bound."""
+    vec = theta_second_vector(tau, eps, hiprec, dps)
+    with value_prec(hiprec, dps):
+        u = 2.0 ** (1 - mp.mp.prec) if hiprec else 2.0 ** -53
+        vals = _face_values([t.value for t in vec], hiprec)
+        mods = [abs(complex(L)) for L in vals]
+        if not hiprec:
+            logs = [math.log(m) for m in mods if m]
+            if (sum(t for t in logs if t < 0) < _LOG_TINY
+                    or sum(t for t in logs if t > 0) > _LOG_HUGE):
+                raise ArithmeticError("the face product leaves the double range; use hiprec")
+        factors = [(m, sum(t.err for a, t in zip(face, vec) if a) + 2 * u * m, 1)
+                   for m, face in zip(mods, all_faces())]
+        P = _pairwise_product(vals)
+        err = product_err(factors) + 2 * 59 * math.sqrt(5) * u * abs(complex(P))
+        return ThetaValue(PHI_CONSTANT * P, -PHI_CONSTANT * err)
 
 
 def phi_gamma(gamma, tau, eps=1e-12, hiprec=False, dps=None):
     """One coset factor chi_P(gamma) det(c tau+d)^{-2} P2(gamma tau)."""
-    det = _det_ctd(gamma, tau, hiprec, dps)
-    tg = act_tau(gamma, tau, hiprec, dps)
-    pv = p2(tg, eps, hiprec, dps)
+    scale = automorphy_factor(gamma, tau, -2, hiprec, dps)
+    pv = p2(act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps)
     with value_prec(hiprec, dps):
-        scale = det ** (-2)
         v = chi_p(gamma) * scale * pv.value
     return ThetaValue(v, float(abs(scale)) * pv.err)
 
 
-def phi(tau, eps=1e-12, hiprec=False, dps=None, system=None):
+def phi_transversal(tau, eps=1e-12, hiprec=False, dps=None, system=None):
     """The weight-30 product over a 15-element transversal (the canonical
-    one unless `system` provides another)."""
+    one unless `system` provides another): the independent definition
+    that the cross-checks compare phi with."""
     reps = (system or coset_reps(THETA0_2)).reps
     if len(reps) != 15:
-        raise ValueError("phi needs a 15-element coset transversal")
+        raise ValueError("phi_transversal needs a 15-element coset transversal")
     factors = [phi_gamma(g, tau, eps, hiprec, dps) for g in reps]
     with value_prec(hiprec, dps):
         v = None
@@ -138,25 +211,21 @@ def alternate_system(seed=0, word_length=6):
 
 
 def rep_independence_error(tau, seed=0, eps=1e-12, hiprec=False, dps=None):
-    """Relative difference of phi across the two transversals at tau."""
-    a = phi(tau, eps, hiprec, dps)
-    b = phi(tau, eps, hiprec, dps, system=alternate_system(seed))
-    if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            return float(abs(a.value - b.value) / abs(a.value))
-    return float(abs(a.value - b.value) / abs(a.value))
+    """Relative difference of phi_transversal across the two transversals
+    at tau."""
+    a = phi_transversal(tau, eps, hiprec, dps)
+    b = phi_transversal(tau, eps, hiprec, dps, system=alternate_system(seed))
+    with value_prec(hiprec, dps):
+        return float(abs(a.value - b.value) / abs(a.value))
 
 
 def phi_modularity_error(gamma, tau, eps=1e-12, hiprec=False, dps=None):
     """|phi(gamma tau) / (chi_P(gamma) det(c tau+d)^30 phi(tau)) - 1|."""
-    det = _det_ctd(gamma, tau, hiprec, dps)
-    tg = act_tau(gamma, tau, hiprec, dps)
-    lhs = phi(tg, eps, hiprec, dps).value
+    det30 = automorphy_factor(gamma, tau, 30, hiprec, dps)
+    lhs = phi(act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps).value
     base = phi(tau, eps, hiprec, dps).value
-    if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            return float(abs(lhs / (chi_p(gamma) * det ** 30 * base) - 1))
-    return float(abs(lhs / (chi_p(gamma) * det ** 30 * base) - 1))
+    with value_prec(hiprec, dps):
+        return float(abs(lhs / (chi_p(gamma) * det30 * base) - 1))
 
 
 @dataclass(frozen=True)
@@ -196,10 +265,7 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False, dps=None,
         if abs(av) < cancellation_guard * amax:
             continue
         pv = phi(tau, eps, hiprec, dps)
-        if hiprec:
-            with mp.workdps(dps or HIPREC_DPS):
-                ratios.append(pv.value / av)
-        else:
+        with value_prec(hiprec, dps):
             ratios.append(pv.value / av)
     med = complex(_median([float(r.real) for r in ratios]),
                   _median([float(r.imag) for r in ratios]))
@@ -207,15 +273,15 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False, dps=None,
     spread = max(float(abs(a - b)) for a in ratios for b in ratios) / scale
     if hiprec:
         with mp.workdps(dps or HIPREC_DPS):
-            med_mp = mp.mpc(_median([r.real for r in ratios]),
-                            _median([r.imag for r in ratios]))
-        return LambdaEstimate(med_mp, tuple(ratios), spread)
+            med = mp.mpc(_median([r.real for r in ratios]),
+                         _median([r.imag for r in ratios]))
     return LambdaEstimate(med, tuple(ratios), spread)
 
 
 def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
     """Per-representative constancy of F_{gamma^{-1} M0} / phi_gamma over
-    the sample points, plus the spread of (prod of all fifteen F) / phi.
+    the sample points, plus the spread of (prod of all fifteen F) /
+    phi_transversal.
     Returns (per_rep, product_spread) where per_rep maps each
     representative index to (sorted quadruple, relative spread)."""
     reps = coset_reps(THETA0_2).reps
@@ -237,7 +303,7 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
         for q in quads:
             fv = f_m(q, tau, eps, hiprec, dps)
             total = fv if total is None else total * fv
-        pv = phi(tau, eps, hiprec, dps).value
+        pv = phi_transversal(tau, eps, hiprec, dps).value
         prod_ratios.append(complex(total / pv))
     med = complex(_median([r.real for r in prod_ratios]),
                   _median([r.imag for r in prod_ratios]))

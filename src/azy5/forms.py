@@ -43,9 +43,9 @@ from functools import lru_cache
 import mpmath as mp
 
 from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
-from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius, value_prec
-from .symplectic import PRINCIPAL2, coset_reps
-from .theta import (MPRIME_ORDER, ThetaValue, _CHI8, theta_all_even,
+from .numeric import fsum_complex, value_prec
+from .symplectic import PRINCIPAL2, act_tau, automorphy_factor, coset_reps
+from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
                     theta_constant, theta_gradient, theta_second_vector,
                     trace_btc, transform_unit)
 
@@ -113,13 +113,6 @@ def product_err(factors):
     return math.exp(lo_log) * math.expm1(delta) * (1 + 1e-12) + 5e-324
 
 
-def monomial_value_err(key, thetas):
-    """(value, certified absolute error) of the monomial given certified
-    theta values."""
-    v = monomial_value(key, thetas)
-    return v, product_err((thetas[m].value, thetas[m].err, e) for m, e in key)
-
-
 # --- the classical product forms -----------------------------------------
 
 
@@ -129,7 +122,8 @@ def chi5_product(tau, eps=1e-12, hiprec=False, dps=None):
     th = theta_all_even(tau, eps, hiprec, dps)
     key = mono_key((m, 1) for m in EVEN_CHARS)
     with value_prec(hiprec, dps):
-        v, err = monomial_value_err(key, th)
+        v = monomial_value(key, th)
+        err = product_err((th[m].value, th[m].err, e) for m, e in key)
     return ThetaValue(v, err)
 
 
@@ -285,11 +279,17 @@ def chi12_terms():
 def _signed_sum_eval(terms, tau, eps, hiprec, dps):
     th = theta_all_even(tau, eps, hiprec, dps)
     with value_prec(hiprec, dps):
+        # each theta_m ** e and |theta_m| once, shared by every monomial
+        powers = {(m, e): th[m].value ** e for m, e in {me for _, key in terms for me in key}}
+        mods = {m: float(abs(t.value)) for m, t in th.items()}
         vals = []
         err = 0.0
         max_abs = 0.0
         for s, key in terms:
-            v, e = monomial_value_err(key, th)
+            v = None
+            for me in key:
+                v = powers[me] if v is None else v * powers[me]
+            e = product_err((mods[m], th[m].err, k) for m, k in key)
             vals.append(s * v)
             err += e
             max_abs = max(max_abs, float(abs(v)))
@@ -331,18 +331,10 @@ def monomial_at(key, tau, eps=1e-12, hiprec=False, dps=None):
 
 def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False, dps=None):
     """(f |_weight gamma)(tau) by direct evaluation at gamma tau."""
-    if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            _, den = mobius(gamma, tau.entries_mp())
-            det = m2_det(den)
-    else:
-        _, den = mobius(gamma, tau.entries())
-        det = m2_det(den)
-    from .symplectic import act_tau
-    tg = act_tau(gamma, tau, hiprec, dps)
-    mv = monomial_at(key, tg, eps, hiprec, dps)
+    scale = automorphy_factor(gamma, tau, -weight, hiprec, dps)
+    mv = monomial_at(key, act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps)
     with value_prec(hiprec, dps):
-        return det ** (-weight) * mv
+        return scale * mv
 
 
 def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1,
@@ -356,7 +348,7 @@ def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1,
     if 2 * weight != monomial_degree(key):
         raise ValueError("weight must be half the number of theta factors")
     if pretest:
-        from .symplectic import E11, ESYM, lower_translation, translation
+        from .symplectic import lower_translation, translation
         f0 = monomial_at(key, tau, eps, hiprec, dps)
         for eta in (translation(((2, 0), (0, 0))),
                     lower_translation(((0, 2), (2, 0)))):

@@ -11,25 +11,32 @@ For a plus-quadruple M of even characteristics, the six quadrics {Q_n = 0,
 n even not in M} meet in exactly four points of P^3.  Those points span a
 tetrahedron whose four face planes multiply to a quartic form F_M; for the
 coordinate quadruple (all m' = 0) the tetrahedron is the coordinate
-simplex and F is the monomial X1 X2 X3 X4.
+simplex and F is the monomial X0 X1 X2 X3.
 
-The intersection is computed by batched Gauss-Newton on the affine chart
-of the largest coordinate, from a fixed start grid plus seeded random
-starts; converged points are clustered in Fubini-Study distance and the
-count is asserted to be four.  All geometric data is double precision;
-evaluation of F_M accepts high-precision theta input but keeps the
-double-precision face coefficients.
+Everything here is exact.  Every vertex has coordinates in {0, +-1, +-i},
+so the intersection is found by testing the 156 projective points of
+{0, +-1, +-i}^4 whose first nonzero coordinate is 1 against the six
+quadrics in exact arithmetic; exactly four survive for each of the
+fifteen plus-quadruples.  The face through three vertices has the signed
+3 x 3 minors of their coordinates as coefficients; scaled so that its
+first nonzero coefficient is 1, every coefficient is again in
+{0, +-1, +-i}.  The 60 faces are pairwise distinct, and all_faces lists
+them for the product formula of construction.phi.
+
+Gaussian integers are held as Python complex numbers with integer parts.
+Their sums and products here stay far below 2^53 in modulus, so float
+arithmetic on them is exact, and the only division (by the leading
+coefficient of a face) is done through its integer norm and checked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-import numpy as np
-
-from .chars import EVEN_CHARS, M0, classify_quadruple, even_quadruples
+from .chars import EVEN_CHARS, classify_quadruple, even_quadruples
+from .forms import _det3
 from .theta import theta_second_vector
 
 _D = ((0, (1, 1, 1, 1)),
@@ -62,6 +69,9 @@ def _build_table():
 # theta_m^2 as a quadric in the second-order constants, for all ten even m.
 ADDITION_TABLE = _build_table()
 
+# 0 and the four units of Z[i], with no negative zero parts.
+_UNITS = (complex(0, 0), complex(1, 0), complex(-1, 0), complex(0, 1), complex(0, -1))
+
 
 def quadric_value(m, x):
     """X^T Q_m X for a length-4 sequence x."""
@@ -77,107 +87,34 @@ def addition_residual(m, tau, eps=1e-12, hiprec=False, dps=None):
     return abs(th * th - quadric_value(m, x))
 
 
-def normalize_point(x):
-    """Projective representative scaled so the largest-modulus coordinate
-    is exactly 1."""
-    arr = [complex(v) for v in x]
-    k = max(range(4), key=lambda i: abs(arr[i]))
-    piv = arr[k]
-    if piv == 0:
-        raise ValueError("zero vector is not a projective point")
-    return tuple(v / piv for v in arr)
-
-
-def point_distance(x, y):
-    """Fubini-Study sine distance between projective points."""
-    xa = np.asarray(x, complex)
-    ya = np.asarray(y, complex)
-    nx = np.vdot(xa, xa).real
-    ny = np.vdot(ya, ya).real
-    c = abs(np.vdot(xa, ya)) ** 2 / (nx * ny)
-    return math.sqrt(max(0.0, 1.0 - c))
-
-
-_GRID_SEED = 1729
-N_GRID = 200
-N_RANDOM = 300
-
-
-def _gn_iterate(Q, X, iters, ridge=1e-14):
-    """Batched Gauss-Newton for X^T Q_j X = 0 on the chart of the largest
-    coordinate; X is (N, 4) complex and is updated in place per iteration."""
-    n = X.shape[0]
-    eye = np.eye(3)
-    rows = np.arange(n)
-    for _ in range(iters):
-        piv = np.argmax(np.abs(X), axis=1)
-        X = X / X[rows, piv][:, None]
-        QX = np.einsum("qij,nj->nqi", Q, X)
-        f = np.einsum("ni,nqi->nq", X, QX)
-        free = np.array([[j for j in range(4) if j != p] for p in piv])
-        J = 2.0 * QX[rows[:, None, None], np.arange(Q.shape[0])[None, :, None],
-                     free[:, None, :]]
-        A = np.einsum("nqk,nql->nkl", J.conj(), J) + ridge * eye
-        b = -np.einsum("nqk,nq->nk", J.conj(), f)
-        delta = np.linalg.solve(A, b[..., None])[..., 0]
-        X[rows[:, None], free] += delta
-    piv = np.argmax(np.abs(X), axis=1)
-    X = X / X[rows, piv][:, None]
-    QX = np.einsum("qij,nj->nqi", Q, X)
-    res = np.max(np.abs(np.einsum("ni,nqi->nq", X, QX)), axis=1)
-    return X, res
-
-
-def intersect_quadrics(mats, seed=0, tol=1e-10, cluster_tol=1e-6, iters=60):
-    """The four common projective zeros of the given 4x4 quadric matrices.
-    Raises if the converged starts do not cluster into exactly four points."""
-    Q = np.asarray(mats, complex)
-    rng_grid = np.random.default_rng(_GRID_SEED)
-    rng = np.random.default_rng(seed)
-    starts = np.concatenate([
-        rng_grid.normal(size=(N_GRID, 4)) + 1j * rng_grid.normal(size=(N_GRID, 4)),
-        rng.normal(size=(N_RANDOM, 4)) + 1j * rng.normal(size=(N_RANDOM, 4)),
-    ])
-    X, res = _gn_iterate(Q, starts, iters)
-    good = X[res < tol]
-    if len(good) == 0:
-        raise RuntimeError("no Gauss-Newton start converged on the quadric system")
-    clusters = []
-    for x in good:
-        for c in clusters:
-            if point_distance(x, c[0]) < cluster_tol:
-                c.append(x)
-                break
-        else:
-            clusters.append([x])
-    if len(clusters) != 4:
-        raise RuntimeError(f"expected 4 intersection points, found {len(clusters)}")
-    # polish one representative per cluster
-    reps = np.array([c[0] for c in clusters])
-    reps, res = _gn_iterate(Q, reps, 25)
-    if np.max(res) > 1e-12:
-        raise RuntimeError("polishing failed to certify the intersection points")
-    pts = [normalize_point(p) for p in reps]
-    return tuple(sorted(pts, key=lambda p: tuple((round(v.real, 9), round(v.imag, 9)) for v in p)))
+def _normalize(coeffs):
+    """Gaussian-integer vector divided by its first nonzero entry, which
+    must divide every entry exactly."""
+    lead = next(z for z in coeffs if z)
+    norm = int(lead.real) ** 2 + int(lead.imag) ** 2
+    out = []
+    for z in coeffs:
+        w = z * lead.conjugate()
+        if w.real % norm or w.imag % norm:
+            raise ArithmeticError(f"{lead} does not divide {z}")
+        out.append(complex(int(w.real) // norm, int(w.imag) // norm))
+    return tuple(out)
 
 
 def faces_from_vertices(vertices):
-    """Face linear forms of the tetrahedron: faces[i] vanishes on every
-    vertex except vertices[i], has unit norm, and its first coefficient of
-    modulus > 1e-8 is rotated to the positive real axis."""
+    """Face linear forms of the tetrahedron with Gaussian-integer
+    vertices: faces[i] vanishes on every vertex except vertices[i].  Its
+    coefficients are the signed 3 x 3 minors of the other three vertices,
+    scaled so that the first nonzero coefficient is 1.  Raises when the
+    vertices are coplanar."""
     faces = []
     for i in range(4):
-        A = np.array([vertices[j] for j in range(4) if j != i], complex)
-        _, s, vh = np.linalg.svd(A)
-        if s[-1] < 1e-8 * s[0]:
+        rows = [vertices[j] for j in range(4) if j != i]
+        minors = [(-1) ** c * _det3([[r[k] for k in range(4) if k != c] for r in rows])
+                  for c in range(4)]
+        if not any(minors) or not sum(a * x for a, x in zip(minors, vertices[i])):
             raise RuntimeError("tetrahedron vertices are not in general position")
-        f = vh[-1].conj()
-        f = f / np.linalg.norm(f)
-        for v in f:
-            if abs(v) > 1e-8:
-                f = f * (v.conjugate() / abs(v))
-                break
-        faces.append(tuple(complex(z) for z in f))
+        faces.append(_normalize(minors))
     return tuple(faces)
 
 
@@ -185,7 +122,7 @@ def faces_from_vertices(vertices):
 class Tetrahedron:
     """Intersection tetrahedron of the six quadrics avoiding a
     plus-quadruple: vertices, face forms, and the worst quadric residual
-    of the computed vertices."""
+    of the vertices (0: they are exact)."""
     quad: frozenset
     complement: tuple
     vertices: tuple
@@ -201,34 +138,43 @@ class Tetrahedron:
         return v
 
 
+# The projective points of {0, +-1, +-i}^4 with first nonzero coordinate 1.
+_CANDIDATES = tuple(p for p in product(_UNITS, repeat=4)
+                    if any(p) and next(z for z in p if z) == 1)
+
+
 @lru_cache(maxsize=None)
-def tetrahedron(quad, seed=0):
+def tetrahedron(quad):
     """Tetrahedron for a plus-quadruple given as a frozenset of four even
-    characteristics."""
+    characteristics, found by exact search over _CANDIDATES."""
     M = frozenset(quad)
     if classify_quadruple(tuple(M)) != "plus":
         raise ValueError("tetrahedra exist only over plus-quadruples")
     comp = tuple(sorted(set(EVEN_CHARS) - M))
-    Q = [ADDITION_TABLE[n] for n in comp]
-    pts = intersect_quadrics(Q, seed=seed)
-    worst = 0.0
-    for p in pts:
-        for n in comp:
-            worst = max(worst, abs(quadric_value(n, p)))
+    pts = tuple(p for p in _CANDIDATES if all(quadric_value(n, p) == 0 for n in comp))
+    if len(pts) != 4:
+        raise ArithmeticError(f"expected 4 intersection points, found {len(pts)}")
+    worst = max(abs(quadric_value(n, p)) for n in comp for p in pts)
     return Tetrahedron(M, comp, pts, faces_from_vertices(pts), worst)
 
 
 def all_tetrahedra(seed=0):
-    """Tetrahedra for all fifteen plus-quadruples, keyed by frozenset."""
-    return {frozenset(q): tetrahedron(frozenset(q), seed)
-            for q in even_quadruples("plus")}
+    """Tetrahedra for all fifteen plus-quadruples, keyed by frozenset.
+    `seed` is ignored, since the search is exact; it is kept so that
+    callers that pass it keep working."""
+    return {frozenset(q): tetrahedron(frozenset(q)) for q in even_quadruples("plus")}
+
+
+@lru_cache(maxsize=None)
+def all_faces():
+    """The 60 face forms of the fifteen tetrahedra, in the order of
+    even_quadruples("plus") and then of each tetrahedron's faces."""
+    return tuple(f for q in even_quadruples("plus") for f in tetrahedron(frozenset(q)).faces)
 
 
 def f_m(quad, tau, eps=1e-12, hiprec=False, dps=None):
     """The tetrahedral quartic F_M evaluated at the second-order constants
-    of tau.  Face coefficients stay double precision.  Uses the seed-0
-    tetrahedron, passed positionally so that it shares the cache entry
-    all_tetrahedra() fills."""
-    T = tetrahedron(frozenset(quad), 0)
+    of tau."""
+    T = tetrahedron(frozenset(quad))
     x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
     return T.form_value(x)

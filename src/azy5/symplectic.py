@@ -16,7 +16,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .chars import M0, act_set
-from .numeric import HIPREC_DPS, m2_cond, m2_det, mobius
+from .numeric import HIPREC_DPS, m2_cond, m2_det, mobius, value_prec
 from .siegel import SiegelPoint
 
 
@@ -202,13 +202,12 @@ def random_word(spec, rng, length=8):
 @dataclass(frozen=True)
 class SubgroupSpec:
     """One of the congruence subgroups used here: kind in {"full",
-    "principal", "igusa", "theta0"} with level n (igusa means the
-    level-(n,2n) group)."""
+    "principal", "theta0"} with level n."""
     kind: str
     n: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("full", "principal", "igusa", "theta0"):
+        if self.kind not in ("full", "principal", "theta0"):
             raise ValueError(f"unknown subgroup kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("level must be positive")
@@ -218,8 +217,6 @@ class SubgroupSpec:
             return "Sp(4,Z)"
         if self.kind == "principal":
             return f"principal({self.n})"
-        if self.kind == "igusa":
-            return f"igusa({self.n},{2 * self.n})"
         return f"theta0({self.n})"
 
 
@@ -237,16 +234,8 @@ def in_subgroup(gamma, spec):
     if spec.kind == "theta0":
         c = gamma.c
         return all(c[i][j] % n == 0 for i in range(2) for j in range(2))
-    principal = all((r[i][j] - (1 if i == j else 0)) % n == 0
-                    for i in range(4) for j in range(4))
-    if spec.kind == "principal":
-        return principal
-    if not principal:
-        return False
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    dab = (a[0][0] * b[0][0] + a[0][1] * b[0][1], a[1][0] * b[1][0] + a[1][1] * b[1][1])
-    dcd = (c[0][0] * d[0][0] + c[0][1] * d[0][1], c[1][0] * d[1][0] + c[1][1] * d[1][1])
-    return all(x % (2 * n) == 0 for x in dab + dcd)
+    return all((r[i][j] - (1 if i == j else 0)) % n == 0
+               for i in range(4) for j in range(4))
 
 
 def act_tau(gamma, tau, hiprec=False, dps=None):
@@ -264,13 +253,15 @@ def act_tau(gamma, tau, hiprec=False, dps=None):
     return SiegelPoint(t)
 
 
-def automorphy_factor(gamma, tau, k):
-    """det(c tau + d)^k for integer k; half-integer powers are taken
-    explicitly at call sites to keep branch choices local."""
+def automorphy_factor(gamma, tau, k, hiprec=False, dps=None):
+    """det(c tau + d)^k for integer k, in mpmath with hiprec; half-integer
+    powers are taken explicitly at call sites to keep branch choices
+    local."""
     if int(k) != k:
         raise ValueError("integer weights only; take square roots at the call site")
-    _, den = mobius(gamma, tau.entries())
-    return m2_det(den) ** int(k)
+    with value_prec(hiprec, dps):
+        _, den = mobius(gamma, tau.entries_mp() if hiprec else tau.entries())
+        return m2_det(den) ** int(k)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from azy5.siegel import SiegelPoint, sample_taus
@@ -17,6 +18,29 @@ from azy5.symplectic import FULL, random_word
 def taus():
     """Five generic sample points, fixed seed."""
     return sample_taus(seed=0, count=5)
+
+
+def near_boundary_point(lam, gap, angle, x11, x12, x22):
+    """tau = X + iY with Y = U diag(lam, lam + gap) U^T, U the rotation by
+    angle: least eigenvalue of Im tau exactly lam up to rounding."""
+    c, s = math.cos(angle), math.sin(angle)
+    u = np.array([[c, -s], [s, c]])
+    y = u @ np.diag([lam, lam + gap]) @ u.T
+    y = (y + y.T) / 2
+    return SiegelPoint(np.array([[x11, x12], [x12, x22]]) + 1j * y)
+
+
+@pytest.fixture(scope="session")
+def near_taus():
+    """Three points with lam_min 0.12, 0.2 and 0.35."""
+    return [near_boundary_point(0.12, 0.5, 0.4, 0.3, -0.2, 0.25),
+            near_boundary_point(0.2, 0.7, 1.1, -0.3, 0.3, 0.1),
+            near_boundary_point(0.35, 0.4, 0.8, 0.2, 0.15, -0.3)]
+
+
+@pytest.fixture(scope="session")
+def near_point():
+    return near_boundary_point
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,7 @@ import azy5.construction as construction
 from azy5.chars import (EVEN_CHARS, M0, ODD_CHARS, act_set, compose_perm,
                         even_quadruples, even_triples, psi_p)
 from azy5.forms import mu_ratio, p2
-from azy5.geometry import (addition_residual, all_tetrahedra, point_distance,
-                           tetrahedron)
+from azy5.geometry import addition_residual, all_tetrahedra, tetrahedron
 from azy5.siegel import SiegelPoint, sample_taus
 from azy5.symplectic import (ETA0, FULL, GENERATORS, PRINCIPAL2, THETA0_2,
                              act_tau, coset_reps, in_subgroup, random_word)
@@ -90,19 +89,16 @@ def test_criterion_04_tetrahedra():
     worst = max(t.residual for t in tets.values())
     counts_ok = all(len(t.vertices) == 4 for t in tets.values())
     T0 = tetrahedron(M0)
-    standard = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    vert_err = max(min(point_distance(v, e) for e in standard) for v in T0.vertices)
-    face_err = 0.0
-    for f in T0.faces:
-        arr = np.array(f)
-        k = int(np.argmax(np.abs(arr)))
-        face_err = max(face_err, abs(arr[k] - 1), float(np.max(np.abs(np.delete(arr, k)))))
+    standard = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+    vert_ok = set(T0.vertices) == standard
+    face_ok = set(T0.faces) == standard
     dt = time.perf_counter() - t0
     ok = (len(tets) == 15 and counts_ok and worst < 1e-8
-          and vert_err < 1e-10 and face_err < 1e-10 and dt < 30)
+          and vert_ok and face_ok and dt < 30)
     _record(4, "15 tetrahedra, standard vertices",
-            ok, f"worst quadric residual {worst:.2e}, standard-vertex error "
-                f"{vert_err:.2e}, face-form error {face_err:.2e}, {dt:.1f}s")
+            ok, f"worst quadric residual {worst:.2e}, standard vertices "
+                f"{'exact' if vert_ok else 'WRONG'}, coordinate faces "
+                f"{'exact' if face_ok else 'WRONG'}, {dt:.1f}s")
 
 
 def test_criterion_05_f0_is_p2_and_sign_flip():

@@ -1,21 +1,25 @@
-"""The fifteen-factor product: coset invariance, representative
-independence, modularity, the proportionality constant, and the
-tetrahedral cross-check."""
+"""The weight-30 form: the 60-face product against the fifteen-factor
+transversal product, coset invariance, representative independence,
+modularity, the proportionality constant, and the tetrahedral
+cross-check."""
 
 import random
 
+import mpmath as mp
 import pytest
 
 from azy5.chars import M0, act_set, pair_sign
-from azy5.construction import (AZY_NORMALIZATION, alternate_system,
-                               estimate_lambda, geometric_crosscheck,
-                               invariance_word, phi, phi_gamma,
-                               phi_modularity_error, rep_independence_error)
+from azy5.construction import (AZY_NORMALIZATION, PHI_CONSTANT,
+                               alternate_system, estimate_lambda,
+                               geometric_crosscheck, invariance_word, phi,
+                               phi_gamma, phi_modularity_error,
+                               phi_transversal, rep_independence_error)
 from azy5.forms import p2
-from azy5.siegel import SiegelPoint, sample_taus
+from azy5.siegel import sample_taus
 from azy5.symplectic import (E11, ETA0, IDENTITY, J, THETA0_2, act_tau,
                              coset_reps, gl_rotation, in_subgroup,
                              translation)
+from azy5.theta import ThetaValue
 
 # phi / (signed triple sum) under the +1 base-monomial normalization
 LAMBDA_EXACT = -(2.0 ** -57) / 1000.0
@@ -85,7 +89,7 @@ def test_phi_rejects_short_system(taus):
     from azy5.symplectic import CosetSystem
     bad = CosetSystem(THETA0_2, (IDENTITY,), None)
     with pytest.raises(ValueError):
-        phi(taus[0], system=bad)
+        phi_transversal(taus[0], system=bad)
 
 
 def test_phi_modularity(taus):
@@ -130,3 +134,66 @@ def test_phi_hiprec_agrees_with_double(taus):
     a = phi(tau).value
     b = phi(tau, eps=1e-30, hiprec=True).value
     assert abs(a - complex(b)) < 1e-10 * abs(a)
+
+
+def _mp_diff(a, b, dps=70):
+    with mp.workdps(dps):
+        return float(abs(mp.mpmathify(a) - mp.mpmathify(b)))
+
+
+def test_phi_constant_against_transversal(taus, near_point):
+    """phi = -2^-44 * (product of the 60 faces) equals the fifteen-factor
+    transversal product in high precision, within the sum of both
+    bounds, at generic points and at one whose worst gamma tau has
+    lam_min about 0.15."""
+    assert PHI_CONSTANT == -(2.0 ** -44)
+    hard = near_point(0.8, 0.3, 0.5, 0.1, 0.2, -0.1)
+    worst = min(act_tau(g, hard).lam_min for g in coset_reps(THETA0_2).reps)
+    assert 0.14 < worst < 0.16
+    for tau in list(taus) + [hard]:
+        a = phi(tau, eps=1e-30, hiprec=True)
+        b = phi_transversal(tau, eps=1e-30, hiprec=True)
+        assert _mp_diff(a.value, b.value, 50) <= a.err + b.err
+        assert a.err < 1e-25 * float(abs(b.value))
+
+
+def test_double_phi_bound_covers_rounding(near_taus, monkeypatch):
+    """Double phi against a 70-digit phi at lam_min 0.12, 0.2 and 0.35:
+    the double err covers the difference.  Then, with the double Theta
+    taken as exact (err 0), the err of phi is its rounding bound alone,
+    and it still covers the distance to the 70-digit product of the
+    same inputs."""
+    import azy5.construction as construction
+    for tau in near_taus:
+        d = phi(tau)
+        ref = phi(tau, eps=1e-60, hiprec=True, dps=70)
+        assert _mp_diff(d.value, ref.value) <= d.err
+        assert d.err < 1e-8 * abs(d.value)
+    for tau in near_taus:
+        x = [t.value for t in construction.theta_second_vector(tau)]
+        monkeypatch.setattr(
+            construction, "theta_second_vector",
+            lambda tau, eps, hiprec, dps: tuple(
+                ThetaValue(mp.mpc(v) if hiprec else v, 0.0) for v in x))
+        d = phi(tau)
+        ref = phi(tau, hiprec=True, dps=70)
+        assert 0 < _mp_diff(d.value, ref.value) <= d.err < 1e-12 * abs(d.value)
+        monkeypatch.undo()
+
+
+def test_phi_evaluates_theta_at_tau_only(taus, monkeypatch):
+    """phi needs the four second-order constants at tau and nothing
+    else: no transformed point, no first-order constant."""
+    import azy5.construction as construction
+    seen = []
+    real = construction.theta_second_vector
+
+    def spy(tau, *args):
+        seen.append(tau)
+        return real(tau, *args)
+
+    monkeypatch.setattr(construction, "theta_second_vector", spy)
+    monkeypatch.setattr(construction, "p2", None)
+    monkeypatch.setattr(construction, "act_tau", None)
+    phi(taus[0])
+    assert seen == [taus[0]]

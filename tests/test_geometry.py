@@ -1,15 +1,21 @@
-"""Addition-formula quadrics and the intersection tetrahedra over
+"""Addition-formula quadrics and the exact intersection tetrahedra over
 plus-quadruples."""
 
 import numpy as np
 import pytest
 
+from azy5 import cli
 from azy5.chars import EVEN_CHARS, M0, even_quadruples
 from azy5.forms import p2
-from azy5.geometry import (ADDITION_TABLE, Tetrahedron, addition_residual,
+from azy5.geometry import (ADDITION_TABLE, addition_residual, all_faces,
                            all_tetrahedra, f_m, faces_from_vertices,
-                           intersect_quadrics, normalize_point,
-                           point_distance, quadric_value, tetrahedron)
+                           quadric_value, tetrahedron)
+
+UNITS = {0, 1, -1, 1j, -1j}
+
+
+def _face_at(face, x):
+    return sum(a * v for a, v in zip(face, x))
 
 
 def test_table_structure():
@@ -37,35 +43,14 @@ def test_addition_formulas_odd_are_trivial(taus):
     assert 5 not in ADDITION_TABLE
 
 
-def test_normalize_point():
-    p = normalize_point((2j, 1, 0, 0))
-    assert p == (1, -0.5j, 0, 0)
-    with pytest.raises(ValueError):
-        normalize_point((0, 0, 0, 0))
-
-
-def test_point_distance():
-    assert point_distance((1, 0, 0, 0), (3j, 0, 0, 0)) < 1e-15
-    assert abs(point_distance((1, 0, 0, 0), (0, 1, 0, 0)) - 1) < 1e-15
-
-
 def test_standard_tetrahedron_is_coordinate_simplex():
     T = tetrahedron(M0)
     assert T.quad == M0
     assert T.complement == tuple(sorted(set(EVEN_CHARS) - M0))
-    assert T.residual < 1e-12
-    expected = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
-    for v in T.vertices:
-        nearest = min(expected, key=lambda e: point_distance(v, e))
-        assert point_distance(v, nearest) < 1e-10
-        expected.discard(nearest)
-    assert not expected
-    # faces are exactly the coordinate forms
-    for f in T.faces:
-        arr = np.array(f)
-        k = int(np.argmax(np.abs(arr)))
-        assert abs(arr[k] - 1) < 1e-10
-        assert np.max(np.abs(np.delete(arr, k))) < 1e-10
+    assert T.residual == 0
+    assert set(T.vertices) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+    # faces are exactly the coordinate forms, so F_M0 = X0 X1 X2 X3 exactly
+    assert set(T.faces) == set(T.vertices)
 
 
 def test_standard_form_is_coordinate_monomial():
@@ -83,23 +68,41 @@ def test_f_m_on_standard_quadruple_is_p2(taus):
 
 
 def test_all_fifteen_tetrahedra():
+    """Four vertices in {0, +-1, +-i}^4 per plus-quadruple, each on the
+    six complement quadrics exactly."""
     tets = all_tetrahedra()
     assert len(tets) == 15
     for quad, T in tets.items():
         assert len(T.vertices) == 4
-        assert T.residual < 1e-8
-        # every vertex coordinate is zero or a fourth root of unity
+        assert T.residual == 0
         for v in T.vertices:
-            for z in v:
-                assert min(abs(z - t) for t in (-1, 0, 1, 1j, -1j)) < 1e-9
+            assert set(v) <= UNITS
+            assert next(z for z in v if z) == 1
         for n in T.complement:
             for v in T.vertices:
-                assert abs(quadric_value(n, v)) < 1e-8
+                assert quadric_value(n, v) == 0
+
+
+def test_faces_vanish_exactly_on_their_vertices():
+    for T in all_tetrahedra().values():
+        for i, face in enumerate(T.faces):
+            assert set(face) <= UNITS
+            assert next(a for a in face if a) == 1
+            for j, v in enumerate(T.vertices):
+                assert (_face_at(face, v) == 0) == (i != j)
+
+
+def test_sixty_distinct_faces():
+    faces = all_faces()
+    assert len(faces) == 60
+    assert len(set(faces)) == 60
+    tets = [tetrahedron(frozenset(q)) for q in even_quadruples("plus")]
+    assert faces == tuple(f for T in tets for f in T.faces)
 
 
 def test_f_m_shares_the_all_tetrahedra_cache(taus):
-    """f_m reuses the tetrahedra all_tetrahedra(seed=0) solved: fifteen
-    solves in all, none repeated."""
+    """f_m reuses the tetrahedra all_tetrahedra() found: fifteen
+    searches in all, none repeated."""
     tetrahedron.cache_clear()
     all_tetrahedra(seed=0)
     for quad in even_quadruples("plus"):
@@ -107,11 +110,22 @@ def test_f_m_shares_the_all_tetrahedra_cache(taus):
     assert tetrahedron.cache_info().misses == 15
 
 
+def test_cli_seeds_do_not_repeat_the_search(tmp_path):
+    """The CLI seed does not reach the tetrahedra: verify --seed 1 and
+    geometry --seed 3 in one process find each tetrahedron once."""
+    tetrahedron.cache_clear()
+    all_faces.cache_clear()
+    assert cli.main(["verify", "--seed", "1", "--samples", "2"]) == 0
+    assert cli.main(["geometry", "--seed", "3"]) == 0
+    assert tetrahedron.cache_info().misses == 15
+
+
 def test_vertices_are_projectively_distinct():
+    """Vertices are normalized (first nonzero coordinate 1), so distinct
+    points are distinct tuples; they also span P^3."""
     for T in all_tetrahedra().values():
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert point_distance(T.vertices[i], T.vertices[j]) > 0.1
+        assert len(set(T.vertices)) == 4
+        assert abs(np.linalg.det(np.array(T.vertices))) > 0.5
 
 
 def test_tetrahedron_rejects_non_plus():
@@ -124,12 +138,7 @@ def test_tetrahedron_rejects_non_plus():
 def test_faces_reject_degenerate_vertices():
     with pytest.raises(RuntimeError):
         faces_from_vertices(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)))
+    # four coplanar points, no three collinear
+    with pytest.raises(RuntimeError):
+        faces_from_vertices(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)))
 
-
-def test_intersect_quadrics_seed_stability():
-    comp = tuple(sorted(set(EVEN_CHARS) - M0))
-    mats = [ADDITION_TABLE[n] for n in comp]
-    a = intersect_quadrics(mats, seed=0)
-    b = intersect_quadrics(mats, seed=7)
-    for p, q in zip(a, b):
-        assert point_distance(p, q) < 1e-9

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -329,8 +330,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.eps is None:
         args.eps = 1e-30 if args.hiprec else 1e-12
-    if args.eps < 1e-30:
-        parser.error("--eps must be at least 1e-30")
+    if not 1e-30 <= args.eps < math.inf:
+        parser.error("--eps must be finite and at least 1e-30")
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     t0 = time.perf_counter()

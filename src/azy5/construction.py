@@ -39,13 +39,14 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 import mpmath as mp
 from mpmath.libmp import mpf_neg, mpf_pos, mpf_sum, round_nearest
 
 from .chars import M0, act_set, chi_p, pair_sign
 from .forms import azy_eval, p2, product_err
-from .geometry import all_faces, f_m
+from .geometry import all_faces, tetrahedron
 from .numeric import HIPREC_DPS, value_prec
 from .siegel import sample_tau
 from .symplectic import (E11, E22, ESYM, THETA0_2, CosetSystem, act_tau,
@@ -281,31 +282,32 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False, dps=None,
 def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
     """Per-representative constancy of F_{gamma^{-1} M0} / phi_gamma over
     the sample points, plus the spread of (prod of all fifteen F) /
-    phi_transversal.
+    (prod of all fifteen phi_gamma), the latter being phi_transversal.
+    Theta(tau) and each phi_gamma are evaluated once per point.
     Returns (per_rep, product_spread) where per_rep maps each
     representative index to (sorted quadruple, relative spread)."""
     reps = coset_reps(THETA0_2).reps
     quads = [frozenset(act_set(g.inverse(), M0)) for g in reps]
     if len(set(quads)) != 15:
         raise RuntimeError("transversal does not hit all fifteen quadruples")
-    per_rep = {}
+    tets = [tetrahedron(q) for q in quads]
+    rep_ratios = []
     prod_ratios = []
-    for i, (g, q) in enumerate(zip(reps, quads)):
-        rs = []
-        for tau in taus:
-            fv = f_m(q, tau, eps, hiprec, dps)
-            pg = phi_gamma(g, tau, eps, hiprec, dps).value
-            rs.append(complex(fv / pg))
-        spread = max(abs(a - b) for a in rs for b in rs) / abs(_median([r.real for r in rs]) + 1j * _median([r.imag for r in rs]))
-        per_rep[i] = (tuple(sorted(q)), spread)
     for tau in taus:
-        total = None
-        for q in quads:
-            fv = f_m(q, tau, eps, hiprec, dps)
-            total = fv if total is None else total * fv
-        pv = phi_transversal(tau, eps, hiprec, dps).value
-        prod_ratios.append(complex(total / pv))
-    med = complex(_median([r.real for r in prod_ratios]),
-                  _median([r.imag for r in prod_ratios]))
-    product_spread = max(abs(a - b) for a in prod_ratios for b in prod_ratios) / abs(med)
-    return per_rep, product_spread
+        x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
+        fvs = [T.form_value(x) for T in tets]
+        pgs = [phi_gamma(g, tau, eps, hiprec, dps).value for g in reps]
+        rep_ratios.append([complex(f / p) for f, p in zip(fvs, pgs)])
+        with value_prec(hiprec, dps):
+            pv = reduce(operator.mul, pgs)
+        prod_ratios.append(complex(reduce(operator.mul, fvs) / pv))
+    per_rep = {i: (tuple(sorted(q)), _relative_spread([r[i] for r in rep_ratios]))
+               for i, q in enumerate(quads)}
+    return per_rep, _relative_spread(prod_ratios)
+
+
+def _relative_spread(rs):
+    """Largest pairwise distance of complex ratios over the modulus of
+    their componentwise median."""
+    med = complex(_median([r.real for r in rs]), _median([r.imag for r in rs]))
+    return max(abs(a - b) for a in rs for b in rs) / abs(med)

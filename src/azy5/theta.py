@@ -21,13 +21,28 @@ evaluated numerically with a geometric remainder.  Derivative series carry
 an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
 err of a value is this tail plus a rounding bound for the summation.
 
-Double precision sums the box with numpy in a fixed order (shells outward,
-lexicographic inside a shell, exactly rounded summation), so results are
-bit-reproducible; _series_value_double states its rounding bound.
+Every series runs through one kernel contract.  A kernel sums the terms
+e^{pi i v^T T v}, v = n + a2/2, over a box of n, with T = 2^s tau for a
+power of two that the series fixes and a2 in {0, 1}^2.  It returns the
+four sums S_pq over the classes n = (p, q) mod 2, optionally the three
+sums weighted by k1^2, 2 k1 k2 and k2^2 (k = 2v), and a rounding bound
+that covers every signed combination of the S_pq.  Characteristics that
+share m' differ only in the factor e^{pi i m''.v} = i^{a2.m''}
+(-1)^{p m''_1 + q m''_2}, so one kernel run serves every m''
+(_character_sum): theta_all_even makes four runs for its ten constants.  The second-order
+constants Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are
+the classes k = m' mod 2 of one run over k in [-2R, 2R+1]^2 at tau/2: the
+same terms as four separate series, in one box.  The gradient is one run
+with the moments.  The precision only chooses the kernel and how the
+combined sums are rounded once, to an mpc or to a complex.
 
-High precision runs one kernel, _walk, a fixed-point row recurrence.  Each
-row fixes n2 and walks n1 outward, both ways, from the row's largest term
-at n1 = nint(-Y12 v2 / Y11 - a1), clipped to the box.  A step costs two
+Double precision runs _grid: numpy terms over the whole box, each class
+summed by math.fsum, so each S_pq is exactly rounded and the result does
+not depend on summation order; _grid's docstring derives its bound.
+
+High precision runs _walk, a fixed-point row recurrence.  Each row fixes
+n2 and walks n1 outward, both ways, from the row's largest term at
+n1 = nint(-Y12 v2 / Y11 - a1), clipped to the box.  A step costs two
 multiplications, t <- t u and u <- u e^{2 pi i T11}, where u is the ratio
 of neighbouring terms (the downward walk has its own ratio w), so a row
 needs three full-precision exponentials, for t, u and w at its centre,
@@ -41,16 +56,10 @@ wp bits, then truncated) and each product by at most 1.5, so a term k
 steps from its row centre is off by at most 5 + 4k + 4k^2; the walk's
 bound is twice the sum of that over the box, the factor two covering
 second-order terms.  The integer sums are exact, so the result does not
-depend on summation order and is deterministic; it is rounded once to the
-working precision, which adds 2^(1-prec) |value| to the bound.
+depend on summation order and is deterministic.
 
-The walk returns four sums S_pq split by n mod 2.  Characteristics sharing
-m' differ only in the factor e^{pi i m''.v} = i^{(m' mod 2).m''}
-(-1)^{p m''_1 + q m''_2}, so one walk serves every m'':
-theta_all_even needs four walks for its ten constants.  The second-order
-constants Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are
-the classes k = m' mod 2 of one walk over k in [-2R, 2R+1]^2 at tau/2:
-the same terms as four separate series, in half the rows.
+Either way the combined sum is rounded once to the working precision
+(53 bits in double), which adds 2^(1-prec) |value| to the bound.
 
 The transformation factors under gamma in Sp(4,Z) are
 
@@ -79,7 +88,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpc_expjpi, mpf_shift,
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
-from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius
+from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius, value_prec
 from .siegel import SiegelPoint
 from .symplectic import act_tau
 
@@ -90,28 +99,6 @@ class ThetaValue(NamedTuple):
     """Value together with the analytic tail bound of the truncation used."""
     value: complex
     err: float
-
-
-_lattice_cache = {}
-
-
-def _lattice(g, R):
-    """Lattice points with ||n||_inf <= R, shells outward, lexicographic
-    within each shell."""
-    key = (g, R)
-    pts = _lattice_cache.get(key)
-    if pts is None:
-        out = []
-        for r in range(R + 1):
-            if g == 1:
-                shell = [(-r,), (r,)] if r else [(0,)]
-            else:
-                shell = sorted({(i, j) for i in range(-r, r + 1) for j in range(-r, r + 1)
-                                if max(abs(i), abs(j)) == r})
-            out.extend(shell)
-        pts = np.array(out, dtype=np.int64)
-        _lattice_cache[key] = pts
-    return pts
 
 
 def _tail(lam, R, g=2, poly=0, scale=1.0):
@@ -134,6 +121,8 @@ def _tail(lam, R, g=2, poly=0, scale=1.0):
 
 
 def _radius(lam, eps, g=2, poly=0, scale=1.0):
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     # analytic first guess: first-term majorant ~ scale*8r (r+1/2)^p
     # e^{-pi lam (r-1/2)^2} < eps, then walk to the minimal certified R
     guess = math.sqrt(max(1.0, math.log(max(8.0 * scale, 2.0) / eps)) / (math.pi * lam))
@@ -154,8 +143,6 @@ def _radius(lam, eps, g=2, poly=0, scale=1.0):
 def truncation_radius(tau, eps):
     """Smallest shell radius whose certified tail bound is below eps for a
     first-order theta constant at tau."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     return _radius(tau.lam_min, eps, g=tau.g)
 
 
@@ -163,35 +150,42 @@ def truncation_radius(tau, eps):
 _U = 2.0 ** -53
 
 
-def _series_value_double(T, a, b, R, g):
-    """(sum, rounding bound) of the truncated series in IEEE double.
+def _grid(t, a2, box, moments=False):
+    """The numpy kernel behind every double-precision series, with the
+    contract of _walk: t = (T11, T12, T22) as Python complex, a2 and box
+    as there.  sums[p][q] and the moment sums are (re, im) pairs, each
+    component an exactly rounded math.fsum over its terms; bound covers
+    every signed combination of the four class sums.
 
-    With v = n + a, the lattice values v and b.v are exact, so forming
-    q = v^T T v + 2 b.v left to right costs two roundings per monomial and
-    one per addition: at most 5 u Q, u the unit roundoff and Q = |T11| v1^2
-    + 2 |T12| |v1 v2| + |T22| v2^2 + 2 |b.v| the sum of the moduli of its
-    monomials.  The factor pi i, with pi rounded, adds 2 u |q| <= 2 u Q,
-    and the complex exponential at most 5 u (exp, cos and sin within one
-    ulp each, and one product).  Each term is therefore off by at most
-    8 u |t| (1 + pi Q), the slack covering second-order terms, and the
-    exactly rounded final sum adds u |sum| per component, counted as
-    2 u |sum|."""
-    pts = _lattice(g, R)
-    v0 = pts[:, 0] + a[0]
-    if g == 1:
-        bv = b[0] * v0
-        q = T[0][0] * v0 * v0 + 2 * bv
-        qabs = abs(T[0][0]) * v0 * v0 + 2 * np.abs(bv)
-    else:
-        v1 = pts[:, 1] + a[1]
-        bv = b[0] * v0 + b[1] * v1
-        q = T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1 + 2 * bv
-        qabs = (abs(T[0][0]) * v0 * v0 + 2 * abs(T[0][1]) * np.abs(v0 * v1)
-                + abs(T[1][1]) * v1 * v1 + 2 * np.abs(bv))
-    t = np.exp(1j * np.pi * q)
-    total = fsum_complex(t)
-    rounding = 8 * _U * float(np.dot(np.abs(t), 1 + np.pi * qabs)) + 2 * _U * abs(total)
-    return total, rounding
+    With v = k/2, the lattice values v and v_i v_j are exact, so forming
+    q = v^T T v costs one rounding per monomial and one per addition: at
+    most 3 u Q, u the unit roundoff and Q = |T11| v1^2 + 2 |T12| |v1 v2|
+    + |T22| v2^2 the sum of the moduli of its monomials.  The factor
+    pi i, with pi rounded, adds 2 u |q| <= 2 u Q, and the complex
+    exponential at most 5 u (exp, cos and sin within one ulp each, and
+    one product).  Each term is therefore off by at most
+    8 u |t| (1 + pi Q), the slack covering second-order terms, and
+    rounding a class sum adds u |S_pq| per component, counted as
+    2 u |S_pq|."""
+    (lo0, hi0), (lo1, hi1) = box
+    k0 = np.arange(2 * lo0 + a2[0], 2 * hi0 + a2[0] + 1, 2, dtype=float)[:, None]
+    k1 = np.arange(2 * lo1 + a2[1], 2 * hi1 + a2[1] + 1, 2, dtype=float)[None, :]
+    v0, v1 = k0 / 2, k1 / 2
+    t11, t12, t22 = t
+    form = t11 * (v0 * v0) + 2 * t12 * (v0 * v1) + t22 * (v1 * v1)
+    form_abs = abs(t11) * (v0 * v0) + 2 * abs(t12) * np.abs(v0 * v1) + abs(t22) * (v1 * v1)
+    terms = np.exp(1j * np.pi * form)
+
+    def pair(x):
+        z = fsum_complex(x.ravel())
+        return z.real, z.imag
+
+    sums = [[pair(terms[(p - lo0) % 2::2, (q - lo1) % 2::2]) for q in (0, 1)]
+            for p in (0, 1)]
+    mom = [pair(terms * w) for w in (k0 * k0, 2 * k0 * k1, k1 * k1)] if moments else None
+    bound = 8 * _U * float(np.sum(np.abs(terms) * (1 + np.pi * form_abs)))
+    bound += 2 * _U * sum(abs(complex(*s)) for row in sums for s in row)
+    return sums, mom, bound
 
 
 # Fractional bits the fixed-point walk carries beyond the working precision.
@@ -288,31 +282,58 @@ def _to_mpc(z, wp):
     return mp.mpc(mp.mpf((z[0], -wp)), mp.mpf((z[1], -wp)))
 
 
-def _rounding(value, walk_bound):
-    """Walk bound plus the final rounding of value to the ambient
-    precision."""
-    return walk_bound + 2.0 ** (1 - mp.mp.prec) * float(abs(value))
+class _Sums(NamedTuple):
+    """One kernel run, and the arithmetic of its precision: `add`
+    combines class sums (exactly for the walk's integers, exactly rounded
+    for the grid's floats), `round` turns a combined (re, im) pair into a
+    value, rounded once, `ulp` = 2^(1-prec) bounds that rounding
+    relative to the value, and `pi` is pi at the working precision."""
+    sums: list
+    mom: list
+    bound: float
+    add: object
+    round: object
+    ulp: float
+    pi: object
 
 
-def _character_sum(sums, a2, mdbl):
-    """theta[m'; m''] from the parity sums of its m' class, as a
-    fixed-point pair: i^{a2.m''} sum_pq (-1)^{p m''_1 + q m''_2} S_pq."""
-    re = im = 0
-    for p in (0, 1):
-        for q in (0, 1):
-            sr, si = sums[p][q]
-            if (p * mdbl[0] + q * mdbl[1]) % 2:
-                sr, si = -sr, -si
-            re += sr
-            im += si
+def _run_kernel(tau, shift, a2, box, hiprec, moments=False):
+    """The kernel of the precision over the box at 2^shift tau (genus 1
+    padded to genus 2).  High precision must run under the working
+    precision, as value_prec provides."""
+    if hiprec:
+        wp = mp.mp.prec + GUARD_BITS
+        run = _walk(_raw_entries(tau, shift), a2, box, wp, moments)
+        return _Sums(*run, sum, lambda z: _to_mpc(z, wp), 2.0 ** (1 - mp.mp.prec), mp.pi)
+    T = tau.entries()
+    ents = [T[0][0]] if tau.g == 1 else [T[0][0], T[0][1], T[1][1]]
+    t = [z * 2.0 ** shift for z in ents] + [0j] * (3 - len(ents))
+    return _Sums(*_grid(t, a2, box, moments), math.fsum, lambda z: complex(*z),
+                 2 * _U, math.pi)
+
+
+def _theta_value(k, z, tail):
+    """ThetaValue of the combined pair z of kernel run k: the tail, the
+    kernel's bound and the final rounding."""
+    val = k.round(z)
+    return ThetaValue(val, tail + (k.bound + k.ulp * float(abs(val))))
+
+
+def _character_sum(sums, a2, mdbl, add):
+    """theta[m'; m''] from the parity sums of its m' class, as an (re, im)
+    pair: i^{a2.m''} sum_pq (-1)^{p m''_1 + q m''_2} S_pq, each component
+    combined by `add`."""
+    signed = [s if (p * mdbl[0] + q * mdbl[1]) % 2 == 0 else (-s[0], -s[1])
+              for p, row in enumerate(sums) for q, s in enumerate(row)]
+    re, im = add(s[0] for s in signed), add(s[1] for s in signed)
     for _ in range((a2[0] * mdbl[0] + a2[1] * mdbl[1]) % 4):
         re, im = -im, re
     return re, im
 
 
-def _theta_hiprec(mprime, mdbls, tau, eps, dps):
-    """theta[m'; m''] for each m'' in mdbls, all from one walk over the
-    parity classes of m'."""
+def _theta_class(mprime, mdbls, tau, eps, hiprec, dps):
+    """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
+    the parity classes of m'."""
     g = tau.g
     pad = (0,) * (2 - g)
     a2 = tuple(int(x) % 2 for x in mprime) + pad
@@ -320,15 +341,10 @@ def _theta_hiprec(mprime, mdbls, tau, eps, dps):
     R = _radius(lam, eps, g=g)
     tail = _tail(lam, R, g=g)
     box = ((-R, R), (-R, R) if g == 2 else (0, 0))
-    with mp.workdps(dps or HIPREC_DPS):
-        wp = mp.mp.prec + GUARD_BITS
-        sums, _, bound = _walk(_raw_entries(tau), a2, box, wp)
-        out = []
-        for mdbl in mdbls:
-            b = tuple(int(x) for x in mdbl) + pad
-            val = _to_mpc(_character_sum(sums, a2, b), wp)
-            out.append(ThetaValue(val, tail + _rounding(val, bound)))
-    return out
+    bs = [tuple(int(x) for x in mdbl) + pad for mdbl in mdbls]
+    with value_prec(hiprec, dps):
+        k = _run_kernel(tau, 0, a2, box, hiprec)
+        return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail) for b in bs]
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
@@ -336,15 +352,7 @@ def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
     vectors.  The m' part is reduced internally by an exact lattice shift;
     the m'' part is kept as given, so the classical shift sign
     theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
-    if hiprec:
-        return _theta_hiprec(mprime, [mdbl], tau, eps, dps)[0]
-    g = tau.g
-    a = [int(x) % 2 / 2 for x in mprime]
-    b = [int(x) / 2 for x in mdbl]
-    lam = tau.lam_min
-    R = _radius(lam, eps, g=g)
-    val, rounding = _series_value_double(tau.entries(), a, b, R, g)
-    return ThetaValue(val, _tail(lam, R, g=g) + rounding)
+    return _theta_class(mprime, [mdbl], tau, eps, hiprec, dps)[0]
 
 
 def theta_constant(m, tau, eps=1e-12, hiprec=False, dps=None):
@@ -380,35 +388,25 @@ def theta_second_order(mprime, tau, eps=1e-12, hiprec=False, dps=None):
 
 
 def theta_second_vector(tau, eps=1e-12, hiprec=False, dps=None):
-    """The four second-order constants in MPRIME_ORDER.  In high precision
-    they come from one walk: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k}
-    over k = 2n + m', so the box k in [-2R, 2R+1]^2 at tau/2, split by
-    k mod 2, holds exactly the terms of the four separate series."""
-    if not hiprec:
-        return tuple(theta_second_order(mpv, tau, eps) for mpv in MPRIME_ORDER)
+    """The four second-order constants in MPRIME_ORDER, from one kernel
+    run: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over k = 2n + m', so
+    the box k in [-2R, 2R+1]^2 at tau/2, split by k mod 2, holds exactly
+    the terms of the four separate series."""
     lam = 2 * tau.lam_min  # least eigenvalue of Im 2 tau, exactly
     R = _radius(lam, eps)
     tail = _tail(lam, R)
-    with mp.workdps(dps or HIPREC_DPS):
-        wp = mp.mp.prec + GUARD_BITS
-        sums, _, bound = _walk(_raw_entries(tau, -1), (0, 0),
-                               ((-2 * R, 2 * R + 1),) * 2, wp)
-        out = []
-        for p, q in MPRIME_ORDER:
-            val = _to_mpc(sums[p][q], wp)
-            out.append(ThetaValue(val, tail + _rounding(val, bound)))
-    return tuple(out)
+    with value_prec(hiprec, dps):
+        k = _run_kernel(tau, -1, (0, 0), ((-2 * R, 2 * R + 1),) * 2, hiprec)
+        return tuple(_theta_value(k, k.sums[p][q], tail) for p, q in MPRIME_ORDER)
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False, dps=None):
-    """All ten even first-order constants, keyed by 4-bit index.  In high
-    precision the constants sharing m' come from one walk."""
-    if not hiprec:
-        return {m: theta_constant(m, tau, eps) for m in EVEN_CHARS}
+    """All ten even first-order constants, keyed by 4-bit index; the
+    constants sharing m' come from one kernel run."""
     out = {}
     for mpv in MPRIME_ORDER:
         ms = [m for m in EVEN_CHARS if mprime_of(m) == mpv]
-        out.update(zip(ms, _theta_hiprec(mpv, [mdbl_of(m) for m in ms], tau, eps, dps)))
+        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, eps, hiprec, dps)))
     return {m: out[m] for m in EVEN_CHARS}
 
 
@@ -416,30 +414,16 @@ def theta_gradient(mprime, tau, eps=1e-12, hiprec=False, dps=None):
     """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau, the off-diagonal
     derivative counting the symmetric entry once.  Differentiating the
     2 tau series termwise gives weights 2 pi i v1^2, 4 pi i v1 v2,
-    2 pi i v2^2 on the shifted lattice points v = n + m'/2; in high
-    precision the walk accumulates the exact integer weights k1^2,
-    2 k1 k2, k2^2 of k = 2v, and the prefactor becomes pi i / 2."""
+    2 pi i v2^2 on the shifted lattice points v = n + m'/2; the kernel's
+    moments carry the integer weights k1^2, 2 k1 k2, k2^2 of k = 2v, so
+    the prefactor becomes pi i / 2."""
     lam2 = 2 * tau.lam_min
     R = _radius(lam2, eps, g=2, poly=2, scale=4 * math.pi)
-    if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
-            wp = mp.mp.prec + GUARD_BITS
-            a2 = tuple(int(x) % 2 for x in mprime)
-            _, mom, _ = _walk(_raw_entries(tau, 1), a2, ((-R, R), (-R, R)), wp,
-                              moments=True)
-            half_pi_i = mp.mpc(0, mp.pi / 2)
-            return tuple(half_pi_i * _to_mpc(z, wp) for z in mom)
-    a0, a1 = mprime[0] / 2, mprime[1] / 2
-    T = _doubled(tau).entries()
-    pts = _lattice(2, R)
-    v0 = pts[:, 0] + a0
-    v1 = pts[:, 1] + a1
-    q = T[0][0] * v0 * v0 + 2 * T[0][1] * v0 * v1 + T[1][1] * v1 * v1
-    t = np.exp(1j * np.pi * q)
-    tpi = 2j * math.pi
-    return (tpi * fsum_complex(t * v0 * v0),
-            tpi * fsum_complex(2 * t * v0 * v1),
-            tpi * fsum_complex(t * v1 * v1))
+    a2 = tuple(int(x) % 2 for x in mprime)
+    with value_prec(hiprec, dps):
+        k = _run_kernel(tau, 1, a2, ((-R, R), (-R, R)), hiprec, moments=True)
+        half_pi_i = 1j * (k.pi / 2)
+        return tuple(half_pi_i * k.round(z) for z in k.mom)
 
 
 # --- exact transformation factors ---------------------------------------

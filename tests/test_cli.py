@@ -100,6 +100,8 @@ def test_full_verify_alias(tmp_path, capsys):
 def test_usage_errors_exit_2():
     for argv in (["no-such-command"],
                  ["orbits", "--eps", "1e-40"],
+                 ["orbits", "--eps", "nan"],
+                 ["orbits", "--eps", "inf"],
                  ["verify-addition", "--samples", "0"],
                  ["forms-eval"]):
         with pytest.raises(SystemExit) as e:

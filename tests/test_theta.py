@@ -103,6 +103,13 @@ def test_truncation_radius_monotone(taus):
         truncation_radius(tau, 0.0)
 
 
+@pytest.mark.parametrize("hiprec", [False, True])
+def test_eps_must_be_positive_and_finite(taus, hiprec):
+    for eps in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            theta_constant(0, taus[0], eps, hiprec=hiprec)
+
+
 def test_hiprec_matches_double(taus):
     tau = taus[3]
     for m in EVEN_CHARS[:4]:

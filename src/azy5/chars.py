@@ -26,6 +26,7 @@ base point for coset enumeration and for the tetrahedron geometry.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 G = 2
@@ -121,6 +122,18 @@ def act_set(gamma, chars):
     return frozenset(act_char(gamma, c) for c in chars)
 
 
+def char_images(gamma):
+    """act_char(gamma, m) for all sixteen m, as a tuple indexed by m.  The
+    action is affine over Z/2, so the images of 0 and of the four unit
+    characteristics fix the rest."""
+    out = [act_char(gamma, 0)]
+    units = [act_char(gamma, 1 << i) ^ out[0] for i in range(4)]
+    for m in range(1, 16):
+        low = m & -m
+        out.append(out[m ^ low] ^ units[low.bit_length() - 1])
+    return tuple(out)
+
+
 def classify_triple(triple):
     """Tag of a triple of distinct even characteristics: "minus" if the
     sum (xor of indices) is odd, "plus" if even."""
@@ -144,9 +157,10 @@ def classify_quadruple(quad):
     return "star"
 
 
+@lru_cache(maxsize=None)
 def even_triples(tag=None):
     """All 120 triples of even characteristics, optionally filtered by tag,
-    each sorted ascending."""
+    each sorted ascending.  Cached: the result is an immutable tuple."""
     out = []
     for t in combinations(EVEN_CHARS, 3):
         if tag is None or classify_triple(t) == tag:
@@ -154,7 +168,10 @@ def even_triples(tag=None):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def even_quadruples(tag=None):
+    """All 210 quadruples of even characteristics, optionally filtered by
+    tag, each sorted ascending.  Cached like even_triples."""
     out = []
     for q in combinations(EVEN_CHARS, 4):
         if tag is None or classify_quadruple(q) == tag:
@@ -162,11 +179,13 @@ def even_quadruples(tag=None):
     return tuple(out)
 
 
-def psi_p(gamma):
+def psi_p(gamma, images=None):
     """Permutation induced on the odd characteristics, as a tuple p with
     p[k] = position of gamma.(k-th odd characteristic).  The fixed ordering
-    of ODD_CHARS (index order 5,7,10,11,13,14) pins the S_6 identification."""
-    return tuple(_ODD_POS[act_char(gamma, c)] for c in ODD_CHARS)
+    of ODD_CHARS (index order 5,7,10,11,13,14) pins the S_6 identification.
+    `images` may pass char_images(gamma) when the caller has it."""
+    images = images or char_images(gamma)
+    return tuple(_ODD_POS[images[c]] for c in ODD_CHARS)
 
 
 def perm_sign(p):
@@ -193,10 +212,10 @@ def compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def chi_p(gamma):
+def chi_p(gamma, images=None):
     """Sign character of Sp(4,Z) through the S_6 permutation action; trivial
-    on the principal level-2 subgroup."""
-    return perm_sign(psi_p(gamma))
+    on the principal level-2 subgroup.  `images` as for psi_p."""
+    return perm_sign(psi_p(gamma, images))
 
 
 # The stabilizer of M0 preserves the perfect matching {5,7} {10,11} {13,14}

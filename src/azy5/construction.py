@@ -283,8 +283,9 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
     """Per-representative constancy of F_{gamma^{-1} M0} / phi_gamma over
     the sample points, plus the spread of (prod of all fifteen F) /
     (prod of all fifteen phi_gamma), the latter being phi_transversal.
-    Theta(tau) and each phi_gamma are evaluated once per point.
-    Returns (per_rep, product_spread) where per_rep maps each
+    Theta(tau) and each phi_gamma are evaluated once per point; the F
+    values, the ratios and their spreads are formed at the working
+    precision.  Returns (per_rep, product_spread) where per_rep maps each
     representative index to (sorted quadruple, relative spread)."""
     reps = coset_reps(THETA0_2).reps
     quads = [frozenset(act_set(g.inverse(), M0)) for g in reps]
@@ -295,19 +296,21 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
     prod_ratios = []
     for tau in taus:
         x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
-        fvs = [T.form_value(x) for T in tets]
         pgs = [phi_gamma(g, tau, eps, hiprec, dps).value for g in reps]
-        rep_ratios.append([complex(f / p) for f, p in zip(fvs, pgs)])
         with value_prec(hiprec, dps):
-            pv = reduce(operator.mul, pgs)
-        prod_ratios.append(complex(reduce(operator.mul, fvs) / pv))
-    per_rep = {i: (tuple(sorted(q)), _relative_spread([r[i] for r in rep_ratios]))
-               for i, q in enumerate(quads)}
-    return per_rep, _relative_spread(prod_ratios)
+            fvs = [T.form_value(x) for T in tets]
+            rep_ratios.append([f / p for f, p in zip(fvs, pgs)])
+            prod_ratios.append(reduce(operator.mul, fvs) / reduce(operator.mul, pgs))
+    with value_prec(hiprec, dps):
+        per_rep = {i: (tuple(sorted(q)), _relative_spread([r[i] for r in rep_ratios]))
+                   for i, q in enumerate(quads)}
+        return per_rep, _relative_spread(prod_ratios)
 
 
 def _relative_spread(rs):
-    """Largest pairwise distance of complex ratios over the modulus of
-    their componentwise median."""
-    med = complex(_median([r.real for r in rs]), _median([r.imag for r in rs]))
-    return max(abs(a - b) for a in rs for b in rs) / abs(med)
+    """Largest pairwise distance of the ratios over the modulus of their
+    componentwise median, as a float; mpc ratios are compared at the
+    ambient precision."""
+    re, im = _median([r.real for r in rs]), _median([r.imag for r in rs])
+    med = mp.mpc(re, im) if isinstance(re, mp.mpf) else complex(re, im)
+    return float(max(abs(a - b) for a in rs for b in rs) / abs(med))

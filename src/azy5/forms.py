@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
+from .chars import EVEN_CHARS, M0, char_images, chi_p, parity
 from .numeric import fsum_complex, value_prec
 from .symplectic import PRINCIPAL2, act_tau, automorphy_factor, coset_reps
 from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
@@ -189,22 +189,25 @@ def mu_ratio(tau, eps=1e-12, hiprec=False, dps=None):
 # --- exact symmetrization over level-2 cosets ----------------------------
 
 
-def slash_unit(key, gamma, g_inv=None):
+def slash_unit(key, gamma, images=None):
     """Exact reduction of (f |_k gamma)(tau) for the monomial f given by
     `key`: returns (image_key, K) with
 
         (f |_k gamma)(tau) = e^{pi i K / 4} * prod theta over image_key,
 
     valid when the total degree is divisible by 4 (so the kappa power is
-    the exact sign kappa^4 = e^{pi i Tr(b^T c)} raised to deg/4)."""
+    the exact sign kappa^4 = e^{pi i Tr(b^T c)} raised to deg/4).  gamma
+    may be a matrix or its blocks; `images` may pass char_images(gamma),
+    whose inverse gives the characteristic that gamma sends to each
+    factor."""
     deg = monomial_degree(key)
     if deg % 4:
         raise ValueError("total degree must be divisible by 4 to eliminate kappa")
-    ginv = g_inv if g_inv is not None else gamma.inverse()
+    images = images or char_images(gamma)
     K = (deg * trace_btc(gamma)) % 8
     img = []
     for n, e in key:
-        m = act_char(ginv, n)
+        m = images.index(n)
         n_back, k = transform_unit(m, gamma)
         if n_back != n:
             raise AssertionError("characteristic action failed to invert")
@@ -218,13 +221,17 @@ def symmetrize_exact(key, character=None):
     a dict image_key -> (count, K) where every one of the `count` coset
     terms landing on image_key contributed the same unit e^{pi i K/4}
     (anything else raises, since the collected sum would then not be a
-    single integer multiple of a unit)."""
+    single integer multiple of a unit).  Each representative's blocks
+    and characteristic images are read once and shared by slash_unit and
+    the character, which is called as character(blocks, images), like
+    chi_p."""
     key = mono_key(key)
     seen = {}
     for g in coset_reps(PRINCIPAL2).reps:
-        ginv = g.inverse()
-        img, K = slash_unit(key, g, ginv)
-        if character is not None and character(g) == -1:
+        gb = g.blocks()
+        images = char_images(gb)
+        img, K = slash_unit(key, gb, images)
+        if character is not None and character(gb, images) == -1:
             K = (K + 4) % 8
         seen.setdefault(img, []).append(K)
     out = {}

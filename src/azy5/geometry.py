@@ -16,12 +16,13 @@ simplex and F is the monomial X0 X1 X2 X3.
 Everything here is exact.  Every vertex has coordinates in {0, +-1, +-i},
 so the intersection is found by testing the 156 projective points of
 {0, +-1, +-i}^4 whose first nonzero coordinate is 1 against the six
-quadrics in exact arithmetic; exactly four survive for each of the
-fifteen plus-quadruples.  The face through three vertices has the signed
-3 x 3 minors of their coordinates as coefficients; scaled so that its
-first nonzero coefficient is 1, every coefficient is again in
-{0, +-1, +-i}.  The 60 faces are pairwise distinct, and all_faces lists
-them for the product formula of construction.phi.
+quadrics in exact arithmetic, each from its four nonzero +-1 entries;
+exactly four survive for each of the fifteen plus-quadruples.  The face
+through three vertices has the signed 3 x 3 minors of their coordinates
+as coefficients; scaled so that its first nonzero coefficient is 1, every
+coefficient is again in {0, +-1, +-i}.  The 60 faces are pairwise
+distinct, and all_faces lists them for the product formula of
+construction.phi.
 
 Gaussian integers are held as Python complex numbers with integer parts.
 Their sums and products here stay far below 2^53 in modulus, so float
@@ -37,6 +38,7 @@ from itertools import product
 
 from .chars import EVEN_CHARS, classify_quadruple, even_quadruples
 from .forms import _det3
+from .numeric import value_prec
 from .theta import theta_second_vector
 
 _D = ((0, (1, 1, 1, 1)),
@@ -73,10 +75,16 @@ ADDITION_TABLE = _build_table()
 _UNITS = (complex(0, 0), complex(1, 0), complex(-1, 0), complex(0, 1), complex(0, -1))
 
 
+# The four nonzero entries (i, j, +-1) of each Q_m, in row-major order.
+_SPARSE = {m: tuple((i, j, q[i][j]) for i in range(4) for j in range(4) if q[i][j])
+           for m, q in ADDITION_TABLE.items()}
+
+
 def quadric_value(m, x):
-    """X^T Q_m X for a length-4 sequence x."""
-    q = ADDITION_TABLE[m]
-    return sum(q[i][j] * x[i] * x[j] for i in range(4) for j in range(4))
+    """X^T Q_m X for a length-4 sequence x, from the four nonzero entries
+    of Q_m: the dense row-major sum without its exact zero terms."""
+    (i0, j0, s0), (i1, j1, s1), (i2, j2, s2), (i3, j3, s3) = _SPARSE[m]
+    return s0 * x[i0] * x[j0] + s1 * x[i1] * x[j1] + s2 * x[i2] * x[j2] + s3 * x[i3] * x[j3]
 
 
 def addition_residual(m, tau, eps=1e-12, hiprec=False, dps=None):
@@ -174,7 +182,8 @@ def all_faces():
 
 def f_m(quad, tau, eps=1e-12, hiprec=False, dps=None):
     """The tetrahedral quartic F_M evaluated at the second-order constants
-    of tau."""
+    of tau, multiplied out at the working precision."""
     T = tetrahedron(frozenset(quad))
     x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
-    return T.form_value(x)
+    with value_prec(hiprec, dps):
+        return T.form_value(x)

@@ -4,12 +4,15 @@ coset enumeration.
 
 Matrices carry arbitrary-precision Python integers, so long generator words
 used in randomized tests cannot overflow.  Inverses use the symplectic
-closed form gamma^{-1} = [[d^T, -b^T], [-c^T, a^T]].
+closed form gamma^{-1} = [[d^T, -b^T], [-c^T, a^T]].  The coset search
+never multiplies two generic matrices: extending a word by a generator is
+a column operation on the rows of its matrix (_COLUMN_OPS).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +45,11 @@ def is_symplectic(entries):
             if v != want:
                 return False
     return True
+
+
+# The 2 x 2 blocks of [[a, b], [c, d]], read once: every function that
+# takes gamma through .a/.b/.c/.d accepts them in place of the matrix.
+Blocks = namedtuple("Blocks", "a b c d")
 
 
 class SymplecticMatrix:
@@ -83,23 +91,28 @@ class SymplecticMatrix:
         r = self.rows
         return ((r[2][2], r[2][3]), (r[3][2], r[3][3]))
 
+    @classmethod
+    def _trusted(cls, rows):
+        # rows of a product or inverse of symplectic matrices: no re-validation
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        return out
+
+    def blocks(self):
+        return Blocks(self.a, self.b, self.c, self.d)
+
     def __matmul__(self, other):
         a, b = self.rows, other.rows
-        prod = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-                     for i in range(4))
-        out = object.__new__(SymplecticMatrix)
-        object.__setattr__(out, "rows", prod)
-        return out
+        return SymplecticMatrix._trusted(
+            tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                  for i in range(4)))
 
     def inverse(self):
         a, b, c, d = self.a, self.b, self.c, self.d
-        inv = ((d[0][0], d[1][0], -b[0][0], -b[1][0]),
-               (d[0][1], d[1][1], -b[0][1], -b[1][1]),
-               (-c[0][0], -c[1][0], a[0][0], a[1][0]),
-               (-c[0][1], -c[1][1], a[0][1], a[1][1]))
-        out = object.__new__(SymplecticMatrix)
-        object.__setattr__(out, "rows", inv)
-        return out
+        return SymplecticMatrix._trusted(((d[0][0], d[1][0], -b[0][0], -b[1][0]),
+                                          (d[0][1], d[1][1], -b[0][1], -b[1][1]),
+                                          (-c[0][0], -c[1][0], a[0][0], a[1][0]),
+                                          (-c[0][1], -c[1][1], a[0][1], a[1][1])))
 
     def mod2_key(self):
         return bytes(x & 1 for row in self.rows for x in row)
@@ -277,12 +290,22 @@ class CosetSystem:
         return len(self.reps)
 
 
+# Right multiplication by each of GENERATORS as a column operation on the
+# rows (c0, c1, c2, c3) of a matrix: J sends them to (-c2, -c3, c0, c1),
+# a translation by B adds B-combinations of c0, c1 to c2, c3.
+_COLUMN_OPS = (
+    lambda r: (-r[2], -r[3], r[0], r[1]),
+    lambda r: (r[0], r[1], r[2] + r[0], r[3]),
+    lambda r: (r[0], r[1], r[2], r[3] + r[1]),
+    lambda r: (r[0], r[1], r[2] + r[1], r[3] + r[0]),
+)
+
+
 def _bfs_transversal(key_fn, expected, max_level=40):
     reps = [IDENTITY]
     words = [()]
-    seen = {key_fn(IDENTITY, IDENTITY)}
-    frontier = [(IDENTITY, IDENTITY, ())]
-    gen_inv = [g.inverse() for g in GENERATORS]
+    seen = {key_fn(IDENTITY)}
+    frontier = [(IDENTITY, ())]
     level = 0
     while len(reps) < expected:
         level += 1
@@ -290,17 +313,16 @@ def _bfs_transversal(key_fn, expected, max_level=40):
             raise RuntimeError(
                 f"coset search exhausted at {len(reps)}/{expected}; wrong generator set")
         nxt = []
-        for mat, inv, word in frontier:
-            for gi, gen in enumerate(GENERATORS):
-                nm = mat @ gen
-                ninv = gen_inv[gi] @ inv
-                k = key_fn(nm, ninv)
+        for mat, word in frontier:
+            for gi, op in enumerate(_COLUMN_OPS):
+                nm = SymplecticMatrix._trusted(tuple(map(op, mat.rows)))
+                k = key_fn(nm)
                 if k not in seen:
                     seen.add(k)
                     nw = word + (gi,)
                     reps.append(nm)
                     words.append(nw)
-                    nxt.append((nm, ninv, nw))
+                    nxt.append((nm, nw))
                     if len(reps) == expected:
                         break
             if len(reps) == expected:
@@ -317,12 +339,14 @@ def coset_reps(spec):
     Cached: spec is hashable and the returned CosetSystem is immutable.
 
     Supported: theta0(2), keyed by gamma^{-1}.M0 (15 cosets, one per plus
-    quadruple, since theta0(2) is the stabilizer of M0); principal(2),
-    keyed by gamma mod 2 (720 cosets)."""
+    quadruple, since theta0(2) is the stabilizer of M0), with gamma^{-1}
+    from the closed form; principal(2), keyed by gamma mod 2 (720
+    cosets).  Each step right-multiplies a representative by a generator
+    through its column operation on the integer rows."""
     if spec == THETA0_2:
-        reps, words = _bfs_transversal(lambda m, inv: act_set(inv, M0), 15)
+        reps, words = _bfs_transversal(lambda m: act_set(m.inverse(), M0), 15)
     elif spec == PRINCIPAL2:
-        reps, words = _bfs_transversal(lambda m, inv: m.mod2_key(), 720)
+        reps, words = _bfs_transversal(SymplecticMatrix.mod2_key, 720)
     elif spec.kind == "full" or (spec.kind == "principal" and spec.n == 1):
         reps, words = (IDENTITY,), ((),)
     else:

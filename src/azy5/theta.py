@@ -26,15 +26,17 @@ e^{pi i v^T T v}, v = n + a2/2, over a box of n, with T = 2^s tau for a
 power of two that the series fixes and a2 in {0, 1}^2.  It returns the
 four sums S_pq over the classes n = (p, q) mod 2, optionally the three
 sums weighted by k1^2, 2 k1 k2 and k2^2 (k = 2v), and a rounding bound
-that covers every signed combination of the S_pq.  Characteristics that
-share m' differ only in the factor e^{pi i m''.v} = i^{a2.m''}
-(-1)^{p m''_1 + q m''_2}, so one kernel run serves every m''
-(_character_sum): theta_all_even makes four runs for its ten constants.  The second-order
-constants Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are
-the classes k = m' mod 2 of one run over k in [-2R, 2R+1]^2 at tau/2: the
-same terms as four separate series, in one box.  The gradient is one run
-with the moments.  The precision only chooses the kernel and how the
-combined sums are rounded once, to an mpc or to a complex.
+per class; the sum of the four covers every signed combination of the
+S_pq.  Characteristics that share m' differ only in the factor
+e^{pi i m''.v} = i^{a2.m''} (-1)^{p m''_1 + q m''_2}, so one kernel run
+serves every m'' (_character_sum): theta_all_even makes four runs for its
+ten constants.  The second-order constants
+Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are the
+classes k = m' mod 2 of one run over k in [-2R, 2R+1]^2 at tau/2: the
+same terms as four separate series, in one box, each charged the bound of
+its own class.  The gradient is one run with the moments.  The precision
+only chooses the kernel and how the combined sums are rounded once, to an
+mpc or to a complex.
 
 Double precision runs _grid: numpy terms over the whole box, each class
 summed by math.fsum, so each S_pq is exactly rounded and the result does
@@ -54,9 +56,10 @@ plus GUARD_BITS fractional bits, and its error is absolute.  Counted in
 units of 2^-wp, each exponential is off by at most 5 (mpmath's result at
 wp bits, then truncated) and each product by at most 1.5, so a term k
 steps from its row centre is off by at most 5 + 4k + 4k^2; the walk's
-bound is twice the sum of that over the box, the factor two covering
-second-order terms.  The integer sums are exact, so the result does not
-depend on summation order and is deterministic.
+bound of a class is twice the sum of that over the class's points, with
+k up to the row length, the factor two covering second-order terms.  The
+integer sums are exact, so the result does not depend on summation order
+and is deterministic.
 
 Either way the combined sum is rounded once to the working precision
 (53 bits in double), which adds 2^(1-prec) |value| to the bound.
@@ -79,6 +82,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
@@ -150,12 +154,20 @@ def truncation_radius(tau, eps):
 _U = 2.0 ** -53
 
 
+@lru_cache(maxsize=None)
+def _parity_rows(lo, n):
+    """2 x n matrix of 0/1 whose row p marks the indices i with lo + i = p
+    mod 2: P0 W P1^T sums an array W over the parity classes of a box."""
+    i = (lo + np.arange(n)) % 2
+    return np.stack([i == 0, i == 1]).astype(float)
+
+
 def _grid(t, a2, box, moments=False):
     """The numpy kernel behind every double-precision series, with the
     contract of _walk: t = (T11, T12, T22) as Python complex, a2 and box
     as there.  sums[p][q] and the moment sums are (re, im) pairs, each
-    component an exactly rounded math.fsum over its terms; bound covers
-    every signed combination of the four class sums.
+    component an exactly rounded math.fsum over its terms, and
+    bounds[p][q] is the rounding bound of S_pq.
 
     With v = k/2, the lattice values v and v_i v_j are exact, so forming
     q = v^T T v costs one rounding per monomial and one per addition: at
@@ -182,10 +194,12 @@ def _grid(t, a2, box, moments=False):
 
     sums = [[pair(terms[(p - lo0) % 2::2, (q - lo1) % 2::2]) for q in (0, 1)]
             for p in (0, 1)]
+    weight = np.abs(terms) * (1 + np.pi * form_abs)
+    wsum = _parity_rows(lo0, hi0 - lo0 + 1) @ weight @ _parity_rows(lo1, hi1 - lo1 + 1).T
+    bounds = [[8 * _U * w + 2 * _U * abs(complex(*s)) for w, s in zip(*rows)]
+              for rows in zip(wsum.tolist(), sums)]
     mom = [pair(terms * w) for w in (k0 * k0, 2 * k0 * k1, k1 * k1)] if moments else None
-    bound = 8 * _U * float(np.sum(np.abs(terms) * (1 + np.pi * form_abs)))
-    bound += 2 * _U * sum(abs(complex(*s)) for row in sums for s in row)
-    return sums, mom, bound
+    return sums, mom, bounds
 
 
 # Fractional bits the fixed-point walk carries beyond the working precision.
@@ -218,10 +232,11 @@ def _walk(t, a2, box, wp, moments=False):
 
     Sums e^{pi i v^T T v} over v = n + a2/2, n in the box
     ((lo1, hi1), (lo2, hi2)), T given by _raw_entries, a2 in {0, 1}^2.
-    Returns (sums, mom, bound): sums[p][q] is the (re, im) fixed-point
+    Returns (sums, mom, bounds): sums[p][q] is the (re, im) fixed-point
     integer sum, wp fractional bits, over n = (p, q) mod 2; with moments,
     mom is the three sums weighted by k1^2, 2 k1 k2 and k2^2, k = 2v
-    (else None); bound is the rounding bound of one sum (module docstring).
+    (else None); bounds[p][q] is the rounding bound of sums[p][q]
+    (module docstring).
     """
     (lo0, hi0), (lo1, hi1) = box
     parts = [x for z in t for x in z]
@@ -270,10 +285,12 @@ def _walk(t, a2, box, wp, moments=False):
                 mom[0][j] += sum(k * k * x for k, x in zip(ks, row))
                 mom[1][j] += 2 * k1 * m1
                 mom[2][j] += k1 * k1 * sum(row)
-    count = (hi0 - lo0 + 1) * (hi1 - lo1 + 1)
     steps = hi0 - lo0
-    bound = 2 * count * (5 + 4 * steps + 4 * steps * steps) * 2.0 ** -wp
-    return sums, (mom if moments else None), bound
+    per_point = 2 * (5 + 4 * steps + 4 * steps * steps)
+    bounds = [[per_point * len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2))
+               * len(range(lo1 + (q - lo1) % 2, hi1 + 1, 2)) * 2.0 ** -wp
+               for q in (0, 1)] for p in (0, 1)]
+    return sums, (mom if moments else None), bounds
 
 
 def _to_mpc(z, wp):
@@ -290,7 +307,7 @@ class _Sums(NamedTuple):
     relative to the value, and `pi` is pi at the working precision."""
     sums: list
     mom: list
-    bound: float
+    bounds: list
     add: object
     round: object
     ulp: float
@@ -312,11 +329,12 @@ def _run_kernel(tau, shift, a2, box, hiprec, moments=False):
                  2 * _U, math.pi)
 
 
-def _theta_value(k, z, tail):
+def _theta_value(k, z, tail, bound):
     """ThetaValue of the combined pair z of kernel run k: the tail, the
-    kernel's bound and the final rounding."""
+    kernel's rounding bound of the classes combined in z and the final
+    rounding."""
     val = k.round(z)
-    return ThetaValue(val, tail + (k.bound + k.ulp * float(abs(val))))
+    return ThetaValue(val, tail + (bound + k.ulp * float(abs(val))))
 
 
 def _character_sum(sums, a2, mdbl, add):
@@ -344,7 +362,9 @@ def _theta_class(mprime, mdbls, tau, eps, hiprec, dps):
     bs = [tuple(int(x) for x in mdbl) + pad for mdbl in mdbls]
     with value_prec(hiprec, dps):
         k = _run_kernel(tau, 0, a2, box, hiprec)
-        return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail) for b in bs]
+        bound = sum(x for row in k.bounds for x in row)
+        return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail, bound)
+                for b in bs]
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
@@ -397,7 +417,8 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False, dps=None):
     tail = _tail(lam, R)
     with value_prec(hiprec, dps):
         k = _run_kernel(tau, -1, (0, 0), ((-2 * R, 2 * R + 1),) * 2, hiprec)
-        return tuple(_theta_value(k, k.sums[p][q], tail) for p, q in MPRIME_ORDER)
+        return tuple(_theta_value(k, k.sums[p][q], tail, k.bounds[p][q])
+                     for p, q in MPRIME_ORDER)
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False, dps=None):
@@ -440,21 +461,15 @@ def xi_numerator(m, gamma):
     md1, md2 = mdbl_of(m)
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
 
-    def quad(u1, u2, M, w1, w2):
-        return (u1 * (M[0][0] * w1 + M[0][1] * w2) + u2 * (M[1][0] * w1 + M[1][1] * w2))
+    def mul(M, w1, w2):
+        return (M[0][0] * w1 + M[0][1] * w2, M[1][0] * w1 + M[1][1] * w2)
 
-    btd = ((b[0][0] * d[0][0] + b[1][0] * d[1][0], b[0][0] * d[0][1] + b[1][0] * d[1][1]),
-           (b[0][1] * d[0][0] + b[1][1] * d[1][0], b[0][1] * d[0][1] + b[1][1] * d[1][1]))
-    atc = ((a[0][0] * c[0][0] + a[1][0] * c[1][0], a[0][0] * c[0][1] + a[1][0] * c[1][1]),
-           (a[0][1] * c[0][0] + a[1][1] * c[1][0], a[0][1] * c[0][1] + a[1][1] * c[1][1]))
-    btc = ((b[0][0] * c[0][0] + b[1][0] * c[1][0], b[0][0] * c[0][1] + b[1][0] * c[1][1]),
-           (b[0][1] * c[0][0] + b[1][1] * c[1][0], b[0][1] * c[0][1] + b[1][1] * c[1][1]))
-    q = (quad(mp1, mp2, btd, mp1, mp2) + quad(md1, md2, atc, md1, md2)
-         - 2 * quad(mp1, mp2, btc, md1, md2))
+    # m'^T b^T d m' = (b m').(d m'), and likewise for the other two forms
+    bm, dm, am, cm = mul(b, mp1, mp2), mul(d, mp1, mp2), mul(a, md1, md2), mul(c, md1, md2)
+    q = (bm[0] * dm[0] + bm[1] * dm[1] + am[0] * cm[0] + am[1] * cm[1]
+         - 2 * (bm[0] * cm[0] + bm[1] * cm[1]))
     dab = (a[0][0] * b[0][0] + a[0][1] * b[0][1], a[1][0] * b[1][0] + a[1][1] * b[1][1])
-    v = (d[0][0] * mp1 + d[0][1] * mp2 - c[0][0] * md1 - c[0][1] * md2,
-         d[1][0] * mp1 + d[1][1] * mp2 - c[1][0] * md1 - c[1][1] * md2)
-    return -q + 2 * (dab[0] * v[0] + dab[1] * v[1])
+    return -q + 2 * (dab[0] * (dm[0] - cm[0]) + dab[1] * (dm[1] - cm[1]))
 
 
 _SQ2 = math.sqrt(0.5)
@@ -494,34 +509,23 @@ def kappa4(gamma):
     return -1 if trace_btc(gamma) % 2 else 1
 
 
-_DEFAULT_PROBE_TAU = None
-
-
-def _default_probe_tau():
-    global _DEFAULT_PROBE_TAU
-    if _DEFAULT_PROBE_TAU is None:
-        _DEFAULT_PROBE_TAU = SiegelPoint.scaled_identity(1j)
-    return _DEFAULT_PROBE_TAU
-
-
 def kappa_probes(gamma, tau0=None, eps=1e-12, min_abs=1e-3):
     """kappa measured from every even probe characteristic with
     |theta_m(tau0)| > min_abs, as a dict m -> kappa.  All probes of a given
-    gamma must agree; the spread is a correctness check on chi."""
-    tau0 = tau0 or _default_probe_tau()
-    tau_g = act_tau(gamma, tau0)
+    gamma must agree; the spread is a correctness check on chi.  The
+    even constants at tau0 and at gamma tau0 take one theta_all_even each."""
+    tau0 = tau0 or SiegelPoint.scaled_identity(1j)
     _, den = mobius(gamma, tau0.entries())
     sqrt_det = cmath.sqrt(m2_det(den))
-    out = {}
-    for m in EVEN_CHARS:
-        th = theta_constant(m, tau0, eps).value
-        if abs(th) <= min_abs:
-            continue
-        n, k = transform_unit(m, gamma)
-        th_g = theta_constant(n, tau_g, eps).value
-        out[m] = th_g / (_CHI8[k] * sqrt_det * th)
-    if not out:
+    th0 = theta_all_even(tau0, eps)
+    probes = [m for m in EVEN_CHARS if abs(th0[m].value) > min_abs]
+    if not probes:
         raise RuntimeError("all probe thetas too small at tau0; pick another probe point")
+    th_g = theta_all_even(act_tau(gamma, tau0), eps)
+    out = {}
+    for m in probes:
+        n, k = transform_unit(m, gamma)
+        out[m] = th_g[n].value / (_CHI8[k] * sqrt_det * th0[m].value)
     return out
 
 

@@ -129,6 +129,16 @@ def test_geometric_crosscheck():
     assert product_spread < 1e-5
 
 
+def test_hiprec_geometric_crosscheck_resolves_beyond_double():
+    """The F values and their ratios to phi_gamma stay at working
+    precision, so the spreads show the 1e-30 constants, far below the
+    2^-53 that F products rounded at double precision leave."""
+    per_rep, product_spread = geometric_crosscheck(sample_taus(seed=0, count=3),
+                                                   1e-30, hiprec=True)
+    assert max(s for _, s in per_rep.values()) < 1e-25
+    assert product_spread < 1e-25
+
+
 def test_phi_hiprec_agrees_with_double(taus):
     tau = taus[0]
     a = phi(tau).value

@@ -1,15 +1,20 @@
 """Addition-formula quadrics and the exact intersection tetrahedra over
 plus-quadruples."""
 
+from itertools import product
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from azy5 import cli
 from azy5.chars import EVEN_CHARS, M0, even_quadruples
 from azy5.forms import p2
-from azy5.geometry import (ADDITION_TABLE, addition_residual, all_faces,
-                           all_tetrahedra, f_m, faces_from_vertices,
-                           quadric_value, tetrahedron)
+from azy5.geometry import (_CANDIDATES, _UNITS, ADDITION_TABLE,
+                           addition_residual, all_faces, all_tetrahedra, f_m,
+                           faces_from_vertices, quadric_value, tetrahedron)
+from azy5.siegel import sample_taus
+from azy5.theta import theta_second_vector
 
 UNITS = {0, 1, -1, 1j, -1j}
 
@@ -65,6 +70,40 @@ def test_f_m_on_standard_quadruple_is_p2(taus):
         a = f_m(M0, tau)
         b = p2(tau).value
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
+
+
+def test_hiprec_f_m_is_formed_at_working_precision():
+    """F at 50 digits (constants to eps 1e-30) against the same product at
+    70 digits: agreement far below double precision, which a product
+    rounded at 53 bits cannot reach."""
+    tau = sample_taus(0, 1)[0]
+    with mp.workdps(70):
+        x = [t.value for t in theta_second_vector(tau, 1e-60, True, 70)]
+    for quad in even_quadruples("plus")[:3]:
+        got = f_m(quad, tau, 1e-30, True)
+        with mp.workdps(70):
+            want = tetrahedron(frozenset(quad)).form_value(x)
+            assert abs(got - want) < 1e-25 * abs(want)
+
+
+def _dense_quadric(m, x):
+    q = ADDITION_TABLE[m]
+    return sum(q[i][j] * x[i] * x[j] for i in range(4) for j in range(4))
+
+
+def test_sparse_quadric_matches_dense_sum(taus):
+    """quadric_value reads the four nonzero entries of Q_m; the dense
+    16-term sum agrees exactly on all 625 points of {0, +-1, +-i}^4, the
+    156 candidates of the vertex search among them, and bit for bit at
+    theta values in both precisions."""
+    assert len(_CANDIDATES) == 156
+    points = [[t.value for t in theta_second_vector(tau, 1e-12, hiprec)]
+              for tau in taus[:2] for hiprec in (False, True)]
+    for m in EVEN_CHARS:
+        for p in product(_UNITS, repeat=4):
+            assert quadric_value(m, p) == _dense_quadric(m, p)
+        for x in points:
+            assert quadric_value(m, x) == _dense_quadric(m, x)
 
 
 def test_all_fifteen_tetrahedra():

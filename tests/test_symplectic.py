@@ -1,6 +1,7 @@
 """Exact Sp(4,Z) arithmetic, subgroup membership, coset transversals, and
 the action on the upper half-space."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 
 from azy5.chars import M0, act_set, even_quadruples
 from azy5.siegel import SiegelPoint
-from azy5.symplectic import (E11, E22, ESYM, ETA0, FULL, GENERATORS, IDENTITY,
-                             J, PRINCIPAL2, THETA0_2, SubgroupSpec,
-                             SymplecticMatrix, act_tau, automorphy_factor,
-                             coset_reps, gl_rotation, in_subgroup,
-                             lower_translation, random_word, translation,
-                             word_matrix)
+from azy5.symplectic import (_COLUMN_OPS, E11, E22, ESYM, ETA0, FULL,
+                             GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
+                             SubgroupSpec, SymplecticMatrix, act_tau,
+                             automorphy_factor, coset_reps, gl_rotation,
+                             in_subgroup, lower_translation, random_word,
+                             translation, word_matrix)
 
 
 def test_generators_are_symplectic():
@@ -111,6 +112,55 @@ def test_coset_system_principal2():
     keys = {g.mod2_key() for g in system.reps}
     assert len(keys) == 720
     assert system.reps[0] == IDENTITY
+
+
+def _reference_bfs(key_fn, expected):
+    """The breadth-first search by generic 4 x 4 products, carrying each
+    inverse along as gen^-1 @ inv: the reference for the column-operation
+    search of coset_reps."""
+    reps, words = [IDENTITY], [()]
+    seen = {key_fn(IDENTITY, IDENTITY)}
+    frontier = [(IDENTITY, IDENTITY, ())]
+    gen_inv = [g.inverse() for g in GENERATORS]
+    while len(reps) < expected:
+        nxt = []
+        for mat, inv, word in frontier:
+            for gi, gen in enumerate(GENERATORS):
+                nm, ninv = mat @ gen, gen_inv[gi] @ inv
+                k = key_fn(nm, ninv)
+                if k not in seen and len(reps) < expected:
+                    seen.add(k)
+                    reps.append(nm)
+                    words.append(word + (gi,))
+                    nxt.append((nm, ninv, word + (gi,)))
+        frontier = nxt
+    return tuple(reps), tuple(words)
+
+
+@pytest.mark.parametrize("spec,key_fn,expected", [
+    (THETA0_2, lambda m, inv: act_set(inv, M0), 15),
+    (PRINCIPAL2, lambda m, inv: m.mod2_key(), 720)])
+def test_coset_reps_match_reference_search(spec, key_fn, expected):
+    system = coset_reps(spec)
+    reps, words = _reference_bfs(key_fn, expected)
+    assert system.words == words
+    assert system.reps == reps
+    assert all(type(x) is int for g in system.reps for row in g.rows for x in row)
+
+
+def test_column_operations_are_right_multiplication(rng):
+    assert len(_COLUMN_OPS) == len(GENERATORS)
+    for _ in range(40):
+        m = random_word(FULL, rng, rng.randrange(1, 10))
+        for op, g in zip(_COLUMN_OPS, GENERATORS):
+            assert tuple(map(op, m.rows)) == (m @ g).rows
+
+
+def test_principal2_words_are_pinned():
+    words = " ".join("".join("JABC"[i] for i in w) or "1"
+                     for w in coset_reps(PRINCIPAL2).words)
+    assert hashlib.sha256(words.encode()).hexdigest() == (
+        "610fd6ed960d0b03df53c4d827401e054757a4914a32d4d022b3343910b32222")
 
 
 def test_coset_reps_is_cached():

@@ -202,6 +202,22 @@ def test_kappa_probe_agreement(full_words):
         assert spread < 1e-8
 
 
+def test_kappa_probes_match_single_constants(full_words):
+    """kappa_probes takes its constants from theta_all_even; one series per
+    constant gives the same bits."""
+    tau0 = SiegelPoint.scaled_identity(1j)
+    for g in full_words(6, 5):
+        tau_g = act_tau(g, tau0)
+        sqrt_det = cmath.sqrt(m2_det(mobius(g, tau0.entries())[1]))
+        want = {}
+        for m in EVEN_CHARS:
+            th = theta_constant(m, tau0).value
+            if abs(th) > 1e-3:
+                n, k = transform_unit(m, g)
+                want[m] = theta_constant(n, tau_g).value / (_CHI8[k] * sqrt_det * th)
+        assert kappa_probes(g) == want
+
+
 def test_kappa_fourth_power(full_words):
     for g in full_words(20, 5):
         kap = kappa_numeric(g)

@@ -12,7 +12,8 @@ import pytest
 from azy5.chars import EVEN_CHARS, mdbl_of, mprime_of
 from azy5.siegel import SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
-from azy5.theta import (MPRIME_ORDER, _doubled, _radius, theta_all_even,
+from azy5.theta import (GUARD_BITS, MPRIME_ORDER, _doubled, _radius, _raw_entries,
+                        _walk, theta_all_even,
                         theta_constant, theta_constant_g1, theta_gradient,
                         theta_raw, theta_second_order, theta_second_vector,
                         truncation_radius)
@@ -140,6 +141,35 @@ def test_second_vector_matches_second_order(name, prec, direct_mp):
         assert _diff(vec[k].value, single.value, dps) <= vec[k].err + single.err + slack
         ref = direct_mp(mpv, (0, 0), _entries(doubled, hiprec), R, dps)
         assert _diff(vec[k].value, ref, dps) <= vec[k].err + slack
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_second_vector_err_is_charged_its_own_class(name):
+    """A double second-order constant is one parity class of the run at
+    tau/2, so its bound is no larger than that of its own series at 2 tau,
+    which has the same terms; a bound over the whole box would be about
+    four times as large."""
+    tau = POINTS[name]()
+    vec = theta_second_vector(tau, 1e-12)
+    for k, mpv in enumerate(MPRIME_ORDER):
+        assert vec[k].err <= theta_second_order(mpv, tau, 1e-12).err * (1 + 1e-9)
+
+
+def test_walk_bounds_count_each_class():
+    """The walk charges each parity class the points of that class, on a
+    box whose sides have odd and even lengths and start at odd and even
+    n; the four bounds thus add up to the bound of the whole box."""
+    lo0, hi0, lo1, hi1 = -3, 2, -2, 4
+    wp = 53 + GUARD_BITS
+    with mp.workdps(16):
+        _, _, bounds = _walk(_raw_entries(_generic()), (1, 0), ((lo0, hi0), (lo1, hi1)), wp)
+    steps = hi0 - lo0
+    per_point = 2 * (5 + 4 * steps + 4 * steps * steps) * 2.0 ** -wp
+    for p in (0, 1):
+        for q in (0, 1):
+            count = sum(1 for n0 in range(lo0, hi0 + 1) for n1 in range(lo1, hi1 + 1)
+                        if (n0 % 2, n1 % 2) == (p, q))
+            assert bounds[p][q] == per_point * count
 
 
 def test_walk_is_deterministic():

@@ -29,8 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-G = 2
-
 _BITS = tuple(((i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1) for i in range(16))
 
 
@@ -161,22 +159,16 @@ def classify_quadruple(quad):
 def even_triples(tag=None):
     """All 120 triples of even characteristics, optionally filtered by tag,
     each sorted ascending.  Cached: the result is an immutable tuple."""
-    out = []
-    for t in combinations(EVEN_CHARS, 3):
-        if tag is None or classify_triple(t) == tag:
-            out.append(t)
-    return tuple(out)
+    return tuple(t for t in combinations(EVEN_CHARS, 3)
+                 if tag is None or classify_triple(t) == tag)
 
 
 @lru_cache(maxsize=None)
 def even_quadruples(tag=None):
     """All 210 quadruples of even characteristics, optionally filtered by
     tag, each sorted ascending.  Cached like even_triples."""
-    out = []
-    for q in combinations(EVEN_CHARS, 4):
-        if tag is None or classify_quadruple(q) == tag:
-            out.append(q)
-    return tuple(out)
+    return tuple(q for q in combinations(EVEN_CHARS, 4)
+                 if tag is None or classify_quadruple(q) == tag)
 
 
 def psi_p(gamma, images=None):

@@ -42,12 +42,13 @@ from dataclasses import dataclass
 from functools import reduce
 
 import mpmath as mp
+import numpy as np
 from mpmath.libmp import mpf_neg, mpf_pos, mpf_sum, round_nearest
 
 from .chars import M0, act_set, chi_p, pair_sign
 from .forms import azy_eval, p2, product_err
 from .geometry import all_faces, tetrahedron
-from .numeric import HIPREC_DPS, value_prec
+from .numeric import value_prec
 from .siegel import sample_tau
 from .symplectic import (E11, E22, ESYM, THETA0_2, CosetSystem, act_tau,
                          automorphy_factor, coset_reps, gl_rotation,
@@ -63,6 +64,11 @@ AZY_NORMALIZATION = (
 
 # phi_transversal / (product of the 60 faces at Theta), a power of two.
 PHI_CONSTANT = -(2.0 ** -44)
+
+# Letters of an invariance_word (see alternate_system), and the share of
+# the largest monomial below which estimate_lambda redraws a point.
+INVARIANCE_WORD_LENGTH = 6
+CANCELLATION_GUARD = 1e-6
 
 # Bounds on sum log|L| over the faces below and above 1 in modulus that
 # keep every partial product of the double product, and phi, normal:
@@ -108,7 +114,7 @@ def _pairwise_product(vals):
     return vals[0]
 
 
-def phi(tau, eps=1e-12, hiprec=False, dps=None):
+def phi(tau, eps=1e-12, hiprec=False):
     """The weight-30 form PHI_CONSTANT * prod of the 60 faces of
     all_faces() at Theta(tau).
 
@@ -128,8 +134,8 @@ def phi(tau, eps=1e-12, hiprec=False, dps=None):
     The scaling by a power of two is exact.  In double, all this needs
     every partial product in the normal range; a point where the faces
     could leave it raises instead of returning a false bound."""
-    vec = theta_second_vector(tau, eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    vec = theta_second_vector(tau, eps, hiprec)
+    with value_prec(hiprec):
         u = 2.0 ** (1 - mp.mp.prec) if hiprec else 2.0 ** -53
         vals = _face_values([t.value for t in vec], hiprec)
         mods = [abs(complex(L)) for L in vals]
@@ -145,27 +151,25 @@ def phi(tau, eps=1e-12, hiprec=False, dps=None):
         return ThetaValue(PHI_CONSTANT * P, -PHI_CONSTANT * err)
 
 
-def phi_gamma(gamma, tau, eps=1e-12, hiprec=False, dps=None):
+def phi_gamma(gamma, tau, eps=1e-12, hiprec=False):
     """One coset factor chi_P(gamma) det(c tau+d)^{-2} P2(gamma tau)."""
-    scale = automorphy_factor(gamma, tau, -2, hiprec, dps)
-    pv = p2(act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    scale = automorphy_factor(gamma, tau, -2, hiprec)
+    pv = p2(act_tau(gamma, tau, hiprec), eps, hiprec)
+    with value_prec(hiprec):
         v = chi_p(gamma) * scale * pv.value
     return ThetaValue(v, float(abs(scale)) * pv.err)
 
 
-def phi_transversal(tau, eps=1e-12, hiprec=False, dps=None, system=None):
+def phi_transversal(tau, eps=1e-12, hiprec=False, system=None):
     """The weight-30 product over a 15-element transversal (the canonical
     one unless `system` provides another): the independent definition
     that the cross-checks compare phi with."""
     reps = (system or coset_reps(THETA0_2)).reps
     if len(reps) != 15:
         raise ValueError("phi_transversal needs a 15-element coset transversal")
-    factors = [phi_gamma(g, tau, eps, hiprec, dps) for g in reps]
-    with value_prec(hiprec, dps):
-        v = None
-        for f in factors:
-            v = f.value if v is None else v * f.value
+    factors = [phi_gamma(g, tau, eps, hiprec) for g in reps]
+    with value_prec(hiprec):
+        v = reduce(operator.mul, (f.value for f in factors))
     return ThetaValue(v, product_err((f.value, f.err, 1) for f in factors))
 
 
@@ -181,11 +185,11 @@ _INVARIANCE_GENERATORS = (
 )
 
 
-def invariance_word(rng, length=6):
+def invariance_word(rng):
     """Seeded random word in the stabilizer subgroup under which the
     factors phi_gamma are exactly coset-invariant (pair_sign = +1)."""
     w = None
-    for _ in range(length):
+    for _ in range(INVARIANCE_WORD_LENGTH):
         g = rng.choice(_INVARIANCE_GENERATORS)
         if rng.randrange(2):
             g = g.inverse()
@@ -195,37 +199,38 @@ def invariance_word(rng, length=6):
     return w
 
 
-def alternate_system(seed=0, word_length=6):
+def alternate_system(seed=0):
     """A second transversal: each canonical representative multiplied on
     the left by a seeded random element of the invariance kernel, then
     shuffled.  phi over this system must agree with the canonical one
     exactly (up to numerics): the acid test of representative
     independence.  Stabilizer elements with pair_sign -1 would flip the
-    corresponding factor, so they are excluded; longer words do not make
-    the test stronger but do push gamma tau toward the boundary, where
-    the series need far larger truncation."""
+    corresponding factor, so they are excluded; words longer than
+    INVARIANCE_WORD_LENGTH do not make the test stronger but do push
+    gamma tau toward the boundary, where the series need far larger
+    truncation."""
     rng = random.Random(seed)
     base = coset_reps(THETA0_2)
-    reps = [invariance_word(rng, word_length) @ g for g in base.reps]
+    reps = [invariance_word(rng) @ g for g in base.reps]
     rng.shuffle(reps)
     return CosetSystem(THETA0_2, tuple(reps), None)
 
 
-def rep_independence_error(tau, seed=0, eps=1e-12, hiprec=False, dps=None):
+def rep_independence_error(tau, seed=0, eps=1e-12, hiprec=False):
     """Relative difference of phi_transversal across the two transversals
     at tau."""
-    a = phi_transversal(tau, eps, hiprec, dps)
-    b = phi_transversal(tau, eps, hiprec, dps, system=alternate_system(seed))
-    with value_prec(hiprec, dps):
+    a = phi_transversal(tau, eps, hiprec)
+    b = phi_transversal(tau, eps, hiprec, system=alternate_system(seed))
+    with value_prec(hiprec):
         return float(abs(a.value - b.value) / abs(a.value))
 
 
-def phi_modularity_error(gamma, tau, eps=1e-12, hiprec=False, dps=None):
+def phi_modularity_error(gamma, tau, eps=1e-12, hiprec=False):
     """|phi(gamma tau) / (chi_P(gamma) det(c tau+d)^30 phi(tau)) - 1|."""
-    det30 = automorphy_factor(gamma, tau, 30, hiprec, dps)
-    lhs = phi(act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps).value
-    base = phi(tau, eps, hiprec, dps).value
-    with value_prec(hiprec, dps):
+    det30 = automorphy_factor(gamma, tau, 30, hiprec)
+    lhs = phi(act_tau(gamma, tau, hiprec), eps, hiprec).value
+    base = phi(tau, eps, hiprec).value
+    with value_prec(hiprec):
         return float(abs(lhs / (chi_p(gamma) * det30 * base) - 1))
 
 
@@ -248,12 +253,10 @@ def _median(xs):
     return (s[n // 2 - 1] + s[n // 2]) / 2
 
 
-def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False, dps=None,
-                    cancellation_guard=1e-6):
+def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
     """Measure lambda = phi/azy at seeded sample points.  Points where the
     signed sum suffers catastrophic cancellation (|value| below
-    cancellation_guard times the largest monomial) are redrawn."""
-    import numpy as np
+    CANCELLATION_GUARD times the largest monomial) are redrawn."""
     rng = np.random.default_rng(seed)
     ratios = []
     attempts = 0
@@ -262,24 +265,23 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False, dps=None,
         if attempts > 20 * samples:
             raise RuntimeError("sampling keeps hitting azy cancellation; widen the guard")
         tau = sample_tau(rng)
-        av, _, amax = azy_eval(tau, eps, hiprec, dps)
-        if abs(av) < cancellation_guard * amax:
+        av, _, amax = azy_eval(tau, eps, hiprec)
+        if abs(av) < CANCELLATION_GUARD * amax:
             continue
-        pv = phi(tau, eps, hiprec, dps)
-        with value_prec(hiprec, dps):
+        pv = phi(tau, eps, hiprec)
+        with value_prec(hiprec):
             ratios.append(pv.value / av)
     med = complex(_median([float(r.real) for r in ratios]),
                   _median([float(r.imag) for r in ratios]))
-    scale = abs(med)
-    spread = max(float(abs(a - b)) for a in ratios for b in ratios) / scale
+    spread = max(float(abs(a - b)) for a in ratios for b in ratios) / abs(med)
     if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
+        with value_prec(True):
             med = mp.mpc(_median([r.real for r in ratios]),
                          _median([r.imag for r in ratios]))
     return LambdaEstimate(med, tuple(ratios), spread)
 
 
-def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
+def geometric_crosscheck(taus, eps=1e-12, hiprec=False):
     """Per-representative constancy of F_{gamma^{-1} M0} / phi_gamma over
     the sample points, plus the spread of (prod of all fifteen F) /
     (prod of all fifteen phi_gamma), the latter being phi_transversal.
@@ -295,13 +297,13 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False, dps=None):
     rep_ratios = []
     prod_ratios = []
     for tau in taus:
-        x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
-        pgs = [phi_gamma(g, tau, eps, hiprec, dps).value for g in reps]
-        with value_prec(hiprec, dps):
+        x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
+        pgs = [phi_gamma(g, tau, eps, hiprec).value for g in reps]
+        with value_prec(hiprec):
             fvs = [T.form_value(x) for T in tets]
             rep_ratios.append([f / p for f, p in zip(fvs, pgs)])
             prod_ratios.append(reduce(operator.mul, fvs) / reduce(operator.mul, pgs))
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         per_rep = {i: (tuple(sorted(q)), _relative_spread([r[i] for r in rep_ratios]))
                    for i, q in enumerate(quads)}
         return per_rep, _relative_spread(prod_ratios)

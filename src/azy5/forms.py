@@ -44,7 +44,8 @@ import mpmath as mp
 
 from .chars import EVEN_CHARS, M0, char_images, chi_p, parity
 from .numeric import fsum_complex, value_prec
-from .symplectic import PRINCIPAL2, act_tau, automorphy_factor, coset_reps
+from .symplectic import (PRINCIPAL2, act_tau, automorphy_factor, coset_reps,
+                         lower_translation, translation)
 from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
                     theta_constant, theta_gradient, theta_second_vector,
                     trace_btc, transform_unit)
@@ -116,31 +117,31 @@ def product_err(factors):
 # --- the classical product forms -----------------------------------------
 
 
-def chi5_product(tau, eps=1e-12, hiprec=False, dps=None):
+def chi5_product(tau, eps=1e-12, hiprec=False):
     """Product of the ten even theta constants (weight 5; odd under the
     full group's theta multiplier, squaring to the cusp form below)."""
-    th = theta_all_even(tau, eps, hiprec, dps)
+    th = theta_all_even(tau, eps, hiprec)
     key = mono_key((m, 1) for m in EVEN_CHARS)
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         v = monomial_value(key, th)
         err = product_err((th[m].value, th[m].err, e) for m, e in key)
     return ThetaValue(v, err)
 
 
-def chi10(tau, eps=1e-12, hiprec=False, dps=None):
+def chi10(tau, eps=1e-12, hiprec=False):
     """The weight-10 cusp form: square of the even-theta product."""
-    p = chi5_product(tau, eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    p = chi5_product(tau, eps, hiprec)
+    with value_prec(hiprec):
         v = p.value * p.value
     return ThetaValue(v, product_err([(p.value, p.err, 2)]))
 
 
-def p2(tau, eps=1e-12, hiprec=False, dps=None):
+def p2(tau, eps=1e-12, hiprec=False):
     """Product of the four second-order theta constants: the defining form
     of the coordinate tetrahedron, weight 2 with sign character on the
     group fixing it."""
-    vec = theta_second_vector(tau, eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    vec = theta_second_vector(tau, eps, hiprec)
+    with value_prec(hiprec):
         v = vec[0].value * vec[1].value * vec[2].value * vec[3].value
     return ThetaValue(v, product_err((t.value, t.err, 1) for t in vec))
 
@@ -156,33 +157,30 @@ def _det4(a):
     for j in range(4):
         minor = [[a[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
         term = a[0][j] * _det3(minor)
-        if out is None:
-            out = term if j % 2 == 0 else -term
-        else:
-            out = out + term if j % 2 == 0 else out - term
+        out = term if j == 0 else out + term if j % 2 == 0 else out - term
     return out
 
 
-def chi5_determinant(tau, eps=1e-12, hiprec=False, dps=None):
+def chi5_determinant(tau, eps=1e-12, hiprec=False):
     """4 x 4 determinant whose rows are the second-order constants and
     their three tau-derivatives (columns in MPRIME_ORDER).  Proportional
     to chi5_product with a tau-independent constant; see mu_ratio."""
-    vec = theta_second_vector(tau, eps, hiprec, dps)
-    grads = [theta_gradient(mpv, tau, eps, hiprec, dps) for mpv in MPRIME_ORDER]
+    vec = theta_second_vector(tau, eps, hiprec)
+    grads = [theta_gradient(mpv, tau, eps, hiprec) for mpv in MPRIME_ORDER]
     rows = [[vec[j].value for j in range(4)],
             [grads[j][0] for j in range(4)],
             [grads[j][1] for j in range(4)],
             [grads[j][2] for j in range(4)]]
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         return _det4(rows)
 
 
-def mu_ratio(tau, eps=1e-12, hiprec=False, dps=None):
+def mu_ratio(tau, eps=1e-12, hiprec=False):
     """chi5_product / chi5_determinant at tau; constant on the upper
     half-space."""
-    num = chi5_product(tau, eps, hiprec, dps).value
-    den = chi5_determinant(tau, eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    num = chi5_product(tau, eps, hiprec).value
+    den = chi5_determinant(tau, eps, hiprec)
+    with value_prec(hiprec):
         return num / den
 
 
@@ -283,9 +281,9 @@ def chi12_terms():
     return _signed_terms(base, None, 720 // 15, 15)
 
 
-def _signed_sum_eval(terms, tau, eps, hiprec, dps):
-    th = theta_all_even(tau, eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+def _signed_sum_eval(terms, tau, eps, hiprec):
+    th = theta_all_even(tau, eps, hiprec)
+    with value_prec(hiprec):
         # each theta_m ** e and |theta_m| once, shared by every monomial
         powers = {(m, e): th[m].value ** e for m, e in {me for _, key in terms for me in key}}
         mods = {m: float(abs(t.value)) for m, t in th.items()}
@@ -307,64 +305,61 @@ def _signed_sum_eval(terms, tau, eps, hiprec, dps):
     return total, err, max_abs
 
 
-def azy_eval(tau, eps=1e-12, hiprec=False, dps=None):
+def azy_eval(tau, eps=1e-12, hiprec=False):
     """(value, certified error, largest single monomial modulus) of the
     weight-30 signed sum; the last entry scales the cancellation guard."""
-    return _signed_sum_eval(azy_terms(), tau, eps, hiprec, dps)
+    return _signed_sum_eval(azy_terms(), tau, eps, hiprec)
 
 
-def azy(tau, eps=1e-12, hiprec=False, dps=None):
+def azy(tau, eps=1e-12, hiprec=False):
     """Signed sum over the 60 odd-sum triples of (theta^3-product)^20:
     weight 30 with the sign character, the comparison target of the
     tetrahedral product."""
-    v, err, _ = azy_eval(tau, eps, hiprec, dps)
+    v, err, _ = azy_eval(tau, eps, hiprec)
     return ThetaValue(v, err)
 
 
-def chi12(tau, eps=1e-12, hiprec=False, dps=None):
+def chi12(tau, eps=1e-12, hiprec=False):
     """Signed sum over the 15 six-term monomials at fourth powers."""
-    v, err, _ = _signed_sum_eval(chi12_terms(), tau, eps, hiprec, dps)
+    v, err, _ = _signed_sum_eval(chi12_terms(), tau, eps, hiprec)
     return ThetaValue(v, err)
 
 
 # --- numeric symmetrization (slow independent cross-check) ---------------
 
 
-def monomial_at(key, tau, eps=1e-12, hiprec=False, dps=None):
-    th = {m: theta_constant(m, tau, eps, hiprec, dps) for m, _ in key}
-    with value_prec(hiprec, dps):
+def monomial_at(key, tau, eps=1e-12, hiprec=False):
+    th = {m: theta_constant(m, tau, eps, hiprec) for m, _ in key}
+    with value_prec(hiprec):
         return monomial_value(key, th)
 
 
-def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False, dps=None):
+def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):
     """(f |_weight gamma)(tau) by direct evaluation at gamma tau."""
-    scale = automorphy_factor(gamma, tau, -weight, hiprec, dps)
-    mv = monomial_at(key, act_tau(gamma, tau, hiprec, dps), eps, hiprec, dps)
-    with value_prec(hiprec, dps):
+    scale = automorphy_factor(gamma, tau, -weight, hiprec)
+    mv = monomial_at(key, act_tau(gamma, tau, hiprec), eps, hiprec)
+    with value_prec(hiprec):
         return scale * mv
 
 
 def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1,
-                       eps=1e-12, hiprec=False, dps=None, pretest=True):
+                       eps=1e-12, hiprec=False):
     """Brute-force coset sum of character * (f |_weight gamma) over the
-    level-2 principal cosets, divided by the stated multiplicity.  With
-    pretest, first checks that f is actually invariant under two sample
-    level-2 elements (a non-invariant f would make the sum depend on the
-    choice of representatives)."""
+    level-2 principal cosets, divided by the stated multiplicity.  First
+    checks that f is actually invariant under two sample level-2
+    elements (a non-invariant f would make the sum depend on the choice
+    of representatives)."""
     key = mono_key(key)
     if 2 * weight != monomial_degree(key):
         raise ValueError("weight must be half the number of theta factors")
-    if pretest:
-        from .symplectic import lower_translation, translation
-        f0 = monomial_at(key, tau, eps, hiprec, dps)
-        for eta in (translation(((2, 0), (0, 0))),
-                    lower_translation(((0, 2), (2, 0)))):
-            f1 = slash_numeric(key, weight, eta, tau, eps, hiprec, dps)
-            if abs(f1 - f0) > 1e-6 * max(1.0, float(abs(f0))):
-                raise ValueError("monomial is not level-2 invariant; coset sum ill-defined")
+    f0 = monomial_at(key, tau, eps, hiprec)
+    for eta in (translation(((2, 0), (0, 0))), lower_translation(((0, 2), (2, 0)))):
+        f1 = slash_numeric(key, weight, eta, tau, eps, hiprec)
+        if abs(f1 - f0) > 1e-6 * max(1.0, float(abs(f0))):
+            raise ValueError("monomial is not level-2 invariant; coset sum ill-defined")
     total = None
     for g in coset_reps(PRINCIPAL2).reps:
-        t = slash_numeric(key, weight, g, tau, eps, hiprec, dps)
+        t = slash_numeric(key, weight, g, tau, eps, hiprec)
         if character is not None:
             t = t * character(g)
         total = t if total is None else total + t

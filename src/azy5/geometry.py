@@ -39,7 +39,7 @@ from itertools import product
 from .chars import EVEN_CHARS, classify_quadruple, even_quadruples
 from .forms import _det3
 from .numeric import value_prec
-from .theta import theta_second_vector
+from .theta import theta_constant, theta_second_vector
 
 _D = ((0, (1, 1, 1, 1)),
       (1, (1, -1, 1, -1)),
@@ -87,11 +87,10 @@ def quadric_value(m, x):
     return s0 * x[i0] * x[j0] + s1 * x[i1] * x[j1] + s2 * x[i2] * x[j2] + s3 * x[i3] * x[j3]
 
 
-def addition_residual(m, tau, eps=1e-12, hiprec=False, dps=None):
+def addition_residual(m, tau, eps=1e-12, hiprec=False):
     """|theta_m^2 - Q_m(Theta)| at tau."""
-    from .theta import theta_constant
-    x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
-    th = theta_constant(m, tau, eps, hiprec, dps).value
+    x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
+    th = theta_constant(m, tau, eps, hiprec).value
     return abs(th * th - quadric_value(m, x))
 
 
@@ -180,10 +179,10 @@ def all_faces():
     return tuple(f for q in even_quadruples("plus") for f in tetrahedron(frozenset(q)).faces)
 
 
-def f_m(quad, tau, eps=1e-12, hiprec=False, dps=None):
+def f_m(quad, tau, eps=1e-12, hiprec=False):
     """The tetrahedral quartic F_M evaluated at the second-order constants
     of tau, multiplied out at the working precision."""
     T = tetrahedron(frozenset(quad))
-    x = [t.value for t in theta_second_vector(tau, eps, hiprec, dps)]
-    with value_prec(hiprec, dps):
+    x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
+    with value_prec(hiprec):
         return T.form_value(x)

@@ -18,13 +18,15 @@ import numpy as np
 HIPREC_DPS = 50
 
 
-def value_prec(hiprec, dps=None):
-    """Context for arithmetic on computed values: mpmath at the working
-    precision when hiprec, otherwise a no-op.  Every multiplication or
-    division of mpc values outside such a block silently rounds at the
-    ambient mpmath precision, which defaults to double."""
+def value_prec(hiprec):
+    """Context for arithmetic on computed values: mpmath at HIPREC_DPS
+    digits when hiprec, otherwise a no-op.  The only code that sets the
+    working precision; no call takes its own, since the two on offer
+    serve every caller and a reference at more digits raises HIPREC_DPS,
+    read here at call time.  Every multiplication or division of mpc
+    values outside such a block rounds at the ambient mpmath precision."""
     if hiprec:
-        return mp.workdps(dps or HIPREC_DPS)
+        return mp.workdps(HIPREC_DPS)
     return contextlib.nullcontext()
 
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from .numeric import sym2_eig_bounds, to_mpc
 
+SAMPLE_SCALE = 0.1  # weight of the real part B of sample_tau's points
+
 
 class SiegelPoint:
     """Immutable Siegel upper half-space point.  Entries are stored as a
@@ -80,8 +82,8 @@ class SiegelPoint:
         return cls(np.eye(g) * t)
 
 
-def sample_tau(rng, scale=0.1):
-    """Seeded generic sample: tau = i(1 + S) + scale*B with S symmetric PSD
+def sample_tau(rng):
+    """Seeded generic sample: tau = i(1 + S) + SAMPLE_SCALE*B with S symmetric PSD
     of spectral norm <= 0.5 and B symmetric with entries in [-1, 1].  The
     imaginary part then has lambda_min >= 1."""
     A = rng.uniform(-1.0, 1.0, size=(2, 2))
@@ -91,9 +93,9 @@ def sample_tau(rng, scale=0.1):
         S = S * (0.5 / lam_max)
     B = rng.uniform(-1.0, 1.0, size=(2, 2))
     B = (B + B.T) / 2
-    return SiegelPoint(1j * (np.eye(2) + S) + scale * B)
+    return SiegelPoint(1j * (np.eye(2) + S) + SAMPLE_SCALE * B)
 
 
-def sample_taus(seed, count, scale=0.1):
+def sample_taus(seed, count):
     rng = np.random.default_rng(seed)
-    return [sample_tau(rng, scale) for _ in range(count)]
+    return [sample_tau(rng) for _ in range(count)]

@@ -16,10 +16,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
-
 from .chars import M0, act_set
-from .numeric import HIPREC_DPS, m2_cond, m2_det, mobius, value_prec
+from .numeric import m2_cond, m2_det, mobius, value_prec
 from .siegel import SiegelPoint
 
 
@@ -251,12 +249,12 @@ def in_subgroup(gamma, spec):
                for i in range(4) for j in range(4))
 
 
-def act_tau(gamma, tau, hiprec=False, dps=None):
+def act_tau(gamma, tau, hiprec=False):
     """gamma . tau = (a tau + b)(c tau + d)^{-1} as a new SiegelPoint.
     With hiprec the transform is carried out in mpmath and the result keeps
     the full-precision entries alongside the double ones."""
     if hiprec:
-        with mp.workdps(dps or HIPREC_DPS):
+        with value_prec(True):
             tmp, _ = mobius(gamma, tau.entries_mp())
             t = tuple(tuple(complex(z) for z in row) for row in tmp)
             return SiegelPoint(t, mp_entries=tmp)
@@ -266,13 +264,13 @@ def act_tau(gamma, tau, hiprec=False, dps=None):
     return SiegelPoint(t)
 
 
-def automorphy_factor(gamma, tau, k, hiprec=False, dps=None):
+def automorphy_factor(gamma, tau, k, hiprec=False):
     """det(c tau + d)^k for integer k, in mpmath with hiprec; half-integer
     powers are taken explicitly at call sites to keep branch choices
     local."""
     if int(k) != k:
         raise ValueError("integer weights only; take square roots at the call site")
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         _, den = mobius(gamma, tau.entries_mp() if hiprec else tau.entries())
         return m2_det(den) ** int(k)
 
@@ -299,9 +297,10 @@ _COLUMN_OPS = (
     lambda r: (r[0], r[1], r[2], r[3] + r[1]),
     lambda r: (r[0], r[1], r[2] + r[1], r[3] + r[0]),
 )
+_MAX_BFS_LEVEL = 40  # depth at which a coset search gives up on GENERATORS
 
 
-def _bfs_transversal(key_fn, expected, max_level=40):
+def _bfs_transversal(key_fn, expected):
     reps = [IDENTITY]
     words = [()]
     seen = {key_fn(IDENTITY)}
@@ -309,7 +308,7 @@ def _bfs_transversal(key_fn, expected, max_level=40):
     level = 0
     while len(reps) < expected:
         level += 1
-        if not frontier or level > max_level:
+        if not frontier or level > _MAX_BFS_LEVEL:
             raise RuntimeError(
                 f"coset search exhausted at {len(reps)}/{expected}; wrong generator set")
         nxt = []

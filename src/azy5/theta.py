@@ -92,7 +92,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpc_expjpi, mpf_shift,
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
-from .numeric import HIPREC_DPS, fsum_complex, m2_det, mobius, value_prec
+from .numeric import fsum_complex, m2_det, mobius, value_prec
 from .siegel import SiegelPoint
 from .symplectic import act_tau
 
@@ -349,7 +349,7 @@ def _character_sum(sums, a2, mdbl, add):
     return re, im
 
 
-def _theta_class(mprime, mdbls, tau, eps, hiprec, dps):
+def _theta_class(mprime, mdbls, tau, eps, hiprec):
     """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
     the parity classes of m'."""
     g = tau.g
@@ -360,54 +360,54 @@ def _theta_class(mprime, mdbls, tau, eps, hiprec, dps):
     tail = _tail(lam, R, g=g)
     box = ((-R, R), (-R, R) if g == 2 else (0, 0))
     bs = [tuple(int(x) for x in mdbl) + pad for mdbl in mdbls]
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         k = _run_kernel(tau, 0, a2, box, hiprec)
         bound = sum(x for row in k.bounds for x in row)
         return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail, bound)
                 for b in bs]
 
 
-def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False, dps=None):
+def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
     """Theta constant for integer (possibly unreduced) characteristic
     vectors.  The m' part is reduced internally by an exact lattice shift;
     the m'' part is kept as given, so the classical shift sign
     theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
-    return _theta_class(mprime, [mdbl], tau, eps, hiprec, dps)[0]
+    return _theta_class(mprime, [mdbl], tau, eps, hiprec)[0]
 
 
-def theta_constant(m, tau, eps=1e-12, hiprec=False, dps=None):
+def theta_constant(m, tau, eps=1e-12, hiprec=False):
     """First-order theta constant for the reduced characteristic with 4-bit
     index m; exactly zero (with zero error) for odd m."""
     if parity(m) == -1:
         return ThetaValue(mp.mpc(0) if hiprec else 0j, 0.0)
-    return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec, dps)
+    return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec)
 
 
-def theta_constant_g1(a_bit, b_bit, tau1, eps=1e-12, hiprec=False, dps=None):
+def theta_constant_g1(a_bit, b_bit, tau1, eps=1e-12, hiprec=False):
     """Genus-1 theta constant theta_[a;b](tau1) for a scalar point."""
     pt = tau1 if isinstance(tau1, SiegelPoint) else SiegelPoint([[tau1]])
     if (a_bit * b_bit) % 2:
         return ThetaValue(mp.mpc(0) if hiprec else 0j, 0.0)
-    return theta_raw((a_bit,), (b_bit,), pt, eps, hiprec, dps)
+    return theta_raw((a_bit,), (b_bit,), pt, eps, hiprec)
 
 
-def _doubled(tau, dps=None):
+def _doubled(tau):
     # mpmath rounds every operation, mpc construction included, to the
-    # ambient precision, so the payload must be doubled under an explicit
-    # working precision at least as high as the one it was built with.
+    # ambient precision, so the payload is doubled at the working
+    # precision it was built with.
     mp_ent = tau._mp
     if mp_ent is not None:
-        with mp.workdps(dps or HIPREC_DPS):
+        with value_prec(True):
             mp_ent = tuple(tuple(z + z for z in row) for row in mp_ent)
     return SiegelPoint(2 * tau.mat, mp_entries=mp_ent)
 
 
-def theta_second_order(mprime, tau, eps=1e-12, hiprec=False, dps=None):
+def theta_second_order(mprime, tau, eps=1e-12, hiprec=False):
     """Second-order constant Theta_{m'}(tau) = theta_{[m';0]}(2 tau)."""
-    return theta_raw(mprime, (0, 0), _doubled(tau, dps), eps, hiprec, dps)
+    return theta_raw(mprime, (0, 0), _doubled(tau), eps, hiprec)
 
 
-def theta_second_vector(tau, eps=1e-12, hiprec=False, dps=None):
+def theta_second_vector(tau, eps=1e-12, hiprec=False):
     """The four second-order constants in MPRIME_ORDER, from one kernel
     run: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over k = 2n + m', so
     the box k in [-2R, 2R+1]^2 at tau/2, split by k mod 2, holds exactly
@@ -415,23 +415,23 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False, dps=None):
     lam = 2 * tau.lam_min  # least eigenvalue of Im 2 tau, exactly
     R = _radius(lam, eps)
     tail = _tail(lam, R)
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         k = _run_kernel(tau, -1, (0, 0), ((-2 * R, 2 * R + 1),) * 2, hiprec)
         return tuple(_theta_value(k, k.sums[p][q], tail, k.bounds[p][q])
                      for p, q in MPRIME_ORDER)
 
 
-def theta_all_even(tau, eps=1e-12, hiprec=False, dps=None):
+def theta_all_even(tau, eps=1e-12, hiprec=False):
     """All ten even first-order constants, keyed by 4-bit index; the
     constants sharing m' come from one kernel run."""
     out = {}
     for mpv in MPRIME_ORDER:
         ms = [m for m in EVEN_CHARS if mprime_of(m) == mpv]
-        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, eps, hiprec, dps)))
+        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, eps, hiprec)))
     return {m: out[m] for m in EVEN_CHARS}
 
 
-def theta_gradient(mprime, tau, eps=1e-12, hiprec=False, dps=None):
+def theta_gradient(mprime, tau, eps=1e-12, hiprec=False):
     """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau, the off-diagonal
     derivative counting the symmetric entry once.  Differentiating the
     2 tau series termwise gives weights 2 pi i v1^2, 4 pi i v1 v2,
@@ -441,7 +441,7 @@ def theta_gradient(mprime, tau, eps=1e-12, hiprec=False, dps=None):
     lam2 = 2 * tau.lam_min
     R = _radius(lam2, eps, g=2, poly=2, scale=4 * math.pi)
     a2 = tuple(int(x) % 2 for x in mprime)
-    with value_prec(hiprec, dps):
+    with value_prec(hiprec):
         k = _run_kernel(tau, 1, a2, ((-R, R), (-R, R)), hiprec, moments=True)
         half_pi_i = 1j * (k.pi / 2)
         return tuple(half_pi_i * k.round(z) for z in k.mom)
@@ -509,16 +509,26 @@ def kappa4(gamma):
     return -1 if trace_btc(gamma) % 2 else 1
 
 
-def kappa_probes(gamma, tau0=None, eps=1e-12, min_abs=1e-3):
+_PROBE_TAU = SiegelPoint.scaled_identity(1j)
+_PROBE_MIN_ABS = 1e-3
+
+
+@lru_cache(maxsize=None)
+def _probe_thetas(eps):
+    """The even constants at i*I, once per eps: one shared dict, read only."""
+    return theta_all_even(_PROBE_TAU, eps)
+
+
+def kappa_probes(gamma, tau0=None, eps=1e-12):
     """kappa measured from every even probe characteristic with
-    |theta_m(tau0)| > min_abs, as a dict m -> kappa.  All probes of a given
-    gamma must agree; the spread is a correctness check on chi.  The
-    even constants at tau0 and at gamma tau0 take one theta_all_even each."""
-    tau0 = tau0 or SiegelPoint.scaled_identity(1j)
+    |theta_m(tau0)| > _PROBE_MIN_ABS, as a dict m -> kappa.  All probes of
+    a given gamma must agree; the spread is a correctness check on chi.
+    One theta_all_even at gamma tau0, one at tau0 (once per eps at i*I)."""
+    th0 = _probe_thetas(eps) if tau0 is None else theta_all_even(tau0, eps)
+    tau0 = tau0 or _PROBE_TAU
     _, den = mobius(gamma, tau0.entries())
     sqrt_det = cmath.sqrt(m2_det(den))
-    th0 = theta_all_even(tau0, eps)
-    probes = [m for m in EVEN_CHARS if abs(th0[m].value) > min_abs]
+    probes = [m for m in EVEN_CHARS if abs(th0[m].value) > _PROBE_MIN_ABS]
     if not probes:
         raise RuntimeError("all probe thetas too small at tau0; pick another probe point")
     th_g = theta_all_even(act_tau(gamma, tau0), eps)
@@ -534,5 +544,4 @@ def kappa_numeric(gamma, tau0=None, eps=1e-12):
     principal branch of det(c tau0 + d)^{1/2}.  Unimodular, and
     kappa^4 = e^{pi i Tr(b^T c)}; only branch-insensitive powers of the
     result are meaningful."""
-    probes = kappa_probes(gamma, tau0, eps)
-    return next(iter(probes.values()))
+    return next(iter(kappa_probes(gamma, tau0, eps).values()))

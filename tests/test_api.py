@@ -1,0 +1,87 @@
+"""The shape of the public API: no per-call precision and no knob that
+has a single value in use, one module that sets the working precision,
+and no unused module-level import in the package."""
+
+import ast
+import inspect
+import pathlib
+
+import mpmath as mp
+
+import azy5
+import azy5.numeric as numeric
+from azy5 import (J, act_tau, estimate_lambda, sample_taus,
+                  theta_second_vector)
+from azy5.numeric import mobius
+from azy5.symplectic import _bfs_transversal
+
+# Parameters that had only one value in use and became module constants.
+REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
+           "cancellation_guard"}
+
+
+def _public_callables():
+    for name in azy5.__all__:
+        obj = getattr(azy5, name)
+        if callable(obj):
+            yield name, obj
+
+
+def test_no_public_callable_takes_a_removed_knob():
+    seen = 0
+    for name, obj in _public_callables():
+        params = set(inspect.signature(obj).parameters)
+        assert not params & REMOVED, (name, params & REMOVED)
+        seen += 1
+    assert seen > 50
+    assert "length" not in inspect.signature(azy5.invariance_word).parameters
+    assert not set(inspect.signature(_bfs_transversal).parameters) & REMOVED
+
+
+def _mp_dist(a, b):
+    with mp.workdps(100):
+        return abs(mp.mpc(a) - mp.mpc(b))
+
+
+def test_working_precision_is_read_from_numeric(monkeypatch):
+    """Raising numeric.HIPREC_DPS alone raises the precision of every
+    high-precision step: the transformed point, the series and the
+    median of estimate_lambda."""
+    tau = sample_taus(0, 1)[0]
+    with mp.workdps(90):
+        ref_point, _ = mobius(J, tau.entries_mp())
+    monkeypatch.setattr(numeric, "HIPREC_DPS", 90)
+    ref_vec = theta_second_vector(tau, 1e-60, True)
+    monkeypatch.setattr(numeric, "HIPREC_DPS", 70)
+    got = act_tau(J, tau, True).entries_mp()
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        assert _mp_dist(got[i][j], ref_point[i][j]) < 1e-65 * abs(ref_point[i][j])
+    for t, r in zip(theta_second_vector(tau, 1e-60, True), ref_vec):
+        assert t.err < 1e-60
+        assert _mp_dist(t.value, r.value) <= t.err + r.err
+    est = estimate_lambda(samples=1, eps=1e-60, hiprec=True)
+    with mp.workdps(100):
+        exact = -mp.mpf(2) ** -57 / 1000
+        assert abs(est.value - exact) < 1e-55 * abs(exact)
+
+
+def _bound_names(node):
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def test_no_unused_module_level_imports():
+    src = pathlib.Path(azy5.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            unused += [f"{path.name}: {name}" for name in _bound_names(node)
+                       if name not in used]
+    assert not unused, unused

@@ -113,9 +113,11 @@ def test_lambda_estimate_hiprec():
     assert abs(complex(est.value) - LAMBDA_EXACT) < 1e-12 * abs(LAMBDA_EXACT)
 
 
-def test_lambda_guard_raises():
+def test_lambda_guard_raises(monkeypatch):
+    import azy5.construction as construction
+    monkeypatch.setattr(construction, "CANCELLATION_GUARD", 1e9)
     with pytest.raises(RuntimeError):
-        estimate_lambda(seed=0, samples=1, cancellation_guard=1e9)
+        estimate_lambda(seed=0, samples=1)
 
 
 def test_geometric_crosscheck():
@@ -174,21 +176,22 @@ def test_double_phi_bound_covers_rounding(near_taus, monkeypatch):
     and it still covers the distance to the 70-digit product of the
     same inputs."""
     import azy5.construction as construction
+    import azy5.numeric as numeric
+    monkeypatch.setattr(numeric, "HIPREC_DPS", 70)
     for tau in near_taus:
         d = phi(tau)
-        ref = phi(tau, eps=1e-60, hiprec=True, dps=70)
+        ref = phi(tau, eps=1e-60, hiprec=True)
         assert _mp_diff(d.value, ref.value) <= d.err
         assert d.err < 1e-8 * abs(d.value)
     for tau in near_taus:
         x = [t.value for t in construction.theta_second_vector(tau)]
-        monkeypatch.setattr(
-            construction, "theta_second_vector",
-            lambda tau, eps, hiprec, dps: tuple(
-                ThetaValue(mp.mpc(v) if hiprec else v, 0.0) for v in x))
-        d = phi(tau)
-        ref = phi(tau, hiprec=True, dps=70)
+        with monkeypatch.context() as m:
+            m.setattr(construction, "theta_second_vector",
+                      lambda tau, eps, hiprec: tuple(
+                          ThetaValue(mp.mpc(v) if hiprec else v, 0.0) for v in x))
+            d = phi(tau)
+            ref = phi(tau, hiprec=True)
         assert 0 < _mp_diff(d.value, ref.value) <= d.err < 1e-12 * abs(d.value)
-        monkeypatch.undo()
 
 
 def test_phi_evaluates_theta_at_tau_only(taus, monkeypatch):

@@ -72,13 +72,15 @@ def test_f_m_on_standard_quadruple_is_p2(taus):
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
 
-def test_hiprec_f_m_is_formed_at_working_precision():
+def test_hiprec_f_m_is_formed_at_working_precision(monkeypatch):
     """F at 50 digits (constants to eps 1e-30) against the same product at
     70 digits: agreement far below double precision, which a product
     rounded at 53 bits cannot reach."""
+    import azy5.numeric as numeric
     tau = sample_taus(0, 1)[0]
-    with mp.workdps(70):
-        x = [t.value for t in theta_second_vector(tau, 1e-60, True, 70)]
+    with monkeypatch.context() as m, mp.workdps(70):
+        m.setattr(numeric, "HIPREC_DPS", 70)
+        x = [t.value for t in theta_second_vector(tau, 1e-60, True)]
     for quad in even_quadruples("plus")[:3]:
         got = f_m(quad, tau, 1e-30, True)
         with mp.workdps(70):

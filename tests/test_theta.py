@@ -218,6 +218,21 @@ def test_kappa_probes_match_single_constants(full_words):
         assert kappa_probes(g) == want
 
 
+def test_kappa_probe_point_constants_are_computed_once(full_words, monkeypatch):
+    """At the default probe point the ten even constants are computed
+    once per eps, not once per gamma: ten words take eleven
+    theta_all_even calls."""
+    from azy5 import theta
+    real = theta.theta_all_even
+    calls = []
+    monkeypatch.setattr(theta, "theta_all_even",
+                        lambda tau, eps: calls.append(tau) or real(tau, eps))
+    theta._probe_thetas.cache_clear()
+    for g in full_words(10, 5):
+        kappa_probes(g)
+    assert len(calls) == 11
+
+
 def test_kappa_fourth_power(full_words):
     for g in full_words(20, 5):
         kap = kappa_numeric(g)

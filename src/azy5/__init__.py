@@ -31,9 +31,9 @@ from .symplectic import (ETA0, GENERATORS, IDENTITY, J, PRINCIPAL2,
                          coset_reps, gl_rotation, in_subgroup,
                          lower_translation, random_word, translation)
 from .theta import (ThetaValue, kappa4, kappa_numeric, kappa_probes,
-                    theta_all_even, theta_constant, theta_constant_g1,
-                    theta_gradient, theta_second_order, theta_second_vector,
-                    transform_unit, truncation_radius, xi_chi, xi_numerator)
+                    theta_all_even, theta_constant, theta_gradient,
+                    theta_second_order, theta_second_vector, transform_unit,
+                    truncation_radius, xi_chi, xi_numerator)
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,7 @@ __all__ = [
     "ETA0", "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
     "lower_translation", "gl_rotation", "act_tau", "automorphy_factor",
     "coset_reps", "in_subgroup", "random_word",
-    "ThetaValue", "theta_constant", "theta_constant_g1",
-    "theta_second_order", "theta_second_vector", "theta_all_even",
+    "ThetaValue", "theta_constant", "theta_second_order", "theta_second_vector", "theta_all_even",
     "theta_gradient", "truncation_radius", "transform_unit", "xi_chi",
     "xi_numerator", "kappa4", "kappa_numeric", "kappa_probes",
     "mono_key", "monomial_at", "slash_unit", "symmetrize_exact",

@@ -2,7 +2,8 @@
 
 Every subcommand runs a self-contained check campaign, prints a
 human-readable PASS/FAIL summary (with wall-clock timing) to stdout, and
-optionally writes the structured report as JSON via --out.  Reports are
+optionally writes the structured report as JSON via --out.  Each
+subcommand takes only the campaign options it reads.  Reports are
 byte-identical for a fixed configuration: all sampling is seeded and
 timings never enter the file.
 
@@ -28,7 +29,7 @@ from .forms import (azy, chi5_determinant, chi5_product, chi10, chi12,
                     mu_ratio, p2)
 from .geometry import addition_residual, all_tetrahedra
 from .reports import EvalReport
-from .siegel import SiegelPoint, sample_taus
+from .siegel import TAU_I, SiegelPoint, sample_taus
 from .symplectic import (ETA0, GENERATORS, PRINCIPAL2, THETA0_2, act_tau,
                          coset_reps, random_word, FULL)
 from .theta import kappa4, kappa_probes
@@ -54,15 +55,28 @@ def _load_taus(args):
     return sample_taus(args.seed, args.samples)
 
 
+# The campaign options, in report and help order.
+_OPTIONS = {
+    "eps": dict(type=float, default=None,
+                help="target absolute tail bound per theta value "
+                     "(default 1e-12, or 1e-30 with --hiprec)"),
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=5),
+    "hiprec": dict(action="store_true",
+                   help="evaluate through the arbitrary-precision path"),
+    "tau": dict(metavar="PATH",
+                help="JSON file with one point or a list of points "
+                     '({"g":2,"entries":[[[re,im],...]]}); overrides sampling'),
+    "out": dict(metavar="PATH", help="write the JSON report here"),
+}
+
+
 def _config_echo(args, command):
-    return {
-        "command": command,
-        "eps": args.eps,
-        "seed": args.seed,
-        "samples": args.samples,
-        "hiprec": bool(args.hiprec),
-        "tau": args.tau,
-    }
+    """The command and the options it has, --out aside."""
+    config = {"command": command}
+    config.update((k, getattr(args, k)) for k in _OPTIONS
+                  if k != "out" and hasattr(args, k))
+    return config
 
 
 def _matrix_rows(m):
@@ -142,13 +156,7 @@ def cmd_verify_transform(args):
 
 
 def cmd_geometry(args):
-    what = args.what or "tetrahedra"
     rep = EvalReport("geometry", _config_echo(args, "geometry"))
-    rep.config["what"] = what
-    if what == "verify-addition":
-        taus = _load_taus(args)
-        _addition_checks(rep, taus, args.eps, args.hiprec)
-        return rep
     tets = all_tetrahedra()
     listing = []
     for quad in sorted(tets, key=lambda q: tuple(sorted(q))):
@@ -170,7 +178,7 @@ def cmd_geometry(args):
 def cmd_forms_eval(args):
     rep = EvalReport("forms-eval", _config_echo(args, "forms-eval"))
     rep.config["form"] = args.form
-    taus = _load_taus(args) if args.tau else [SiegelPoint.scaled_identity(1j)]
+    taus = _load_taus(args) if args.tau else [TAU_I]
     results = []
     worst = 0.0
     for t in taus:
@@ -284,42 +292,31 @@ def _build_parser():
                     "weight-30 Siegel modular form with character.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, aliases=(), **kw):
+    def add(name, fn, options, aliases=(), **kw):
         p = sub.add_parser(name, aliases=list(aliases), **kw)
-        p.add_argument("--eps", type=float, default=None,
-                       help="target absolute tail bound per theta value "
-                            "(default 1e-12, or 1e-30 with --hiprec)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--hiprec", action="store_true",
-                       help="evaluate through the arbitrary-precision path")
-        p.add_argument("--tau", metavar="PATH",
-                       help="JSON file with one point or a list of points "
-                            '({"g":2,"entries":[[[re,im],...]]}); overrides sampling')
-        p.add_argument("--out", metavar="PATH", help="write the JSON report here")
+        for opt in _OPTIONS:
+            if opt in options:
+                p.add_argument(f"--{opt}", **_OPTIONS[opt])
         p.set_defaults(fn=fn)
         return p
 
-    add("orbits", cmd_orbits, help="characteristic orbit cardinalities")
-    p = add("cosets", cmd_cosets, help="coset enumeration and index checks")
+    add("orbits", cmd_orbits, {"out"}, help="characteristic orbit cardinalities")
+    p = add("cosets", cmd_cosets, {"out"}, help="coset enumeration and index checks")
     p.add_argument("--subgroup", choices=sorted(_SUBGROUPS), default="theta0-2")
     p.add_argument("--generators", action="store_true",
                    help="include the fixed generator matrices in the report")
-    add("verify-addition", cmd_verify_addition,
+    add("verify-addition", cmd_verify_addition, _OPTIONS,
         help="the ten quadric addition identities at sample points")
-    add("verify-transform", cmd_verify_transform,
+    add("verify-transform", cmd_verify_transform, {"eps", "seed", "out"},
         help="theta multiplier probes and the exact kappa^4 identity")
-    p = add("geometry", cmd_geometry, help="the fifteen exact tetrahedra and geometry checks")
-    p.add_argument("what", nargs="?", choices=["tetrahedra", "verify-addition"],
-                   help="default: tetrahedra")
-    add("azy-verify", cmd_azy_verify, aliases=["verify"],
+    add("geometry", cmd_geometry, {"out"},
+        help="the fifteen exact tetrahedra and geometry checks")
+    add("azy-verify", cmd_azy_verify, _OPTIONS, aliases=["verify"],
         help="full verification pipeline")
-    add("azy-lambda", cmd_azy_lambda, aliases=["lambda"],
-        help="the proportionality-constant experiment alone")
-    p = add("forms-eval", cmd_forms_eval, aliases=["forms"],
-            help="evaluate a named form at sample points")
-    p.add_argument("verb", nargs="?", choices=["eval"],
-                   help="optional literal 'eval' token")
+    add("azy-lambda", cmd_azy_lambda, {"eps", "seed", "samples", "hiprec", "out"},
+        aliases=["lambda"], help="the proportionality-constant experiment alone")
+    p = add("forms-eval", cmd_forms_eval, {"eps", "hiprec", "tau", "out"},
+            aliases=["forms"], help="evaluate a named form at sample points")
     p.add_argument("--form", required=True,
                    choices=sorted(list(_FORMS) + ["chi5det"]))
     return top
@@ -328,11 +325,12 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.eps is None:
-        args.eps = 1e-30 if args.hiprec else 1e-12
-    if not 1e-30 <= args.eps < math.inf:
-        parser.error("--eps must be finite and at least 1e-30")
-    if args.samples < 1:
+    if hasattr(args, "eps"):
+        if args.eps is None:
+            args.eps = 1e-30 if getattr(args, "hiprec", False) else 1e-12
+        if not 1e-30 <= args.eps < math.inf:
+            parser.error("--eps must be finite and at least 1e-30")
+    if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be at least 1")
     t0 = time.perf_counter()
     try:

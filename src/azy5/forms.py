@@ -342,8 +342,7 @@ def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):
         return scale * mv
 
 
-def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1,
-                       eps=1e-12, hiprec=False):
+def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1):
     """Brute-force coset sum of character * (f |_weight gamma) over the
     level-2 principal cosets, divided by the stated multiplicity.  First
     checks that f is actually invariant under two sample level-2
@@ -352,15 +351,13 @@ def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1,
     key = mono_key(key)
     if 2 * weight != monomial_degree(key):
         raise ValueError("weight must be half the number of theta factors")
-    f0 = monomial_at(key, tau, eps, hiprec)
+    f0 = monomial_at(key, tau)
     for eta in (translation(((2, 0), (0, 0))), lower_translation(((0, 2), (2, 0)))):
-        f1 = slash_numeric(key, weight, eta, tau, eps, hiprec)
-        if abs(f1 - f0) > 1e-6 * max(1.0, float(abs(f0))):
+        f1 = slash_numeric(key, weight, eta, tau)
+        if abs(f1 - f0) > 1e-6 * max(1.0, abs(f0)):
             raise ValueError("monomial is not level-2 invariant; coset sum ill-defined")
-    total = None
+    total = 0
     for g in coset_reps(PRINCIPAL2).reps:
-        t = slash_numeric(key, weight, g, tau, eps, hiprec)
-        if character is not None:
-            t = t * character(g)
-        total = t if total is None else total + t
+        t = slash_numeric(key, weight, g, tau)
+        total += t if character is None else t * character(g)
     return total / multiplicity

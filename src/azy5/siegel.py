@@ -1,5 +1,5 @@
-"""Points of the Siegel upper half-space: complex symmetric g x g matrices
-with positive definite imaginary part (g = 1 or 2 here).
+"""Points of the genus-2 Siegel upper half-space: complex symmetric 2 x 2
+matrices with positive definite imaginary part.
 
 The JSON interchange format is
     {"g": 2, "entries": [[[re, im], [re, im]], [[re, im], [re, im]]]}
@@ -24,23 +24,19 @@ class SiegelPoint:
     tuples, already symmetric) so that transformed points keep full
     precision along the mpmath code path; entries_mp() prefers them."""
 
-    __slots__ = ("g", "mat", "lam_min", "_mp")
+    __slots__ = ("mat", "lam_min", "_mp")
 
     def __init__(self, entries, mp_entries=None):
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (1, 2):
-            raise ValueError("expected a 1x1 or 2x2 matrix")
+        if m.shape != (2, 2):
+            raise ValueError("expected a 2x2 matrix")
         if not np.allclose(m, m.T, rtol=0, atol=1e-12 * (1 + np.abs(m).max())):
             raise ValueError("tau must be symmetric")
         m = (m + m.T) / 2
         y = m.imag
-        if m.shape[0] == 1:
-            lam = float(y[0, 0])
-        else:
-            lam, _ = sym2_eig_bounds(((y[0, 0], y[0, 1]), (y[1, 0], y[1, 1])))
+        lam, _ = sym2_eig_bounds(((y[0, 0], y[0, 1]), (y[1, 0], y[1, 1])))
         if not lam > 0:
             raise ValueError("Im tau must be positive definite")
-        object.__setattr__(self, "g", m.shape[0])
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "lam_min", float(lam))
         object.__setattr__(self, "_mp", mp_entries)
@@ -65,21 +61,19 @@ class SiegelPoint:
         return tuple(tuple(to_mpc(z) for z in row) for row in self.mat)
 
     def to_json(self):
-        return {"g": self.g,
+        return {"g": 2,
                 "entries": [[[z.real, z.imag] for z in row] for row in self.mat]}
 
     @classmethod
     def from_json(cls, data):
-        g = int(data["g"])
         rows = data["entries"]
-        if len(rows) != g or any(len(r) != g for r in rows):
-            raise ValueError("entries shape does not match g")
-        m = [[complex(e[0], e[1]) for e in row] for row in rows]
-        return cls(m)
+        if int(data["g"]) != 2 or len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise ValueError('expected a genus-2 point: "g": 2 and 2x2 entries')
+        return cls([[complex(e[0], e[1]) for e in row] for row in rows])
 
-    @classmethod
-    def scaled_identity(cls, t=1j, g=2):
-        return cls(np.eye(g) * t)
+
+# i times the identity, where every lattice sum splits into one-dimensional ones.
+TAU_I = SiegelPoint(1j * np.eye(2))
 
 
 def sample_tau(rng):

@@ -200,7 +200,7 @@ def subgroup_generators(spec):
     raise NotImplementedError(f"no sampling alphabet for {spec.label()}")
 
 
-def random_word(spec, rng, length=8):
+def random_word(spec, rng, length):
     """Seeded random element of the subgroup: a word of the given length in
     subgroup_generators(spec), with exact integer arithmetic throughout."""
     gens = subgroup_generators(spec)

@@ -3,7 +3,7 @@
 Series convention (all exponentials are in units of pi*i, i.e. exp(w) here
 means e^{pi i w}):
 
-    theta_m(tau) = sum_{n in Z^g} e^{pi i [ (n+m'/2)^T tau (n+m'/2)
+    theta_m(tau) = sum_{n in Z^2} e^{pi i [ (n+m'/2)^T tau (n+m'/2)
                                             + (n+m'/2)^T m'' ]},
 
 the z = 0 value of the classical series; it vanishes identically for odd m.
@@ -12,10 +12,10 @@ by m' in {00, 01, 10, 11} (this order fixes all matrix and vector layouts).
 
 Truncation is over the box of max-norm shells ||n||_inf <= R.  A term on
 shell r has modulus e^{-pi (n+a)^T Y (n+a)} <= e^{-pi lam (r-1/2)^2} with
-lam the least eigenvalue of Y = Im tau and a in [-1/2,1/2]^g, and genus-2
-shells hold 8r points (2 at genus 1), giving the certified tail majorant
+lam the least eigenvalue of Y = Im tau and a in [-1/2,1/2]^2, and shell r
+holds 8r points, giving the certified tail majorant
 
-    tail(R) <= C(g) * sum_{r > R} r^{g-1} e^{-pi lam (r-1/2)^2},  C(2) = 8,
+    tail(R) <= 8 * sum_{r > R} r e^{-pi lam (r-1/2)^2},
 
 evaluated numerically with a geometric remainder.  Derivative series carry
 an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
@@ -87,13 +87,12 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (from_man_exp, fzero, mpc_expjpi, mpf_shift,
-                          to_fixed)
+from mpmath.libmp import from_man_exp, mpc_expjpi, mpf_shift, to_fixed
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
 from .numeric import fsum_complex, m2_det, mobius, value_prec
-from .siegel import SiegelPoint
+from .siegel import TAU_I, SiegelPoint
 from .symplectic import act_tau
 
 MPRIME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -105,7 +104,7 @@ class ThetaValue(NamedTuple):
     err: float
 
 
-def _tail(lam, R, g=2, poly=0, scale=1.0):
+def _tail(lam, R, poly=0, scale=1.0):
     """Certified tail majorant for truncation radius R (see module docstring)."""
     if lam <= 0:
         raise ValueError("lambda_min must be positive")
@@ -113,8 +112,7 @@ def _tail(lam, R, g=2, poly=0, scale=1.0):
     prev = math.inf
     r = R + 1
     while True:
-        cnt = 8.0 * r if g == 2 else 2.0
-        t = scale * cnt * (r + 0.5) ** poly * math.exp(-math.pi * lam * (r - 0.5) ** 2)
+        t = scale * 8.0 * r * (r + 0.5) ** poly * math.exp(-math.pi * lam * (r - 0.5) ** 2)
         total += t
         if t <= prev / 2 and (t <= total * 2.0 ** -60 or t < 1e-320):
             return total + t  # geometric remainder at ratio <= 1/2
@@ -124,7 +122,7 @@ def _tail(lam, R, g=2, poly=0, scale=1.0):
             raise RuntimeError("tail bound fails to certify; lambda_min too small")
 
 
-def _radius(lam, eps, g=2, poly=0, scale=1.0):
+def _radius(lam, eps, poly=0, scale=1.0):
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     # analytic first guess: first-term majorant ~ scale*8r (r+1/2)^p
@@ -135,11 +133,11 @@ def _radius(lam, eps, g=2, poly=0, scale=1.0):
         raise RuntimeError(
             "truncation radius exceeds sanity cap; Im(tau) is too close to "
             "singular for direct summation")
-    while _tail(lam, R, g, poly, scale) >= eps:
+    while _tail(lam, R, poly, scale) >= eps:
         R += 1
         if R > 4096:
             raise RuntimeError("truncation radius exceeds sanity cap")
-    while R > 1 and _tail(lam, R - 1, g, poly, scale) < eps:
+    while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
         R -= 1
     return R
 
@@ -147,7 +145,7 @@ def _radius(lam, eps, g=2, poly=0, scale=1.0):
 def truncation_radius(tau, eps):
     """Smallest shell radius whose certified tail bound is below eps for a
     first-order theta constant at tau."""
-    return _radius(tau.lam_min, eps, g=tau.g)
+    return _radius(tau.lam_min, eps)
 
 
 # Unit roundoff of IEEE double.
@@ -208,11 +206,10 @@ GUARD_BITS = 32
 
 def _raw_entries(tau, shift=0):
     """(tau11, tau12, tau22) of 2^shift tau as raw mpmath (re, im) pairs,
-    scaled exactly; a genus-1 point is padded with zeros."""
+    scaled exactly."""
     T = tau.entries_mp()
-    ents = (T[0][0],) if tau.g == 1 else (T[0][0], T[0][1], T[1][1])
-    raw = [tuple(mpf_shift(x, shift) for x in z._mpc_) for z in ents]
-    return tuple(raw + [(fzero, fzero)] * (3 - len(raw)))
+    return tuple(tuple(mpf_shift(x, shift) for x in z._mpc_)
+                 for z in (T[0][0], T[0][1], T[1][1]))
 
 
 def _ray(xr, xi, ur, ui, er, ei, count, wp):
@@ -315,16 +312,15 @@ class _Sums(NamedTuple):
 
 
 def _run_kernel(tau, shift, a2, box, hiprec, moments=False):
-    """The kernel of the precision over the box at 2^shift tau (genus 1
-    padded to genus 2).  High precision must run under the working
-    precision, as value_prec provides."""
+    """The kernel of the precision over the box at 2^shift tau.  High
+    precision must run under the working precision, as value_prec
+    provides."""
     if hiprec:
         wp = mp.mp.prec + GUARD_BITS
         run = _walk(_raw_entries(tau, shift), a2, box, wp, moments)
         return _Sums(*run, sum, lambda z: _to_mpc(z, wp), 2.0 ** (1 - mp.mp.prec), mp.pi)
     T = tau.entries()
-    ents = [T[0][0]] if tau.g == 1 else [T[0][0], T[0][1], T[1][1]]
-    t = [z * 2.0 ** shift for z in ents] + [0j] * (3 - len(ents))
+    t = [z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])]
     return _Sums(*_grid(t, a2, box, moments), math.fsum, lambda z: complex(*z),
                  2 * _U, math.pi)
 
@@ -352,19 +348,15 @@ def _character_sum(sums, a2, mdbl, add):
 def _theta_class(mprime, mdbls, tau, eps, hiprec):
     """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
     the parity classes of m'."""
-    g = tau.g
-    pad = (0,) * (2 - g)
-    a2 = tuple(int(x) % 2 for x in mprime) + pad
+    a2 = tuple(int(x) % 2 for x in mprime)
     lam = tau.lam_min
-    R = _radius(lam, eps, g=g)
-    tail = _tail(lam, R, g=g)
-    box = ((-R, R), (-R, R) if g == 2 else (0, 0))
-    bs = [tuple(int(x) for x in mdbl) + pad for mdbl in mdbls]
+    R = _radius(lam, eps)
+    tail = _tail(lam, R)
     with value_prec(hiprec):
-        k = _run_kernel(tau, 0, a2, box, hiprec)
+        k = _run_kernel(tau, 0, a2, ((-R, R), (-R, R)), hiprec)
         bound = sum(x for row in k.bounds for x in row)
         return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail, bound)
-                for b in bs]
+                for b in mdbls]
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
@@ -381,14 +373,6 @@ def theta_constant(m, tau, eps=1e-12, hiprec=False):
     if parity(m) == -1:
         return ThetaValue(mp.mpc(0) if hiprec else 0j, 0.0)
     return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec)
-
-
-def theta_constant_g1(a_bit, b_bit, tau1, eps=1e-12, hiprec=False):
-    """Genus-1 theta constant theta_[a;b](tau1) for a scalar point."""
-    pt = tau1 if isinstance(tau1, SiegelPoint) else SiegelPoint([[tau1]])
-    if (a_bit * b_bit) % 2:
-        return ThetaValue(mp.mpc(0) if hiprec else 0j, 0.0)
-    return theta_raw((a_bit,), (b_bit,), pt, eps, hiprec)
 
 
 def _doubled(tau):
@@ -439,7 +423,7 @@ def theta_gradient(mprime, tau, eps=1e-12, hiprec=False):
     moments carry the integer weights k1^2, 2 k1 k2, k2^2 of k = 2v, so
     the prefactor becomes pi i / 2."""
     lam2 = 2 * tau.lam_min
-    R = _radius(lam2, eps, g=2, poly=2, scale=4 * math.pi)
+    R = _radius(lam2, eps, poly=2, scale=4 * math.pi)
     a2 = tuple(int(x) % 2 for x in mprime)
     with value_prec(hiprec):
         k = _run_kernel(tau, 1, a2, ((-R, R), (-R, R)), hiprec, moments=True)
@@ -509,14 +493,13 @@ def kappa4(gamma):
     return -1 if trace_btc(gamma) % 2 else 1
 
 
-_PROBE_TAU = SiegelPoint.scaled_identity(1j)
 _PROBE_MIN_ABS = 1e-3
 
 
 @lru_cache(maxsize=None)
 def _probe_thetas(eps):
     """The even constants at i*I, once per eps: one shared dict, read only."""
-    return theta_all_even(_PROBE_TAU, eps)
+    return theta_all_even(TAU_I, eps)
 
 
 def kappa_probes(gamma, tau0=None, eps=1e-12):
@@ -525,7 +508,7 @@ def kappa_probes(gamma, tau0=None, eps=1e-12):
     a given gamma must agree; the spread is a correctness check on chi.
     One theta_all_even at gamma tau0, one at tau0 (once per eps at i*I)."""
     th0 = _probe_thetas(eps) if tau0 is None else theta_all_even(tau0, eps)
-    tau0 = tau0 or _PROBE_TAU
+    tau0 = tau0 or TAU_I
     _, den = mobius(gamma, tau0.entries())
     sqrt_det = cmath.sqrt(m2_det(den))
     probes = [m for m in EVEN_CHARS if abs(th0[m].value) > _PROBE_MIN_ABS]
@@ -539,9 +522,9 @@ def kappa_probes(gamma, tau0=None, eps=1e-12):
     return out
 
 
-def kappa_numeric(gamma, tau0=None, eps=1e-12):
+def kappa_numeric(gamma, tau0=None):
     """Theta multiplier kappa(gamma) measured numerically against the
     principal branch of det(c tau0 + d)^{1/2}.  Unimodular, and
     kappa^4 = e^{pi i Tr(b^T c)}; only branch-insensitive powers of the
     result are meaningful."""
-    return next(iter(kappa_probes(gamma, tau0, eps).values()))
+    return next(iter(kappa_probes(gamma, tau0).values()))

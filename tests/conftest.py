@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from azy5.siegel import SiegelPoint, sample_taus
+from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import FULL, random_word
 
 
@@ -45,7 +45,7 @@ def near_point():
 
 @pytest.fixture(scope="session")
 def tau_i():
-    return SiegelPoint.scaled_identity(1j)
+    return TAU_I
 
 
 @pytest.fixture()

@@ -14,10 +14,16 @@ from azy5 import (J, act_tau, estimate_lambda, sample_taus,
                   theta_second_vector)
 from azy5.numeric import mobius
 from azy5.symplectic import _bfs_transversal
+from azy5.theta import _radius, _tail
 
-# Parameters that had only one value in use and became module constants.
+# Parameters that had only one value in use and became module constants,
+# and the genus, which is always 2.
 REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
-           "cancellation_guard"}
+           "cancellation_guard", "g"}
+# Parameters removed from one callable, where other callables keep the name.
+REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
+                (azy5.symmetrize_numeric, {"eps", "hiprec"}),
+                (_tail, {"g"}), (_radius, {"g"}))
 
 
 def _public_callables():
@@ -36,6 +42,12 @@ def test_no_public_callable_takes_a_removed_knob():
     assert seen > 50
     assert "length" not in inspect.signature(azy5.invariance_word).parameters
     assert not set(inspect.signature(_bfs_transversal).parameters) & REMOVED
+    for obj, names in REMOVED_FROM:
+        assert not set(inspect.signature(obj).parameters) & names, obj
+    length = inspect.signature(azy5.random_word).parameters["length"]
+    assert length.default is inspect.Parameter.empty
+    assert not hasattr(azy5.SiegelPoint, "scaled_identity")
+    assert "theta_constant_g1" not in azy5.__all__
 
 
 def _mp_dist(a, b):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, report files, sample-point
 loading, and determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -58,12 +59,11 @@ def test_verify_transform(capsys):
     assert "overall: PASS" in text
 
 
-def test_geometry_default_and_addition_mode(tmp_path):
+def test_geometry_report(tmp_path):
     out = tmp_path / "t.json"
     assert run(["geometry", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert len(rep["payload"]["tetrahedra"]) == 15
-    assert run(["geometry", "verify-addition", "--samples", "1"]) == 0
 
 
 @pytest.mark.parametrize("form", ["chi5", "chi10", "p2", "chi12", "azy", "chi5det"])
@@ -71,8 +71,8 @@ def test_forms_eval_each(form):
     assert run(["forms-eval", "--form", form]) == 0
 
 
-def test_forms_alias_with_verb(capsys):
-    assert run(["forms", "eval", "--form", "p2"]) == 0
+def test_forms_alias(capsys):
+    assert run(["forms", "--form", "p2"]) == 0
     assert "p2 error bound within target" in capsys.readouterr().out
 
 
@@ -97,13 +97,43 @@ def test_full_verify_alias(tmp_path, capsys):
     assert "geometric crosscheck product" in names
 
 
+# The options each subcommand reads, and so takes.
+_TAKES = {
+    "orbits": {"--out"},
+    "cosets": {"--out", "--subgroup", "--generators"},
+    "geometry": {"--out"},
+    "verify-transform": {"--eps", "--seed", "--out"},
+    "azy-lambda": {"--eps", "--seed", "--samples", "--hiprec", "--out"},
+    "forms-eval": {"--eps", "--hiprec", "--tau", "--out", "--form"},
+    "azy-verify": {"--eps", "--seed", "--samples", "--hiprec", "--tau", "--out"},
+    "verify-addition": {"--eps", "--seed", "--samples", "--hiprec", "--tau", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    # aliases share their parser; positionals count under their dest
+    taken = {name: {opt for a in p._actions for opt in a.option_strings or [a.dest]}
+             - {"-h", "--help"}
+             for name, p in sub.choices.items() if p.prog.split()[-1] == name}
+    assert taken == _TAKES
+    assert sum(map(len, taken.values())) == 30
+
+
 def test_usage_errors_exit_2():
     for argv in (["no-such-command"],
-                 ["orbits", "--eps", "1e-40"],
-                 ["orbits", "--eps", "nan"],
-                 ["orbits", "--eps", "inf"],
+                 ["verify-addition", "--eps", "1e-40"],
+                 ["verify-addition", "--eps", "nan"],
+                 ["verify-addition", "--eps", "inf"],
                  ["verify-addition", "--samples", "0"],
-                 ["forms-eval"]):
+                 ["forms-eval"],
+                 # options and modes a subcommand does not serve
+                 ["lambda", "--tau", "F"],
+                 ["verify-transform", "--hiprec"],
+                 ["orbits", "--seed", "1"],
+                 ["geometry", "verify-addition"],
+                 ["forms", "eval", "--form", "p2"]):
         with pytest.raises(SystemExit) as e:
             run(argv)
         assert e.value.code == 2
@@ -114,6 +144,23 @@ def test_malformed_tau_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(["verify-addition", "--tau", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_genus1_tau_file_exits_1(tmp_path, capsys):
+    g1 = tmp_path / "g1.json"
+    g1.write_text(json.dumps({"g": 1, "entries": [[[0.3, 1.1]]]}))
+    assert run(["forms", "--form", "p2", "--tau", str(g1)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_echoes_only_the_options_a_command_has(tmp_path):
+    out = tmp_path / "o.json"
+    assert run(["orbits", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"command": "orbits"}
+    assert run(["forms", "--form", "p2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {
+        "command": "forms-eval", "eps": 1e-12, "hiprec": False, "tau": None,
+        "form": "p2"}
 
 
 def test_tau_file_roundtrip(tmp_path):

@@ -120,6 +120,17 @@ def test_symmetrize_numeric_matches_exact_sum(tau_i):
     assert abs(num - ref) < 1e-8 * max(1.0, abs(ref))
 
 
+def test_symmetrize_numeric_with_sign_character_matches_azy():
+    """The signs of azy_terms: the chi_P-twisted coset sum of the base
+    triple's (theta_0 theta_1 theta_4)^20, at gamma tau by direct
+    evaluation, over the 720 cosets counts each signed triple 12 times."""
+    tau = SiegelPoint([[1.1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.3j]])
+    base = mono_key((m, AZY_EXPONENT) for m in AZY_BASE_TRIPLE)
+    num = symmetrize_numeric(base, 30, tau, character=chi_p, multiplicity=12)
+    ref = azy(tau).value
+    assert abs(num - ref) < 1e-8 * max(1.0, abs(ref))
+
+
 def test_symmetrize_numeric_pretest_rejects_noninvariant(taus):
     # theta_[10;00]^2 picks up -1 under tau -> tau + 2 E11
     with pytest.raises(ValueError):

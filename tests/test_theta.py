@@ -12,12 +12,11 @@ import pytest
 
 from azy5.chars import EVEN_CHARS, ODD_CHARS, mdbl_of, mprime_of
 from azy5.numeric import m2_det, mobius
-from azy5.siegel import SiegelPoint
+from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, act_tau,
                              random_word, translation)
 from azy5.theta import (_CHI8, MPRIME_ORDER, kappa4, kappa_numeric,
-                        kappa_probes, theta_constant, theta_constant_g1,
-                        theta_gradient, theta_raw, theta_second_order,
+                        kappa_probes, theta_constant, theta_gradient, theta_raw, theta_second_order,
                         trace_btc, transform_unit, truncation_radius, xi_chi)
 
 # Reference values computed once by an independent one-dimensional product
@@ -37,8 +36,9 @@ def test_frozen_values_double(tau_i):
     assert abs(w - THETA2_00_AT_I) < 1e-13
     u = theta_second_order((1, 1), tau_i).value
     assert abs(u - THETA2_11_AT_I) < 1e-13
-    g1 = theta_constant_g1(0, 0, 2j).value
-    assert abs(g1 - THETA_G1_00_AT_2I) < 1e-13
+    # at 2i I the genus-2 series is the square of the genus-1 one
+    v2 = theta_constant(0, SiegelPoint(2j * np.eye(2))).value
+    assert abs(v2 - THETA_G1_00_AT_2I ** 2) < 1e-13
 
 
 def test_frozen_values_hiprec(tau_i):
@@ -205,7 +205,7 @@ def test_kappa_probe_agreement(full_words):
 def test_kappa_probes_match_single_constants(full_words):
     """kappa_probes takes its constants from theta_all_even; one series per
     constant gives the same bits."""
-    tau0 = SiegelPoint.scaled_identity(1j)
+    tau0 = TAU_I
     for g in full_words(6, 5):
         tau_g = act_tau(g, tau0)
         sqrt_det = cmath.sqrt(m2_det(mobius(g, tau0.entries())[1]))

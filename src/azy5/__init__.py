@@ -26,7 +26,7 @@ from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residual,
 from .reports import CheckResult, EvalReport
 from .siegel import SiegelPoint, sample_tau, sample_taus
 from .symplectic import (ETA0, GENERATORS, IDENTITY, J, PRINCIPAL2,
-                         THETA0_2, CosetSystem, SubgroupSpec,
+                         THETA0_2, CosetSystem,
                          SymplecticMatrix, act_tau, automorphy_factor,
                          coset_reps, gl_rotation, in_subgroup,
                          lower_translation, random_word, translation)
@@ -42,7 +42,7 @@ __all__ = [
     "pair_sign", "classify_triple", "classify_quadruple", "even_triples",
     "even_quadruples", "format_char", "parse_char", "parity", "psi_p",
     "SiegelPoint", "sample_tau", "sample_taus",
-    "SymplecticMatrix", "CosetSystem", "SubgroupSpec", "IDENTITY", "J",
+    "SymplecticMatrix", "CosetSystem", "IDENTITY", "J",
     "ETA0", "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
     "lower_translation", "gl_rotation", "act_tau", "automorphy_factor",
     "coset_reps", "in_subgroup", "random_word",

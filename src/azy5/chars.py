@@ -120,18 +120,6 @@ def act_set(gamma, chars):
     return frozenset(act_char(gamma, c) for c in chars)
 
 
-def char_images(gamma):
-    """act_char(gamma, m) for all sixteen m, as a tuple indexed by m.  The
-    action is affine over Z/2, so the images of 0 and of the four unit
-    characteristics fix the rest."""
-    out = [act_char(gamma, 0)]
-    units = [act_char(gamma, 1 << i) ^ out[0] for i in range(4)]
-    for m in range(1, 16):
-        low = m & -m
-        out.append(out[m ^ low] ^ units[low.bit_length() - 1])
-    return tuple(out)
-
-
 def classify_triple(triple):
     """Tag of a triple of distinct even characteristics: "minus" if the
     sum (xor of indices) is odd, "plus" if even."""
@@ -171,13 +159,11 @@ def even_quadruples(tag=None):
                  if tag is None or classify_quadruple(q) == tag)
 
 
-def psi_p(gamma, images=None):
+def psi_p(gamma):
     """Permutation induced on the odd characteristics, as a tuple p with
     p[k] = position of gamma.(k-th odd characteristic).  The fixed ordering
-    of ODD_CHARS (index order 5,7,10,11,13,14) pins the S_6 identification.
-    `images` may pass char_images(gamma) when the caller has it."""
-    images = images or char_images(gamma)
-    return tuple(_ODD_POS[images[c]] for c in ODD_CHARS)
+    of ODD_CHARS (index order 5,7,10,11,13,14) pins the S_6 identification."""
+    return tuple(_ODD_POS[act_char(gamma, c)] for c in ODD_CHARS)
 
 
 def perm_sign(p):
@@ -204,10 +190,10 @@ def compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def chi_p(gamma, images=None):
+def chi_p(gamma):
     """Sign character of Sp(4,Z) through the S_6 permutation action; trivial
-    on the principal level-2 subgroup.  `images` as for psi_p."""
-    return perm_sign(psi_p(gamma, images))
+    on the principal level-2 subgroup."""
+    return perm_sign(psi_p(gamma))
 
 
 # The stabilizer of M0 preserves the perfect matching {5,7} {10,11} {13,14}

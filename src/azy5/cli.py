@@ -29,7 +29,7 @@ from .forms import (azy, chi5_determinant, chi5_product, chi10, chi12,
                     mu_ratio, p2)
 from .geometry import addition_residual, all_tetrahedra
 from .reports import EvalReport
-from .siegel import TAU_I, SiegelPoint, sample_taus
+from .siegel import SiegelPoint, sample_taus
 from .symplectic import (ETA0, GENERATORS, PRINCIPAL2, THETA0_2, act_tau,
                          coset_reps, random_word, FULL)
 from .theta import kappa4, kappa_probes
@@ -42,6 +42,10 @@ _FORMS = {
     "chi12": ("signed sum of the fifteen six-term fourth-power monomials", chi12),
     "azy": (AZY_NORMALIZATION, azy),
 }
+# Where `forms` evaluates without --tau: X + iY with X = [[0.13, -0.21],
+# [-0.21, 0.37]] and Y = [[1, 0.3], [0.3, 0.8]], off the loci where chi5,
+# chi10 and the weight-30 sum vanish (such as tau12 = 0 or tau11 = tau22).
+_FORMS_TAU = SiegelPoint([[0.13 + 1j, -0.21 + 0.3j], [-0.21 + 0.3j, 0.37 + 0.8j]])
 
 
 def _load_taus(args):
@@ -107,7 +111,7 @@ def cmd_cosets(args):
     rep.config["subgroup"] = args.subgroup
     spec, expected = _SUBGROUPS[args.subgroup]
     system = coset_reps(spec)
-    rep.add_check(f"index of {spec.label()}", abs(system.index - expected), 0)
+    rep.add_check(f"index of {spec}", abs(system.index - expected), 0)
     rep.payload["index"] = system.index
     rep.payload["words"] = ["".join("JABC"[i] for i in w) or "1" for w in system.words]
     if spec == THETA0_2:
@@ -178,7 +182,7 @@ def cmd_geometry(args):
 def cmd_forms_eval(args):
     rep = EvalReport("forms-eval", _config_echo(args, "forms-eval"))
     rep.config["form"] = args.form
-    taus = _load_taus(args) if args.tau else [TAU_I]
+    taus = _load_taus(args) if args.tau else [_FORMS_TAU]
     results = []
     worst = 0.0
     for t in taus:
@@ -192,7 +196,7 @@ def cmd_forms_eval(args):
             note, fn = _FORMS[args.form]
             tv = fn(t, args.eps, args.hiprec)
             v, err = tv.value, tv.err
-        worst = max(worst, err / max(1.0, abs(v)))
+        worst = max(worst, err / abs(v) if v else math.inf)
         results.append({"tau": t.to_json(), "value": complex(v), "errorBound": float(err)})
     rep.payload["form"] = args.form
     rep.payload["normalization"] = note

@@ -13,8 +13,11 @@ cancel against the slash weight, and when sum e is divisible by 4 the
 kappa power collapses through kappa^4 = e^{pi i Tr(b^T c)} to a sign.
 Each slash term is therefore a unit e^{pi i K/4} (K computed in exact
 integer arithmetic) times a theta monomial at tau, so the symmetrized sum
-collects into few monomials with integer coefficients.  This module does
-that collection once, asserts the expected multiplicities, and evaluates
+collects into few monomials with integer coefficients.  The images of f
+form one orbit under the four generators of Sp(4,Z), so the collection
+closes that orbit instead of visiting the 720 cosets one by one; every
+image stands for 720 / (orbit size) cosets.  This module does that
+collection once, asserts the expected multiplicities, and evaluates
 the resulting short signed sums with certified error bounds.  The bounds
 propagate each theta constant's certified error, which covers both the
 truncation and the rounding of its series, through the products; the
@@ -42,10 +45,10 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .chars import EVEN_CHARS, M0, char_images, chi_p, parity
+from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
 from .numeric import fsum_complex, value_prec
-from .symplectic import (PRINCIPAL2, act_tau, automorphy_factor, coset_reps,
-                         lower_translation, translation)
+from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
+                         coset_reps, lower_translation, translation)
 from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
                     theta_constant, theta_gradient, theta_second_vector,
                     trace_btc, transform_unit)
@@ -187,25 +190,24 @@ def mu_ratio(tau, eps=1e-12, hiprec=False):
 # --- exact symmetrization over level-2 cosets ----------------------------
 
 
-def slash_unit(key, gamma, images=None):
+def slash_unit(key, gamma):
     """Exact reduction of (f |_k gamma)(tau) for the monomial f given by
     `key`: returns (image_key, K) with
 
         (f |_k gamma)(tau) = e^{pi i K / 4} * prod theta over image_key,
 
     valid when the total degree is divisible by 4 (so the kappa power is
-    the exact sign kappa^4 = e^{pi i Tr(b^T c)} raised to deg/4).  gamma
-    may be a matrix or its blocks; `images` may pass char_images(gamma),
-    whose inverse gives the characteristic that gamma sends to each
-    factor."""
+    the exact sign kappa^4 = e^{pi i Tr(b^T c)} raised to deg/4).  Each
+    factor theta_n of f comes from theta_m with m = gamma^{-1}.n, the
+    characteristic that gamma sends to n."""
     deg = monomial_degree(key)
     if deg % 4:
         raise ValueError("total degree must be divisible by 4 to eliminate kappa")
-    images = images or char_images(gamma)
+    inverse = gamma.inverse()
     K = (deg * trace_btc(gamma)) % 8
     img = []
     for n, e in key:
-        m = images.index(n)
+        m = act_char(inverse, n)
         n_back, k = transform_unit(m, gamma)
         if n_back != n:
             raise AssertionError("characteristic action failed to invert")
@@ -217,27 +219,33 @@ def slash_unit(key, gamma, images=None):
 def symmetrize_exact(key, character=None):
     """Collect sum_{cosets} character(gamma) (f |_k gamma) into monomials:
     a dict image_key -> (count, K) where every one of the `count` coset
-    terms landing on image_key contributed the same unit e^{pi i K/4}
-    (anything else raises, since the collected sum would then not be a
-    single integer multiple of a unit).  Each representative's blocks
-    and characteristic images are read once and shared by slash_unit and
-    the character, which is called as character(blocks, images), like
-    chi_p."""
+    terms landing on image_key contributed the same unit e^{pi i K/4}.
+
+    The images form one orbit under GENERATORS, closed here breadth-first
+    from f with unit 0: since (f|gamma)|g = f|(gamma g) and the character
+    is multiplicative, the image h' = h|g of a reached monomial h carries
+    the unit of h, plus slash_unit's K, plus 4 when character(g) = -1.
+    A monomial reached with two different units raises (the collected
+    sum would then not be a single integer multiple of a unit; this also
+    catches an f that is not invariant under the principal level-2
+    subgroup, which fixes every characteristic).  Each image collects
+    720 / (orbit size) of the 720 cosets."""
     key = mono_key(key)
-    seen = {}
-    for g in coset_reps(PRINCIPAL2).reps:
-        gb = g.blocks()
-        images = char_images(gb)
-        img, K = slash_unit(key, gb, images)
-        if character is not None and character(gb, images) == -1:
-            K = (K + 4) % 8
-        seen.setdefault(img, []).append(K)
-    out = {}
-    for img, ks in seen.items():
-        if len(set(ks)) != 1:
-            raise ArithmeticError("coset terms disagree in phase on a common monomial")
-        out[img] = (len(ks), ks[0])
-    return out
+    units = {key: 0}
+    queue = [key]
+    for h in queue:
+        for g in GENERATORS:
+            img, K = slash_unit(h, g)
+            if character is not None and character(g) == -1:
+                K += 4
+            K = (K + units[h]) % 8
+            if img not in units:
+                units[img] = K
+                queue.append(img)
+            elif units[img] != K:
+                raise ArithmeticError("coset terms disagree in phase on a common monomial")
+    count = 720 // len(units)
+    return {img: (count, K) for img, K in units.items()}
 
 
 def _signed_terms(base_key, character, expect_count, expect_classes):

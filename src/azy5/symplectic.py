@@ -1,6 +1,8 @@
-"""Exact Sp(4,Z) algebra: block access, congruence subgroup membership,
-the Moebius action on Siegel points, automorphy factors, and breadth-first
-coset enumeration.
+"""Exact Sp(4,Z) algebra: block access, the three congruence subgroups
+used here (Sp(4,Z) itself, principal(2) and theta0(2), each named by its
+label string) with membership tests and random elements, the Moebius
+action on Siegel points, automorphy factors, and breadth-first coset
+enumeration.
 
 Matrices carry arbitrary-precision Python integers, so long generator words
 used in randomized tests cannot overflow.  Inverses use the symplectic
@@ -12,7 +14,6 @@ a column operation on the rows of its matrix (_COLUMN_OPS).
 from __future__ import annotations
 
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,11 +44,6 @@ def is_symplectic(entries):
             if v != want:
                 return False
     return True
-
-
-# The 2 x 2 blocks of [[a, b], [c, d]], read once: every function that
-# takes gamma through .a/.b/.c/.d accepts them in place of the matrix.
-Blocks = namedtuple("Blocks", "a b c d")
 
 
 class SymplecticMatrix:
@@ -95,9 +91,6 @@ class SymplecticMatrix:
         out = object.__new__(cls)
         object.__setattr__(out, "rows", rows)
         return out
-
-    def blocks(self):
-        return Blocks(self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other):
         a, b = self.rows, other.rows
@@ -179,25 +172,30 @@ def word_matrix(indices):
     return m
 
 
+# The congruence subgroups used here, named by their labels: the full
+# group, the principal level-2 subgroup (kernel of reduction mod 2), and
+# theta0(2), whose c block is even (the stabilizer of M0).
+FULL = "Sp(4,Z)"
+PRINCIPAL2 = "principal(2)"
+THETA0_2 = "theta0(2)"
+
+
 def subgroup_generators(spec):
     """A finite generating-ish alphabet for sampling random elements of the
     subgroup (words in these letters certainly lie in it; the samplers in
     the tests only need cheap, well-spread elements, not surjectivity)."""
-    if spec.kind == "full":
+    if spec == FULL:
         return GENERATORS
-    n = spec.n
-    scaled = [translation(tuple(tuple(n * x for x in row) for row in B))
-              for B in (E11, E22, ESYM)]
-    lowers = [lower_translation(tuple(tuple(n * x for x in row) for row in C))
-              for C in (E11, E22, ESYM)]
-    if spec.kind == "principal":
-        return tuple(scaled + lowers)
-    if spec.kind == "theta0":
+    doubled = [tuple(tuple(2 * x for x in row) for row in S) for S in (E11, E22, ESYM)]
+    lowers = [lower_translation(S) for S in doubled]
+    if spec == PRINCIPAL2:
+        return tuple([translation(S) for S in doubled] + lowers)
+    if spec == THETA0_2:
         uppers = [translation(B) for B in (E11, E22, ESYM)]
         rots = [gl_rotation(((0, 1), (1, 0))), gl_rotation(((1, 1), (0, 1))),
                 gl_rotation(((-1, 0), (0, 1)))]
         return tuple(uppers + lowers + rots)
-    raise NotImplementedError(f"no sampling alphabet for {spec.label()}")
+    raise ValueError(f"unknown subgroup {spec!r}")
 
 
 def random_word(spec, rng, length):
@@ -210,43 +208,16 @@ def random_word(spec, rng, length):
     return m
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """One of the congruence subgroups used here: kind in {"full",
-    "principal", "theta0"} with level n."""
-    kind: str
-    n: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("full", "principal", "theta0"):
-            raise ValueError(f"unknown subgroup kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("level must be positive")
-
-    def label(self):
-        if self.kind == "full":
-            return "Sp(4,Z)"
-        if self.kind == "principal":
-            return f"principal({self.n})"
-        return f"theta0({self.n})"
-
-
-FULL = SubgroupSpec("full")
-PRINCIPAL2 = SubgroupSpec("principal", 2)
-THETA0_2 = SubgroupSpec("theta0", 2)
-
-
 def in_subgroup(gamma, spec):
     """Exact membership of gamma in the congruence subgroup."""
-    r = gamma.rows
-    if spec.kind == "full":
+    if spec == FULL:
         return True
-    n = spec.n
-    if spec.kind == "theta0":
-        c = gamma.c
-        return all(c[i][j] % n == 0 for i in range(2) for j in range(2))
-    return all((r[i][j] - (1 if i == j else 0)) % n == 0
-               for i in range(4) for j in range(4))
+    if spec == THETA0_2:
+        return all(x % 2 == 0 for row in gamma.c for x in row)
+    if spec == PRINCIPAL2:
+        return all((x - (i == j)) % 2 == 0
+                   for i, row in enumerate(gamma.rows) for j, x in enumerate(row))
+    raise ValueError(f"unknown subgroup {spec!r}")
 
 
 def act_tau(gamma, tau, hiprec=False):
@@ -279,7 +250,7 @@ def automorphy_factor(gamma, tau, k, hiprec=False):
 class CosetSystem:
     """Right-coset transversal {H gamma_i} with the BFS word of each
     representative (tuples of GENERATORS indices, identity first)."""
-    subgroup: SubgroupSpec
+    subgroup: str
     reps: tuple
     words: tuple
 
@@ -335,9 +306,9 @@ def coset_reps(spec):
     """Deterministic right-coset representatives of spec in Sp(4,Z), found
     breadth-first over GENERATORS words (shortest word per coset, ties
     broken lexicographically; identity represents the trivial coset).
-    Cached: spec is hashable and the returned CosetSystem is immutable.
+    Cached: the returned CosetSystem is immutable.
 
-    Supported: theta0(2), keyed by gamma^{-1}.M0 (15 cosets, one per plus
+    Subgroups: theta0(2), keyed by gamma^{-1}.M0 (15 cosets, one per plus
     quadruple, since theta0(2) is the stabilizer of M0), with gamma^{-1}
     from the closed form; principal(2), keyed by gamma mod 2 (720
     cosets).  Each step right-multiplies a representative by a generator
@@ -346,8 +317,6 @@ def coset_reps(spec):
         reps, words = _bfs_transversal(lambda m: act_set(m.inverse(), M0), 15)
     elif spec == PRINCIPAL2:
         reps, words = _bfs_transversal(SymplecticMatrix.mod2_key, 720)
-    elif spec.kind == "full" or (spec.kind == "principal" and spec.n == 1):
-        reps, words = (IDENTITY,), ((),)
     else:
-        raise NotImplementedError(f"coset enumeration not implemented for {spec.label()}")
+        raise ValueError(f"no coset enumeration for subgroup {spec!r}")
     return CosetSystem(spec, reps, words)

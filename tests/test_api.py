@@ -17,9 +17,10 @@ from azy5.symplectic import _bfs_transversal
 from azy5.theta import _radius, _tail
 
 # Parameters that had only one value in use and became module constants,
-# and the genus, which is always 2.
+# the genus, which is always 2, and the precomputed characteristic images
+# that a caller could pass in.
 REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
-           "cancellation_guard", "g"}
+           "cancellation_guard", "g", "images"}
 # Parameters removed from one callable, where other callables keep the name.
 REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
                 (azy5.symmetrize_numeric, {"eps", "hiprec"}),

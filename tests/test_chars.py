@@ -6,13 +6,13 @@ import random
 import pytest
 
 from azy5.chars import (EVEN_CHARS, M0, ODD_CHARS, ODD_PAIRING, act_char,
-                        act_char_vectors, act_set, char_images, char_index,
+                        act_char_vectors, act_set, char_index,
                         chi_p,
                         classify_quadruple, classify_triple, compose_perm,
                         even_quadruples, even_triples, format_char, mdbl_of,
                         mprime_of, pair_sign, parity, parse_char, perm_sign,
                         psi_p, reduction_sign)
-from azy5.symplectic import (E11, E22, ESYM, ETA0, FULL, GENERATORS, IDENTITY,
+from azy5.symplectic import (E11, E22, ESYM, ETA0, FULL, IDENTITY,
                              J, PRINCIPAL2, THETA0_2, gl_rotation,
                              lower_translation, random_word, translation)
 
@@ -104,16 +104,6 @@ def test_unreduced_vectors_reduce_to_action():
         for m in range(16):
             (p1, p2), (d1, d2) = act_char_vectors(g, m)
             assert act_char(g, m) == char_index((p1 % 2, p2 % 2), (d1 % 2, d2 % 2))
-
-
-def test_char_images_is_the_action_table():
-    rng = random.Random(11)
-    for g in [IDENTITY, *GENERATORS] + [random_word(FULL, rng, 6) for _ in range(30)]:
-        table = tuple(act_char(g, m) for m in range(16))
-        assert char_images(g) == table
-        assert char_images(g.blocks()) == table
-        assert psi_p(g, table) == psi_p(g)
-        assert chi_p(g.blocks(), table) == chi_p(g)
 
 
 def test_even_triples_and_quadruples_are_cached():

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from azy5 import cli
-from azy5.siegel import SiegelPoint, sample_taus
+from azy5.forms import azy_terms, chi12_terms
+from azy5.siegel import TAU_I, SiegelPoint, sample_taus
+from azy5.symplectic import coset_reps
 
 
 def run(argv):
@@ -71,6 +73,37 @@ def test_forms_eval_each(form):
     assert run(["forms-eval", "--form", form]) == 0
 
 
+def _cusp_file(tmp_path, s):
+    """tau = X + i s Y at the generic X, Y of the default forms point:
+    the forms decay like e^{-c s} as s grows into the cusp."""
+    x = [[0.13, -0.21], [-0.21, 0.37]]
+    y = [[1.0, 0.3], [0.3, 0.8]]
+    path = tmp_path / f"cusp{s}.json"
+    path.write_text(json.dumps(SiegelPoint(
+        [[x[i][j] + 1j * s * y[i][j] for j in range(2)] for i in range(2)]).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("s", [5, 10, 20])
+def test_forms_fails_when_the_bound_exceeds_the_value(tmp_path, s):
+    """The weight-30 sum underflows its own error bound in the cusp; the
+    verdict compares err with |value|, so it fails there."""
+    assert run(["forms", "--form", "azy", "--tau", _cusp_file(tmp_path, s)]) == 1
+
+
+@pytest.mark.parametrize("form", ["chi5", "chi10", "chi12", "p2"])
+def test_forms_passes_in_the_cusp_with_digits_left(tmp_path, form):
+    assert run(["forms", "--form", form, "--tau", _cusp_file(tmp_path, 10)]) == 0
+
+
+def test_forms_fails_where_the_form_vanishes(tmp_path):
+    """chi5 vanishes at i*I (tau12 = 0): its computed value is rounding
+    noise, which the verdict must not pass."""
+    path = tmp_path / "ii.json"
+    path.write_text(json.dumps(TAU_I.to_json()))
+    assert run(["forms", "--form", "chi5", "--tau", str(path)]) == 1
+
+
 def test_forms_alias(capsys):
     assert run(["forms", "--form", "p2"]) == 0
     assert "p2 error bound within target" in capsys.readouterr().out
@@ -86,8 +119,12 @@ def test_lambda_alias(tmp_path):
 
 
 def test_full_verify_alias(tmp_path, capsys):
+    for cached in (coset_reps, azy_terms, chi12_terms):
+        cached.cache_clear()
     out = tmp_path / "v.json"
     assert run(["verify", "--samples", "2", "--out", str(out)]) == 0
+    # only the 15-coset system: the signed terms need no coset enumeration
+    assert coset_reps.cache_info().currsize == 1
     text = capsys.readouterr().out
     assert "overall: PASS" in text
     rep = json.loads(out.read_text())

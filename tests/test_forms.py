@@ -1,6 +1,7 @@
 """Theta monomials, certified product errors, the exact level-2 coset
 symmetrization, and the classical product forms with their constants."""
 
+import hashlib
 import math
 import random
 
@@ -14,7 +15,7 @@ from azy5.forms import (AZY_BASE_TRIPLE, AZY_EXPONENT, SIXPLET_BASE, azy,
                         slash_numeric, slash_unit, symmetrize_exact,
                         symmetrize_numeric)
 from azy5.siegel import SiegelPoint
-from azy5.symplectic import FULL, PRINCIPAL2, random_word
+from azy5.symplectic import FULL, coset_reps, random_word
 from azy5.theta import _CHI8, theta_all_even
 
 MU_EXACT = -32j / math.pi ** 3
@@ -75,6 +76,31 @@ def test_chi12_terms_structure():
     assert sixes == {frozenset(set(EVEN_CHARS) - set(q))
                      for q in even_quadruples("plus")}
     assert all(e == 4 for _, key in terms for _, e in key)
+
+
+def test_signed_term_tables_are_pinned():
+    for terms, digest in (
+            (azy_terms(), "3bd97757ae74486a06dce8b23784bec9721d32155c99c28ce18abb6e4917c978"),
+            (chi12_terms(), "03fd3dd95f6742fc24e88309604dd2b079c45678d73763d71bcc4c9389441e4f")):
+        assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
+
+
+def test_signed_terms_enumerate_no_cosets():
+    """Both tables come from closing an orbit under the four generators,
+    not from the 720 coset representatives."""
+    for cached in (coset_reps, azy_terms, chi12_terms):
+        cached.cache_clear()
+    azy_terms()
+    chi12_terms()
+    info = coset_reps.cache_info()
+    assert info.hits + info.misses == 0
+
+
+def test_symmetrize_exact_rejects_sign_flip_in_principal2():
+    # theta_[10;00]^2 theta_[00;00]^2 changes sign under tau -> tau + 2 E11,
+    # an element of principal(2), so its coset sum is ill-defined
+    with pytest.raises(ArithmeticError):
+        symmetrize_exact(mono_key([(8, 2), (0, 2)]))
 
 
 def test_symmetrize_exact_on_invariant_monomial():

@@ -11,7 +11,7 @@ from azy5.chars import M0, act_set, even_quadruples
 from azy5.siegel import SiegelPoint
 from azy5.symplectic import (_COLUMN_OPS, E11, E22, ESYM, ETA0, FULL,
                              GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
-                             SubgroupSpec, SymplecticMatrix, act_tau,
+                             SymplecticMatrix, act_tau,
                              automorphy_factor, coset_reps, gl_rotation,
                              in_subgroup, lower_translation, random_word,
                              translation, word_matrix)
@@ -81,15 +81,13 @@ def test_stabilizer_membership_criterion(rng):
         assert (act_set(g, M0) == M0) == in_subgroup(g, THETA0_2)
 
 
-def test_subgroup_spec_validation():
-    with pytest.raises(ValueError):
-        SubgroupSpec("weird")
-    with pytest.raises(ValueError):
-        SubgroupSpec("principal", 0)
-    with pytest.raises(ValueError):
-        SubgroupSpec("igusa", 2)
-    assert THETA0_2.label() == "theta0(2)"
-    assert FULL.label() == "Sp(4,Z)"
+def test_subgroup_spec_validation(rng):
+    assert (FULL, PRINCIPAL2, THETA0_2) == ("Sp(4,Z)", "principal(2)", "theta0(2)")
+    for spec in ("weird", "principal(4)", "theta0(4)"):
+        with pytest.raises(ValueError):
+            in_subgroup(J, spec)
+        with pytest.raises(ValueError):
+            random_word(spec, rng, 3)
 
 
 def test_coset_system_theta0():
@@ -168,14 +166,10 @@ def test_coset_reps_is_cached():
         assert coset_reps(spec) is coset_reps(spec)
 
 
-def test_trivial_transversals():
-    assert coset_reps(FULL).index == 1
-    assert coset_reps(SubgroupSpec("principal", 1)).index == 1
-
-
 def test_unsupported_transversal():
-    with pytest.raises(NotImplementedError):
-        coset_reps(SubgroupSpec("theta0", 4))
+    for spec in (FULL, "theta0(4)"):
+        with pytest.raises(ValueError):
+            coset_reps(spec)
 
 
 def test_act_tau_translation(taus):

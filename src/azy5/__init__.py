@@ -20,7 +20,7 @@ from .construction import (AZY_NORMALIZATION, LambdaEstimate,
 from .forms import (azy, azy_eval, chi5_determinant, chi5_product, chi10,
                     chi12, mono_key, monomial_at, mu_ratio, p2, slash_unit,
                     symmetrize_exact, symmetrize_numeric)
-from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residual,
+from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residuals,
                        all_faces, all_tetrahedra, f_m, faces_from_vertices,
                        quadric_value, tetrahedron)
 from .reports import CheckResult, EvalReport
@@ -52,7 +52,7 @@ __all__ = [
     "mono_key", "monomial_at", "slash_unit", "symmetrize_exact",
     "symmetrize_numeric", "chi5_product", "chi5_determinant", "chi10",
     "chi12", "p2", "azy", "azy_eval", "mu_ratio",
-    "ADDITION_TABLE", "Tetrahedron", "addition_residual", "all_faces",
+    "ADDITION_TABLE", "Tetrahedron", "addition_residuals", "all_faces",
     "all_tetrahedra", "f_m", "faces_from_vertices", "quadric_value",
     "tetrahedron",
     "AZY_NORMALIZATION", "LambdaEstimate", "alternate_system",

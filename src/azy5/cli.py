@@ -27,7 +27,7 @@ from .construction import (AZY_NORMALIZATION, estimate_lambda,
                            rep_independence_error)
 from .forms import (azy, chi5_determinant, chi5_product, chi10, chi12,
                     mu_ratio, p2)
-from .geometry import addition_residual, all_tetrahedra
+from .geometry import addition_residuals, all_tetrahedra
 from .reports import EvalReport
 from .siegel import SiegelPoint, sample_taus
 from .symplectic import (ETA0, GENERATORS, PRINCIPAL2, THETA0_2, act_tau,
@@ -55,6 +55,8 @@ def _load_taus(args):
         with open(args.tau) as fh:
             data = json.load(fh)
         items = data if isinstance(data, list) else [data]
+        if not items:
+            raise ValueError(f"--tau file {args.tau} holds no points")
         return [SiegelPoint.from_json(d) for d in items]
     return sample_taus(args.seed, args.samples)
 
@@ -81,10 +83,6 @@ def _config_echo(args, command):
     config.update((k, getattr(args, k)) for k in _OPTIONS
                   if k != "out" and hasattr(args, k))
     return config
-
-
-def _matrix_rows(m):
-    return [list(r) for r in m.to_rows()]
 
 
 def cmd_orbits(args):
@@ -115,27 +113,23 @@ def cmd_cosets(args):
     rep.payload["index"] = system.index
     rep.payload["words"] = ["".join("JABC"[i] for i in w) or "1" for w in system.words]
     if spec == THETA0_2:
-        rep.payload["representatives"] = [_matrix_rows(g) for g in system.reps]
+        rep.payload["representatives"] = [g.to_rows() for g in system.reps]
     if args.generators:
         rep.payload["generators"] = {
-            "J": _matrix_rows(GENERATORS[0]),
-            "A": _matrix_rows(GENERATORS[1]),
-            "B": _matrix_rows(GENERATORS[2]),
-            "C": _matrix_rows(GENERATORS[3]),
+            "J": GENERATORS[0].to_rows(),
+            "A": GENERATORS[1].to_rows(),
+            "B": GENERATORS[2].to_rows(),
+            "C": GENERATORS[3].to_rows(),
         }
     return rep
-
-
-def _addition_checks(rep, taus, eps, hiprec):
-    for m in EVEN_CHARS:
-        worst = max(addition_residual(m, tau, eps, hiprec) for tau in taus)
-        rep.add_check(f"addition {format_char(m)}", worst, 1e-10)
 
 
 def cmd_verify_addition(args):
     rep = EvalReport("verify-addition", _config_echo(args, "verify-addition"))
     taus = _load_taus(args)
-    _addition_checks(rep, taus, args.eps, args.hiprec)
+    residuals = [addition_residuals(t, args.eps, args.hiprec) for t in taus]
+    for m in EVEN_CHARS:
+        rep.add_check(f"addition {format_char(m)}", max(r[m] for r in residuals), 1e-10)
     rep.payload["points"] = [t.to_json() for t in taus]
     return rep
 
@@ -155,7 +149,7 @@ def cmd_verify_transform(args):
         worst_k4 = max(worst_k4, max(abs(abs(v) - 1) for v in vals))
     rep.add_check("kappa probe agreement (20 words)", worst_spread, 1e-8)
     rep.add_check("kappa^4 = exp(pi i Tr(b^T c))", worst_k4, 1e-8)
-    rep.payload["words"] = [_matrix_rows(g) for g in words]
+    rep.payload["words"] = [g.to_rows() for g in words]
     return rep
 
 
@@ -236,8 +230,7 @@ def cmd_azy_verify(args):
     rep.payload["cosetWords"] = ["".join("JABC"[i] for i in w) or "1"
                                  for w in system.words]
 
-    worst = max(addition_residual(m, t, eps, hiprec)
-                for m in EVEN_CHARS for t in taus[:3])
+    worst = max(r for t in taus[:3] for r in addition_residuals(t, eps, hiprec).values())
     rep.add_check("addition formulas", worst, 1e-10)
 
     rng = random.Random(args.seed)
@@ -264,9 +257,9 @@ def cmd_azy_verify(args):
     rep.add_check("representative independence", worst, 1e-8)
 
     tol = 1e-15 if hiprec else 1e-6
-    for i, g in enumerate(GENERATORS):
-        worst = max(phi_modularity_error(g, t, eps, hiprec) for t in taus)
-        rep.add_check(f"phi modularity generator {'JABC'[i]}", worst, tol)
+    errs = [phi_modularity_error(t, eps, hiprec) for t in taus]
+    for i, name in enumerate("JABC"):
+        rep.add_check(f"phi modularity generator {name}", max(e[i] for e in errs), tol)
 
     est = estimate_lambda(seed=args.seed, samples=args.samples, eps=eps, hiprec=hiprec)
     tol = 1e-20 if hiprec else 1e-5

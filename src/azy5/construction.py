@@ -28,9 +28,13 @@ Each phi_gamma is a constant multiple of the quartic F of the tetrahedron
 over gamma^{-1} M0 at Theta(tau) (geometric_crosscheck), so the product of
 the 60 faces is a constant multiple of phi_transversal: PHI_CONSTANT =
 -2^-44 under the face normalization of azy5.geometry, measured in high
-precision and pinned by the tests.  estimate_lambda compares phi with the
-60-monomial signed sum, which is computed from the first-order constants
-and so independently of Theta.
+precision and pinned by the tests.  The checks therefore read each
+quantity once: geometric_crosscheck is the only one that evaluates the
+fifteen canonical factors, rep_independence_error compares the product
+over the alternate transversal with phi, and phi_modularity_error
+compares phi at the four generator images with one phi(tau).
+estimate_lambda compares phi with the 60-monomial signed sum, which is
+computed from the first-order constants and so independently of Theta.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
+from statistics import median
 
 import mpmath as mp
 import numpy as np
@@ -50,7 +55,7 @@ from .forms import azy_eval, p2, product_err
 from .geometry import all_faces, tetrahedron
 from .numeric import value_prec
 from .siegel import sample_tau
-from .symplectic import (E11, E22, ESYM, THETA0_2, CosetSystem, act_tau,
+from .symplectic import (E11, E22, ESYM, GENERATORS, THETA0_2, act_tau,
                          automorphy_factor, coset_reps, gl_rotation,
                          lower_translation, translation)
 from .theta import ThetaValue, theta_second_vector
@@ -160,11 +165,12 @@ def phi_gamma(gamma, tau, eps=1e-12, hiprec=False):
     return ThetaValue(v, float(abs(scale)) * pv.err)
 
 
-def phi_transversal(tau, eps=1e-12, hiprec=False, system=None):
+def phi_transversal(tau, eps=1e-12, hiprec=False, reps=None):
     """The weight-30 product over a 15-element transversal (the canonical
-    one unless `system` provides another): the independent definition
-    that the cross-checks compare phi with."""
-    reps = (system or coset_reps(THETA0_2)).reps
+    one unless `reps` gives another): the independent definition that
+    the cross-checks compare phi with."""
+    if reps is None:
+        reps = coset_reps(THETA0_2).reps
     if len(reps) != 15:
         raise ValueError("phi_transversal needs a 15-element coset transversal")
     factors = [phi_gamma(g, tau, eps, hiprec) for g in reps]
@@ -200,38 +206,45 @@ def invariance_word(rng):
 
 
 def alternate_system(seed=0):
-    """A second transversal: each canonical representative multiplied on
-    the left by a seeded random element of the invariance kernel, then
-    shuffled.  phi over this system must agree with the canonical one
-    exactly (up to numerics): the acid test of representative
-    independence.  Stabilizer elements with pair_sign -1 would flip the
-    corresponding factor, so they are excluded; words longer than
-    INVARIANCE_WORD_LENGTH do not make the test stronger but do push
-    gamma tau toward the boundary, where the series need far larger
-    truncation."""
+    """A second transversal, as a tuple of fifteen representatives: each
+    canonical representative multiplied on the left by a seeded random
+    element of the invariance kernel, then shuffled.  The product over
+    it must equal phi exactly (up to numerics): the acid test of
+    representative independence.  Stabilizer elements with pair_sign -1
+    would flip the corresponding factor, so they are excluded; words
+    longer than INVARIANCE_WORD_LENGTH do not make the test stronger but
+    do push gamma tau toward the boundary, where the series need far
+    larger truncation."""
     rng = random.Random(seed)
-    base = coset_reps(THETA0_2)
-    reps = [invariance_word(rng) @ g for g in base.reps]
+    reps = [invariance_word(rng) @ g for g in coset_reps(THETA0_2).reps]
     rng.shuffle(reps)
-    return CosetSystem(THETA0_2, tuple(reps), None)
+    return tuple(reps)
 
 
 def rep_independence_error(tau, seed=0, eps=1e-12, hiprec=False):
-    """Relative difference of phi_transversal across the two transversals
-    at tau."""
-    a = phi_transversal(tau, eps, hiprec)
-    b = phi_transversal(tau, eps, hiprec, system=alternate_system(seed))
+    """|phi_transversal over alternate_system(seed) - phi| / |phi| at tau.
+    phi equals the product over the canonical transversal, so this
+    catches a factor that depends on its representative as well as a
+    wrong PHI_CONSTANT."""
+    a = phi(tau, eps, hiprec)
+    b = phi_transversal(tau, eps, hiprec, reps=alternate_system(seed))
     with value_prec(hiprec):
         return float(abs(a.value - b.value) / abs(a.value))
 
 
-def phi_modularity_error(gamma, tau, eps=1e-12, hiprec=False):
-    """|phi(gamma tau) / (chi_P(gamma) det(c tau+d)^30 phi(tau)) - 1|."""
-    det30 = automorphy_factor(gamma, tau, 30, hiprec)
-    lhs = phi(act_tau(gamma, tau, hiprec), eps, hiprec).value
+def phi_modularity_error(tau, eps=1e-12, hiprec=False):
+    """|phi(g tau) / (chi_P(g) det(c tau+d)^30 phi(tau)) - 1| for each g
+    in GENERATORS, in that order, from one evaluation of phi(tau).
+    Modularity on the generators gives it on the whole group, since the
+    slash action composes and chi_P is a character."""
     base = phi(tau, eps, hiprec).value
-    with value_prec(hiprec):
-        return float(abs(lhs / (chi_p(gamma) * det30 * base) - 1))
+    errs = []
+    for g in GENERATORS:
+        det30 = automorphy_factor(g, tau, 30, hiprec)
+        lhs = phi(act_tau(g, tau, hiprec), eps, hiprec).value
+        with value_prec(hiprec):
+            errs.append(float(abs(lhs / (chi_p(g) * det30 * base) - 1)))
+    return tuple(errs)
 
 
 @dataclass(frozen=True)
@@ -243,14 +256,6 @@ class LambdaEstimate:
     ratios: tuple
     spread: float
     normalization: str = AZY_NORMALIZATION
-
-
-def _median(xs):
-    s = sorted(xs)
-    n = len(s)
-    if n % 2:
-        return s[n // 2]
-    return (s[n // 2 - 1] + s[n // 2]) / 2
 
 
 def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
@@ -271,13 +276,13 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
         pv = phi(tau, eps, hiprec)
         with value_prec(hiprec):
             ratios.append(pv.value / av)
-    med = complex(_median([float(r.real) for r in ratios]),
-                  _median([float(r.imag) for r in ratios]))
+    med = complex(median([float(r.real) for r in ratios]),
+                  median([float(r.imag) for r in ratios]))
     spread = max(float(abs(a - b)) for a in ratios for b in ratios) / abs(med)
     if hiprec:
         with value_prec(True):
-            med = mp.mpc(_median([r.real for r in ratios]),
-                         _median([r.imag for r in ratios]))
+            med = mp.mpc(median([r.real for r in ratios]),
+                         median([r.imag for r in ratios]))
     return LambdaEstimate(med, tuple(ratios), spread)
 
 
@@ -313,6 +318,6 @@ def _relative_spread(rs):
     """Largest pairwise distance of the ratios over the modulus of their
     componentwise median, as a float; mpc ratios are compared at the
     ambient precision."""
-    re, im = _median([r.real for r in rs]), _median([r.imag for r in rs])
+    re, im = median([r.real for r in rs]), median([r.imag for r in rs])
     med = mp.mpc(re, im) if isinstance(re, mp.mpf) else complex(re, im)
     return float(max(abs(a - b) for a in rs for b in rs) / abs(med))

@@ -50,8 +50,8 @@ from .numeric import fsum_complex, value_prec
 from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
                          coset_reps, lower_translation, translation)
 from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
-                    theta_constant, theta_gradient, theta_second_vector,
-                    trace_btc, transform_unit)
+                    theta_gradient, theta_second_vector, trace_btc,
+                    transform_unit)
 
 AZY_BASE_TRIPLE = (0, 1, 4)
 AZY_EXPONENT = 20
@@ -75,14 +75,6 @@ def mono_key(items):
 
 def monomial_degree(key):
     return sum(e for _, e in key)
-
-
-def monomial_value(key, thetas):
-    v = None
-    for m, e in key:
-        f = thetas[m].value ** e
-        v = f if v is None else v * f
-    return v if v is not None else 1.0
 
 
 def product_err(factors):
@@ -123,11 +115,8 @@ def product_err(factors):
 def chi5_product(tau, eps=1e-12, hiprec=False):
     """Product of the ten even theta constants (weight 5; odd under the
     full group's theta multiplier, squaring to the cusp form below)."""
-    th = theta_all_even(tau, eps, hiprec)
-    key = mono_key((m, 1) for m in EVEN_CHARS)
-    with value_prec(hiprec):
-        v = monomial_value(key, th)
-        err = product_err((th[m].value, th[m].err, e) for m, e in key)
+    v, err, _ = _signed_sum_eval(((1, mono_key((m, 1) for m in EVEN_CHARS)),),
+                                 tau, eps, hiprec)
     return ThetaValue(v, err)
 
 
@@ -337,9 +326,8 @@ def chi12(tau, eps=1e-12, hiprec=False):
 
 
 def monomial_at(key, tau, eps=1e-12, hiprec=False):
-    th = {m: theta_constant(m, tau, eps, hiprec) for m, _ in key}
-    with value_prec(hiprec):
-        return monomial_value(key, th)
+    """The monomial `key` at tau, as a one-term signed sum."""
+    return _signed_sum_eval(((1, key),), tau, eps, hiprec)[0]
 
 
 def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):

@@ -39,7 +39,7 @@ from itertools import product
 from .chars import EVEN_CHARS, classify_quadruple, even_quadruples
 from .forms import _det3
 from .numeric import value_prec
-from .theta import theta_constant, theta_second_vector
+from .theta import theta_all_even, theta_second_vector
 
 _D = ((0, (1, 1, 1, 1)),
       (1, (1, -1, 1, -1)),
@@ -87,11 +87,12 @@ def quadric_value(m, x):
     return s0 * x[i0] * x[j0] + s1 * x[i1] * x[j1] + s2 * x[i2] * x[j2] + s3 * x[i3] * x[j3]
 
 
-def addition_residual(m, tau, eps=1e-12, hiprec=False):
-    """|theta_m^2 - Q_m(Theta)| at tau."""
+def addition_residuals(tau, eps=1e-12, hiprec=False):
+    """{m: |theta_m^2 - Q_m(Theta)|} at tau for the ten even m, from one
+    evaluation of the second-order and one of the first-order constants."""
     x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
-    th = theta_constant(m, tau, eps, hiprec).value
-    return abs(th * th - quadric_value(m, x))
+    return {m: abs(t.value * t.value - quadric_value(m, x))
+            for m, t in theta_all_even(tau, eps, hiprec).items()}
 
 
 def _normalize(coeffs):

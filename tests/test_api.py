@@ -21,10 +21,14 @@ from azy5.theta import _radius, _tail
 # that a caller could pass in.
 REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
            "cancellation_guard", "g", "images"}
-# Parameters removed from one callable, where other callables keep the name.
+# Parameters removed from one callable, where other callables keep the name:
+# phi_modularity_error covers all four generators at once, and
+# phi_transversal takes its representatives as a plain tuple.
 REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
                 (azy5.symmetrize_numeric, {"eps", "hiprec"}),
-                (_tail, {"g"}), (_radius, {"g"}))
+                (_tail, {"g"}), (_radius, {"g"}),
+                (azy5.phi_modularity_error, {"gamma"}),
+                (azy5.phi_transversal, {"system"}))
 
 
 def _public_callables():
@@ -49,6 +53,9 @@ def test_no_public_callable_takes_a_removed_knob():
     assert length.default is inspect.Parameter.empty
     assert not hasattr(azy5.SiegelPoint, "scaled_identity")
     assert "theta_constant_g1" not in azy5.__all__
+    # one call gives the residuals of all ten addition formulas
+    assert "addition_residual" not in azy5.__all__
+    assert not hasattr(azy5.geometry, "addition_residual")
 
 
 def _mp_dist(a, b):

@@ -183,6 +183,39 @@ def test_malformed_tau_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["forms", "--form", "azy"], ["verify"],
+                                  ["verify-addition"]])
+def test_empty_tau_file_exits_1(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert run(argv + ["--tau", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --tau file {empty} holds no points" in err
+
+
+def test_verify_evaluates_each_quantity_once(monkeypatch, capsys):
+    """At 3 points: 15 factors per point for representative
+    independence and 15 for the crosscheck, and per point one phi(tau)
+    for representative independence, five for modularity (tau and its
+    four generator images) and one for lambda."""
+    import azy5.construction as construction
+    calls = {"phi_gamma": 0, "phi": 0}
+
+    def counted(name):
+        fn = getattr(construction, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(construction, name, counted(name))
+    assert run(["verify", "--samples", "3"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert calls == {"phi_gamma": 3 * (15 + 15), "phi": 3 * (1 + 5 + 1)}
+
+
 def test_genus1_tau_file_exits_1(tmp_path, capsys):
     g1 = tmp_path / "g1.json"
     g1.write_text(json.dumps({"g": 1, "entries": [[[0.3, 1.1]]]}))

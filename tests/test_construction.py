@@ -16,7 +16,7 @@ from azy5.construction import (AZY_NORMALIZATION, PHI_CONSTANT,
                                phi_transversal, rep_independence_error)
 from azy5.forms import p2
 from azy5.siegel import sample_taus
-from azy5.symplectic import (E11, ETA0, IDENTITY, J, THETA0_2, act_tau,
+from azy5.symplectic import (E11, ETA0, IDENTITY, THETA0_2, act_tau,
                              coset_reps, gl_rotation, in_subgroup,
                              translation)
 from azy5.theta import ThetaValue
@@ -52,10 +52,10 @@ def test_invariance_word_properties():
 
 def test_alternate_system_is_a_transversal():
     alt = alternate_system(seed=3)
-    assert len(alt.reps) == 15
+    assert len(alt) == 15
     canon = {frozenset(act_set(g.inverse(), M0)): g for g in coset_reps(THETA0_2).reps}
     seen = set()
-    for g in alt.reps:
+    for g in alt:
         key = frozenset(act_set(g.inverse(), M0))
         seen.add(key)
         # same coset as the canonical representative with the same key
@@ -85,17 +85,19 @@ def test_rep_independence(taus):
         assert rep_independence_error(taus[0], seed=seed) < 1e-8
 
 
+def test_rep_independence_catches_a_wrong_phi_constant(taus, monkeypatch):
+    import azy5.construction as construction
+    monkeypatch.setattr(construction, "PHI_CONSTANT", 2 * PHI_CONSTANT)
+    assert abs(rep_independence_error(taus[0]) - 0.5) < 1e-8
+
+
 def test_phi_rejects_short_system(taus):
-    from azy5.symplectic import CosetSystem
-    bad = CosetSystem(THETA0_2, (IDENTITY,), None)
     with pytest.raises(ValueError):
-        phi_transversal(taus[0], system=bad)
+        phi_transversal(taus[0], reps=(IDENTITY,))
 
 
 def test_phi_modularity(taus):
-    tau = taus[1]
-    for gamma in (J, ETA0):
-        assert phi_modularity_error(gamma, tau) < 1e-6
+    assert max(phi_modularity_error(taus[1])) < 1e-6
 
 
 def test_lambda_estimate_double():

@@ -11,10 +11,10 @@ from azy5 import cli
 from azy5.chars import EVEN_CHARS, M0, even_quadruples
 from azy5.forms import p2
 from azy5.geometry import (_CANDIDATES, _UNITS, ADDITION_TABLE,
-                           addition_residual, all_faces, all_tetrahedra, f_m,
+                           addition_residuals, all_faces, all_tetrahedra, f_m,
                            faces_from_vertices, quadric_value, tetrahedron)
 from azy5.siegel import sample_taus
-from azy5.theta import theta_second_vector
+from azy5.theta import theta_constant, theta_second_vector
 
 UNITS = {0, 1, -1, 1j, -1j}
 
@@ -39,8 +39,36 @@ def test_table_structure():
 
 def test_addition_formulas(taus):
     for tau in taus[:3]:
-        for m in EVEN_CHARS:
-            assert addition_residual(m, tau) < 1e-10
+        residuals = addition_residuals(tau)
+        assert set(residuals) == set(EVEN_CHARS)
+        assert max(residuals.values()) < 1e-10
+
+
+def test_addition_residuals_evaluate_theta_once(taus, monkeypatch):
+    """One run for the four second-order and one for the ten first-order
+    constants, and the residuals of the single-constant route, bit for
+    bit."""
+    import azy5.geometry as geometry
+    tau = taus[0]
+    x = [t.value for t in theta_second_vector(tau)]
+    ref = {}
+    for m in EVEN_CHARS:
+        th = theta_constant(m, tau).value
+        ref[m] = abs(th * th - quadric_value(m, x))
+    calls = []
+
+    def counted(name):
+        fn = getattr(geometry, name)
+
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return fn(*a, **kw)
+        return wrapper
+
+    for name in ("theta_second_vector", "theta_all_even"):
+        monkeypatch.setattr(geometry, name, counted(name))
+    assert addition_residuals(tau) == ref
+    assert sorted(calls) == ["theta_all_even", "theta_second_vector"]
 
 
 def test_addition_formulas_odd_are_trivial(taus):

@@ -1,4 +1,5 @@
-"""Small numeric helpers shared by the double-precision and mpmath paths.
+"""Small numeric helpers shared by the double-precision and mpmath paths,
+and the Python-integer floating complex of the high-precision theta walk.
 
 2x2 matrices are nested tuples so the same code runs on Python complex,
 numpy scalars and mpmath mpc entries.  All Siegel-point transforms in this
@@ -92,3 +93,60 @@ def sym2_eig_bounds(y):
 def to_mpc(z):
     z = complex(z)
     return mp.mpc(z.real, z.imag)
+
+
+# --- floating complex ---------------------------------------------------
+# A Python-integer floating complex is a tuple (x, y, e, count): the value
+# (x + i y) 2^e with its mantissa pair cut to wp bits, the larger part
+# exactly wp bits long, and `count`, a first-order bound on its error in
+# units of 2^-wp relative to the exact value it stands for.  Operations
+# add their own rounding to the counts of their operands.
+
+# Error counts of the quotients of an inverse and of cutting a mantissa
+# pair to wp bits: the floor of each part is off by under one unit of
+# the last place, against a modulus of at least 2^(wp-1) units, so by
+# under 2 sqrt 2 units of 2^-wp relative.
+FC_QUOT_ERR, FC_CUT_ERR = 1, 3
+
+
+def fc_cut(x, y, e, count, wp):
+    """The floating complex (x + i y) 2^e with error count `count`, its
+    mantissa pair scaled to wp bits (floor rounding)."""
+    s = max(abs(x), abs(y)).bit_length() - wp
+    if s <= 0:
+        return x << -s, y << -s, e + s, count
+    return x >> s, y >> s, e + s, count + FC_CUT_ERR
+
+
+def fc_mul(a, b, wp):
+    return fc_cut(a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0],
+                  a[2] + b[2], a[3] + b[3], wp)
+
+
+def fc_inv(a, wp):
+    # 1/(x + i y) = (x - i y)/N, N = x^2 + y^2; the quotients carry at
+    # least wp + 1 bits, since the mantissas carry wp
+    x, y, e, count = a
+    n, s = x * x + y * y, 2 * wp + 3
+    return fc_cut((x << s) // n, (-y << s) // n, -e - s, count + FC_QUOT_ERR, wp)
+
+
+def fc_pow(a, n, wp):
+    """a^n for any integer n, by squaring."""
+    if n < 0:
+        a, n = fc_inv(a, wp), -n
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else fc_mul(out, a, wp)
+        n >>= 1
+        if not n:
+            return fc_cut(1, 0, 0, 0, wp) if out is None else out
+        a = fc_mul(a, a, wp)
+
+
+def fc_fixed(a, wp):
+    """Fixed-point pair of a floating complex, wp fractional bits (floor)."""
+    x, y, e, _ = a
+    s = e + wp
+    return (x << s, y << s) if s >= 0 else (x >> -s, y >> -s)

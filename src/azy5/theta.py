@@ -25,12 +25,12 @@ Every series runs through one kernel contract.  A kernel sums the terms
 e^{pi i v^T T v}, v = n + a2/2, over a box of n, with T = 2^s tau for a
 power of two that the series fixes and a2 in {0, 1}^2.  It returns the
 four sums S_pq over the classes n = (p, q) mod 2, optionally the three
-sums weighted by k1^2, 2 k1 k2 and k2^2 (k = 2v), and a rounding bound
-per class; the sum of the four covers every signed combination of the
-S_pq.  Characteristics that share m' differ only in the factor
-e^{pi i m''.v} = i^{a2.m''} (-1)^{p m''_1 + q m''_2}, so one kernel run
-serves every m'' (_character_sum): theta_all_even makes four runs for its
-ten constants.  The second-order constants
+sums weighted by k0^2, 2 k0 k1 and k1^2 (k = (k0, k1) = 2v), and a
+rounding bound per class; the sum of the four covers every signed
+combination of the S_pq.  Characteristics that share m' differ only in
+the factor e^{pi i m''.v} = i^{a2.m''} (-1)^{p m''_1 + q m''_2}, so one
+kernel run serves every m'' (_character_sum): theta_all_even makes four
+runs for its ten constants.  The second-order constants
 Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are the
 classes k = m' mod 2 of one run over k in [-2R, 2R+1]^2 at tau/2: the
 same terms as four separate series, in one box, each charged the bound of
@@ -42,22 +42,50 @@ Double precision runs _grid: numpy terms over the whole box, each class
 summed by math.fsum, so each S_pq is exactly rounded and the result does
 not depend on summation order; _grid's docstring derives its bound.
 
-High precision runs _walk, a fixed-point row recurrence.  Each row fixes
-n2 and walks n1 outward, both ways, from the row's largest term at
-n1 = nint(-Y12 v2 / Y11 - a1), clipped to the box.  A step costs two
-multiplications, t <- t u and u <- u e^{2 pi i T11}, where u is the ratio
-of neighbouring terms (the downward walk has its own ratio w), so a row
-needs three full-precision exponentials, for t, u and w at its centre,
-plus one per walk for e^{2 pi i T11}; their arguments are formed exactly
-from the binary entries of T.  Every quantity has modulus at most 1, since
-the walk moves away from the row's minimum of the real quadratic form, so
-the arithmetic is Python-integer fixed point with the working precision
-plus GUARD_BITS fractional bits, and its error is absolute.  Counted in
-units of 2^-wp, each exponential is off by at most 5 (mpmath's result at
-wp bits, then truncated) and each product by at most 1.5, so a term k
-steps from its row centre is off by at most 5 + 4k + 4k^2; the walk's
-bound of a class is twice the sum of that over the class's points, with
-k up to the row length, the factor two covering second-order terms.  The
+High precision runs _walk, a row recurrence in Python integers.  With
+k = (k0, k1) = 2v, each row fixes k1 and walks k0 outward, both ways,
+from the row's largest term, at n0 = nint(-Y12 v1 / Y11 - a2_0/2)
+clipped to the box.  A step costs two multiplications, t <- t u and
+u <- u E with E = e^{2 pi i T11}, where t is the term and u the ratio
+of neighbouring terms, u = e^{pi i ((k0 + 1) T11 + k1 T12)} (the downward
+walk has its own ratio w = e^{pi i ((1 - k0) T11 - k1 T12)}).  Every
+quantity of a walk has modulus at most 1, since it moves away from the
+row's minimum of the real quadratic form, so the walk is fixed point
+with the working precision plus GUARD_BITS fractional bits, and its
+error is absolute.
+
+The seeds t, u, w of every row and E come from three full-precision
+exponentials per run, A, B, C = e^{pi i T11/4}, e^{pi i T12/4},
+e^{pi i T22/4}, whose arguments are formed exactly from the binary
+entries of T; everything else is a product.  E, F, G = A^8, B^8, C^8.
+The start row, the one nearest k1 = 0, takes its seeds as powers:
+t = A^{k0^2} B^{2 k0 k1} C^{k1^2}, u = A^{4(k0+1)} B^{4 k1},
+w = A^{4(1-k0)} B^{-4 k1}.  From there each way d = +-1 is walked row by
+row: one vertical step at the old centre, t <- t V with
+V = e^{pi i (d k0 T12 + (d k1 + 1) T22)} the ratio of the terms at
+k1 + 2d and k1, then V <- V G, u <- u F^d, w <- w F^-d; then one
+horizontal step per unit the centre moves, k0 <- k0 + 2: t <- t u,
+u <- u E, w <- w E^-1, V <- V F^d (and the mirror image for k0 - 2).
+Ratios such as V, F^-1 and E^-1 can exceed 1 in modulus, so these seeds
+are floating complexes (numeric.fc_*): a wp-bit mantissa pair with one
+shared binary exponent, cut (floor) to wp bits after each operation.
+
+Each floating seed carries a count of its error in units of 2^-wp
+relative to its exact value, which adds up along products to first
+order.  mpmath's floor-rounded exponential at wp bits counts 3 (under 2
+per part, plus its internal roundings at wp + 10 bits); cutting a
+mantissa pair to wp bits counts 3 (2 sqrt 2, relative to a modulus of at
+least 2^(wp-1)); so a product adds 3 to the sum of its factors' counts,
+an exponential counts at most 6, and an inverse adds 1 for its quotients, which
+carry at least wp + 1 bits, plus 3 for the cut.  In fixed point, where
+moduli are at most 1, a seed with count n is off by at most s = n + 1.5,
+the 1.5 covering its truncation, and each product of _ray by at most
+1.5 more.  So a term k steps from its row's centre is off by at most
+s_t + k (s_u + 1.5) + (s_E + 1.5) k (k - 1)/2, with s_t, s_u and s_E
+those of the row's t, of the larger of its u and w, and of E.  A row
+charges each of its points twice that at k = hi0 - lo0, the most steps a
+walk takes, the factor two covering second-order terms (_point_charge);
+a class's bound is the sum of those charges over its points.  The
 integer sums are exact, so the result does not depend on summation order
 and is deterministic.
 
@@ -87,11 +115,12 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpc_expjpi, mpf_shift, to_fixed
+from mpmath.libmp import from_man_exp, mpc_expjpi, mpf_shift
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
-from .numeric import fsum_complex, m2_det, mobius, value_prec
+from .numeric import (fc_cut, fc_fixed, fc_inv, fc_mul, fc_pow, fsum_complex,
+                      m2_det, mobius, value_prec)
 from .siegel import TAU_I, SiegelPoint
 from .symplectic import act_tau
 
@@ -224,16 +253,36 @@ def _ray(xr, xi, ur, ui, er, ei, count, wp):
     return re, im
 
 
+# Error count of mpmath's floor-rounded exponential at wp bits, in units
+# of 2^-wp relative to the exact value (module docstring).
+_EXP_ERR = 3
+
+
+def _point_charge(term, ratio, mult, steps):
+    """Rounding bound, in units of 2^-wp, of each term of a row walked at
+    most `steps` steps from its centre, whose seeds carry the error counts
+    `term` (the centre term), `ratio` (the larger of u and w) and `mult`
+    (E): twice s_t + k (s_u + 1.5) + (s_E + 1.5) k (k - 1)/2 at k = steps,
+    s = count + 1.5 (module docstring)."""
+    return 2 * term + 3 + 2 * steps * (ratio + 3) + (mult + 3) * steps * (steps - 1)
+
+
 def _walk(t, a2, box, wp, moments=False):
     """The row-recurrence kernel behind every high-precision series.
 
     Sums e^{pi i v^T T v} over v = n + a2/2, n in the box
-    ((lo1, hi1), (lo2, hi2)), T given by _raw_entries, a2 in {0, 1}^2.
+    ((lo0, hi0), (lo1, hi1)), T given by _raw_entries, a2 in {0, 1}^2.
     Returns (sums, mom, bounds): sums[p][q] is the (re, im) fixed-point
     integer sum, wp fractional bits, over n = (p, q) mod 2; with moments,
-    mom is the three sums weighted by k1^2, 2 k1 k2 and k2^2, k = 2v
-    (else None); bounds[p][q] is the rounding bound of sums[p][q]
-    (module docstring).
+    mom is the three sums weighted by k0^2, 2 k0 k1 and k1^2,
+    k = (k0, k1) = 2v (else None); bounds[p][q] is the rounding bound
+    of sums[p][q].
+
+    Each row k1 is walked from its centre k0 by _ray, with the seeds
+    t, u, w and E (module docstring), all floating complexes derived
+    from the three exponentials A, B, C: the start row's by powers, each
+    later row's from the row before it.  Each seed counts its error, and
+    a row charges each of its points _point_charge of its seeds' counts.
     """
     (lo0, hi0), (lo1, hi1) = box
     parts = [x for z in t for x in z]
@@ -241,51 +290,87 @@ def _walk(t, a2, box, wp, moments=False):
     r00, i00, r01, i01, r11, i11 = [
         (-x[1] if x[0] else x[1]) << (x[2] - e) if x[1] else 0 for x in parts]
 
-    def seed(c00, c01, c11):
-        # e^{pi i (c00 T11 + c01 T12 + c11 T22) / 4}: exact argument,
-        # exponential at wp bits, truncated to wp fractional bits
-        q = (from_man_exp(c00 * r00 + c01 * r01 + c11 * r11, e - 2),
-             from_man_exp(c00 * i00 + c01 * i01 + c11 * i11, e - 2))
-        xr, xi = mpc_expjpi(q, wp)
-        return to_fixed(xr, wp), to_fixed(xi, wp)
+    def exp4(re, im):
+        # e^{pi i T/4} for one entry T: exact argument, exponential at wp
+        # bits, its two parts aligned to one binary exponent
+        z = mpc_expjpi((from_man_exp(re, e - 2), from_man_exp(im, e - 2)), wp)
+        ex = min((x[2] for x in z if x[1]), default=0)
+        x, y = [(-m if sg else m) << (xe - ex) if m else 0 for sg, m, xe, _ in z]
+        return fc_cut(x, y, ex, _EXP_ERR, wp)
 
+    def mul(*zs):
+        out = zs[0]
+        for z in zs[1:]:
+            out = fc_mul(out, z, wp)
+        return out
+
+    A, B, C = exp4(r00, i00), exp4(r01, i01), exp4(r11, i11)
+    E, F, G = (fc_pow(z, 8, wp) for z in (A, B, C))
+    Einv, Finv = fc_inv(E, wp), fc_inv(F, wp)
+    er, ei = fc_fixed(E, wp)
     slope = -i01 / i00 if i00 else 0.0
-    er, ei = seed(8, 0, 0)
+    steps = hi0 - lo0
     sums = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     mom = [[0, 0], [0, 0], [0, 0]]
+    charge = [0, 0]
     ks = range(2 * lo0 + a2[0], 2 * hi0 + a2[0] + 1, 2)
-    for n1 in range(lo1, hi1 + 1):
-        k1 = 2 * n1 + a2[1]
+
+    def centre(n1):
         # the row's largest term sits at the nearest lattice point to the
-        # minimum of Y11 v1^2 + 2 Y12 v1 v2 in v1
-        c = min(hi0, max(lo0, round((slope * k1 - a2[0]) / 2)))
-        k0 = 2 * c + a2[0]
-        tr, ti = seed(k0 * k0, 2 * k0 * k1, k1 * k1)
-        re, im = [tr], [ti]
+        # minimum of Y11 v0^2 + 2 Y12 v0 v1 in v0
+        return min(hi0, max(lo0, round((slope * (2 * n1 + a2[1]) - a2[0]) / 2)))
+
+    def row(n1, c, x, u, w):
+        k1 = 2 * n1 + a2[1]
+        xr, xi = fc_fixed(x, wp)
+        re, im = [xr], [xi]
+        ratio = 0
         if c < hi0:
-            ur, ui = seed(4 * (k0 + 1), 4 * k1, 0)
-            up = _ray(tr, ti, ur, ui, er, ei, hi0 - c, wp)
+            up = _ray(xr, xi, *fc_fixed(u, wp), er, ei, hi0 - c, wp)
             re += up[0]
             im += up[1]
+            ratio = u[3]
         if c > lo0:
-            wr, wi = seed(4 * (1 - k0), -4 * k1, 0)
-            down = _ray(tr, ti, wr, wi, er, ei, c - lo0, wp)
+            down = _ray(xr, xi, *fc_fixed(w, wp), er, ei, c - lo0, wp)
             re = down[0][::-1] + re
             im = down[1][::-1] + im
+            ratio = max(ratio, w[3])
         p, q = lo0 & 1, n1 & 1
+        charge[q] += _point_charge(x[3], ratio, E[3], steps)
         for cls, sl in ((p, slice(0, None, 2)), (1 - p, slice(1, None, 2))):
             sums[cls][q][0] += sum(re[sl])
             sums[cls][q][1] += sum(im[sl])
         if moments:
-            for j, row in enumerate((re, im)):
-                m1 = sum(k * x for k, x in zip(ks, row))
-                mom[0][j] += sum(k * k * x for k, x in zip(ks, row))
+            for j, vals in enumerate((re, im)):
+                m1 = sum(k * v for k, v in zip(ks, vals))
+                mom[0][j] += sum(k * k * v for k, v in zip(ks, vals))
                 mom[1][j] += 2 * k1 * m1
-                mom[2][j] += k1 * k1 * sum(row)
-    steps = hi0 - lo0
-    per_point = 2 * (5 + 4 * steps + 4 * steps * steps)
-    bounds = [[per_point * len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2))
-               * len(range(lo1 + (q - lo1) % 2, hi1 + 1, 2)) * 2.0 ** -wp
+                mom[2][j] += k1 * k1 * sum(vals)
+
+    # the start row, nearest k1 = 0, takes its seeds from powers
+    n_start = min(range(lo1, hi1 + 1), key=lambda n: abs(2 * n + a2[1]))
+    c_start = centre(n_start)
+    k0, k1 = 2 * c_start + a2[0], 2 * n_start + a2[1]
+    seeds = (mul(fc_pow(A, k0 * k0, wp), fc_pow(B, 2 * k0 * k1, wp), fc_pow(C, k1 * k1, wp)),
+             mul(fc_pow(A, 4 * (k0 + 1), wp), fc_pow(B, 4 * k1, wp)),
+             mul(fc_pow(A, 4 * (1 - k0), wp), fc_pow(B, -4 * k1, wp)))
+    row(n_start, c_start, *seeds)
+    # each way d = +-1 out: one vertical step at the old centre, by the
+    # ratio V of the terms at k1 + 2d and k1, then |new - old| horizontal
+    # steps to the new centre
+    for d, end, Fd, Fback in ((1, hi1, F, Finv), (-1, lo1, Finv, F)):
+        x, u, w = seeds
+        c = c_start
+        V = mul(fc_pow(B, 4 * d * k0, wp), fc_pow(C, 4 * (d * k1 + 1), wp))
+        for n1 in range(n_start + d, end + d, d):
+            x, V, u, w = mul(x, V), mul(V, G), mul(u, Fd), mul(w, Fback)
+            new = centre(n1)
+            while c < new:
+                x, u, w, V, c = mul(x, u), mul(u, E), mul(w, Einv), mul(V, Fd), c + 1
+            while c > new:
+                x, w, u, V, c = mul(x, w), mul(w, E), mul(u, Einv), mul(V, Fback), c - 1
+            row(n1, c, x, u, w)
+    bounds = [[charge[q] * len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2)) * 2.0 ** -wp
                for q in (0, 1)] for p in (0, 1)]
     return sums, (mom if moments else None), bounds
 
@@ -345,13 +430,16 @@ def _character_sum(sums, a2, mdbl, add):
     return re, im
 
 
-def _theta_class(mprime, mdbls, tau, eps, hiprec):
-    """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
-    the parity classes of m'."""
-    a2 = tuple(int(x) % 2 for x in mprime)
-    lam = tau.lam_min
+def _truncation(lam, eps):
+    """(R, tail(R)) of a series whose Im T has least eigenvalue lam."""
     R = _radius(lam, eps)
-    tail = _tail(lam, R)
+    return R, _tail(lam, R)
+
+
+def _theta_class(mprime, mdbls, tau, R, tail, hiprec):
+    """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
+    the parity classes of m' in the box of radius R."""
+    a2 = tuple(int(x) % 2 for x in mprime)
     with value_prec(hiprec):
         k = _run_kernel(tau, 0, a2, ((-R, R), (-R, R)), hiprec)
         bound = sum(x for row in k.bounds for x in row)
@@ -364,7 +452,7 @@ def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
     vectors.  The m' part is reduced internally by an exact lattice shift;
     the m'' part is kept as given, so the classical shift sign
     theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
-    return _theta_class(mprime, [mdbl], tau, eps, hiprec)[0]
+    return _theta_class(mprime, [mdbl], tau, *_truncation(tau.lam_min, eps), hiprec)[0]
 
 
 def theta_constant(m, tau, eps=1e-12, hiprec=False):
@@ -396,9 +484,8 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False):
     run: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over k = 2n + m', so
     the box k in [-2R, 2R+1]^2 at tau/2, split by k mod 2, holds exactly
     the terms of the four separate series."""
-    lam = 2 * tau.lam_min  # least eigenvalue of Im 2 tau, exactly
-    R = _radius(lam, eps)
-    tail = _tail(lam, R)
+    # 2 lam_min is the least eigenvalue of Im 2 tau, exactly
+    R, tail = _truncation(2 * tau.lam_min, eps)
     with value_prec(hiprec):
         k = _run_kernel(tau, -1, (0, 0), ((-2 * R, 2 * R + 1),) * 2, hiprec)
         return tuple(_theta_value(k, k.sums[p][q], tail, k.bounds[p][q])
@@ -407,11 +494,13 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False):
 
 def theta_all_even(tau, eps=1e-12, hiprec=False):
     """All ten even first-order constants, keyed by 4-bit index; the
-    constants sharing m' come from one kernel run."""
+    constants sharing m' come from one kernel run, all four runs over the
+    same box."""
+    R, tail = _truncation(tau.lam_min, eps)
     out = {}
     for mpv in MPRIME_ORDER:
         ms = [m for m in EVEN_CHARS if mprime_of(m) == mpv]
-        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, eps, hiprec)))
+        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, R, tail, hiprec)))
     return {m: out[m] for m in EVEN_CHARS}
 
 

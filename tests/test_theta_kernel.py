@@ -8,6 +8,7 @@ import math
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpc_expjpi
 
 from azy5.chars import EVEN_CHARS, mdbl_of, mprime_of
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
@@ -144,21 +145,78 @@ def test_second_vector_err_is_charged_its_own_class(name):
         assert vec[k].err <= theta_second_order(mpv, tau, 1e-12).err * (1 + 1e-9)
 
 
-def test_walk_bounds_count_each_class():
+def test_walk_bounds_count_each_class(monkeypatch):
     """The walk charges each parity class the points of that class, on a
     box whose sides have odd and even lengths and start at odd and even
-    n; the four bounds thus add up to the bound of the whole box."""
+    n; the four bounds thus add up to the bound of the whole box.  Each
+    row charges each of its points _point_charge of its seeds' error
+    counts: once with the real charges, whose four bounds add up to the
+    sum over the rows, and once with a unit charge per point."""
+    import azy5.theta as theta
     lo0, hi0, lo1, hi1 = -3, 2, -2, 4
     wp = 53 + GUARD_BITS
+    box = ((lo0, hi0), (lo1, hi1))
+    charge, charges = theta._point_charge, []
+
+    def recorded(*args):
+        charges.append(charge(*args))
+        return charges[-1]
+
     with mp.workdps(16):
-        _, _, bounds = _walk(_raw_entries(_generic()), (1, 0), ((lo0, hi0), (lo1, hi1)), wp)
-    steps = hi0 - lo0
-    per_point = 2 * (5 + 4 * steps + 4 * steps * steps) * 2.0 ** -wp
+        monkeypatch.setattr(theta, "_point_charge", recorded)
+        _, _, bounds = _walk(_raw_entries(_generic()), (1, 0), box, wp)
+        monkeypatch.setattr(theta, "_point_charge", lambda *args: 1)
+        _, _, unit = _walk(_raw_entries(_generic()), (1, 0), box, wp)
+    cols = [len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2)) for p in (0, 1)]
+    assert len(charges) == hi1 - lo1 + 1
+    assert sum(map(sum, bounds)) == pytest.approx(
+        sum(charges) * (hi0 - lo0 + 1) * 2.0 ** -wp, rel=1e-12)
+    for q in (0, 1):
+        assert bounds[0][q] * cols[1] == pytest.approx(bounds[1][q] * cols[0], rel=1e-12)
     for p in (0, 1):
         for q in (0, 1):
             count = sum(1 for n0 in range(lo0, hi0 + 1) for n1 in range(lo1, hi1 + 1)
                         if (n0 % 2, n1 % 2) == (p, q))
-            assert bounds[p][q] == per_point * count
+            assert unit[p][q] == count * 2.0 ** -wp
+
+
+@pytest.mark.parametrize("radius", [3, 12])
+def test_walk_makes_three_exponentials(radius, monkeypatch):
+    """A run takes e^{pi i T11/4}, e^{pi i T12/4} and e^{pi i T22/4} from
+    mpmath and derives every other factor by multiplication, whatever the
+    size of the box."""
+    import azy5.theta as theta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mpc_expjpi(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "mpc_expjpi", counted)
+    with mp.workdps(50):
+        _walk(_raw_entries(_generic()), (1, 0), ((-radius, radius),) * 2,
+              mp.mp.prec + GUARD_BITS)
+    assert len(calls) == 3
+
+
+def test_long_recurrence_against_direct_sum(near_point, direct_mp):
+    """At lam_min 0.03 the walk derives more than 80 rows of seeds from
+    its start row; the second-order constants and one even constant per
+    m' class still match the direct sum within their err."""
+    hiprec, eps, dps, slack = PRECISIONS["hiprec"]
+    tau = near_point(0.03, 0.5, 0.4, 0.3, -0.2, 0.25)
+    assert 4 * _radius(2 * tau.lam_min, eps) + 2 > 80  # rows k in [-2R, 2R+1]
+    doubled = _doubled(tau)
+    R = truncation_radius(doubled, eps) + WIDER
+    for mpv, tv in zip(MPRIME_ORDER, theta_second_vector(tau, eps, hiprec)):
+        ref = direct_mp(mpv, (0, 0), _entries(doubled, hiprec), R, dps)
+        assert _diff(tv.value, ref, dps) <= tv.err + slack, mpv
+    R = truncation_radius(tau, eps) + WIDER
+    for mpv in MPRIME_ORDER:
+        m = next(m for m in EVEN_CHARS if mprime_of(m) == mpv)
+        tv = theta_constant(m, tau, eps, hiprec)
+        ref = direct_mp(mpv, mdbl_of(m), _entries(tau, hiprec), R, dps)
+        assert _diff(tv.value, ref, dps) <= tv.err + slack, m
 
 
 def test_walk_is_deterministic():
@@ -219,3 +277,20 @@ def test_one_kernel_run_per_concept(prec, monkeypatch):
         calls.clear()
         fn()
         assert len(calls) == runs
+
+
+@pytest.mark.parametrize("prec", sorted(PRECISIONS))
+def test_all_even_sizes_its_box_once(prec, monkeypatch):
+    """The four kernel runs of theta_all_even share one truncation
+    radius, computed once."""
+    import azy5.theta as theta
+    hiprec, eps, _, _ = PRECISIONS[prec]
+    radius, calls = theta._radius, []
+
+    def counted(*args):
+        calls.append(args)
+        return radius(*args)
+
+    monkeypatch.setattr(theta, "_radius", counted)
+    theta_all_even(_generic(), eps, hiprec)
+    assert len(calls) == 1

@@ -43,22 +43,21 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from statistics import median
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_neg, mpf_pos, mpf_sum, round_nearest
 
 from .chars import M0, act_set, chi_p, pair_sign
 from .forms import azy_eval, p2, product_err
 from .geometry import all_faces, tetrahedron
-from .numeric import value_prec
+from .numeric import fc_abs, fc_align, fc_from_mpc, fc_mul, fc_to_mpc, value_prec
 from .siegel import sample_tau
 from .symplectic import (E11, E22, ESYM, GENERATORS, THETA0_2, act_tau,
                          automorphy_factor, coset_reps, gl_rotation,
                          lower_translation, translation)
-from .theta import ThetaValue, theta_second_vector
+from .theta import GUARD_BITS, ThetaValue, theta_second_vector
 
 AZY_NORMALIZATION = (
     "weight-30 signed triple sum normalized so the monomial "
@@ -84,35 +83,33 @@ _LOG_HUGE = 1000 * math.log(2)
 
 def _face_values(x, hiprec):
     """The 60 faces of all_faces() at the length-4 vector x.  A unit
-    times x_k is exact, and the real and imaginary part of each face are
-    rounded once: math.fsum in double, an exact mpf_sum rounded to the
-    working precision in mpmath."""
+    times x_k is exact.  In double, x holds complex numbers and the real
+    and imaginary part of each face are rounded once by math.fsum.  In
+    high precision, x holds floating complexes (numeric.fc_*), aligned to
+    one exponent, and each face is their exact integer sum, a floating
+    complex with error count 0."""
     if hiprec:
-        prec, neg = mp.mp.prec, mpf_neg
-        parts = [(v.real._mpf_, v.imag._mpf_) for v in x]
-
-        def total(terms):
-            return mpf_pos(mpf_sum(terms), prec, round_nearest)
+        parts, e = fc_align(x)
+        total = sum
 
         def make(re, im):
-            return mp.make_mpc((re, im))
+            return re, im, e, 0
     else:
-        neg, total, make = operator.neg, math.fsum, complex
+        total, make = math.fsum, complex
         parts = [(v.real, v.imag) for v in x]
     # (Re, Im) of a * x_k for the four units a
-    rot = [{1: (r, i), -1: (neg(r), neg(i)), 1j: (neg(i), r), -1j: (i, neg(r))}
-           for r, i in parts]
+    rot = [{1: (r, i), -1: (-r, -i), 1j: (-i, r), -1j: (i, -r)} for r, i in parts]
     out = []
     for face in all_faces():
-        terms = [rot[k][a] for k, a in enumerate(face) if a]
-        out.append(make(total(t[0] for t in terms), total(t[1] for t in terms)))
+        re, im = zip(*(rot[k][a] for k, a in enumerate(face) if a))
+        out.append(make(total(re), total(im)))
     return out
 
 
-def _pairwise_product(vals):
+def _pairwise_product(vals, mul=operator.mul):
     """Product of a list as a balanced tree of n - 1 multiplications."""
     while len(vals) > 1:
-        nxt = [a * b for a, b in zip(vals[::2], vals[1::2])]
+        nxt = [mul(a, b) for a, b in zip(vals[::2], vals[1::2])]
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt
@@ -123,37 +120,58 @@ def phi(tau, eps=1e-12, hiprec=False):
     """The weight-30 form PHI_CONSTANT * prod of the 60 faces of
     all_faces() at Theta(tau).
 
-    Error bound.  Let Theta_i carry the certified error e_i and let u be
-    the unit roundoff (2^-53 in double, 2^(1-prec) in mpmath).  A face l
+    Error bound.  Let Theta_i carry the certified error e_i.  A face l
     has coefficients a_i in {0, +-1, +-i}, so every a_i Theta_i is exact
     and l(Theta) moves by at most d = sum_{a_i != 0} e_i under the errors
-    of Theta.  The real and imaginary parts of l are each summed with one
-    rounding (_face_values), so the computed value L is within
-    u |l| <= 2u |L| of l at the computed Theta; each factor is thus
-    within E = d + 2u |L| of l at the true Theta, and product_err bounds
-    the effect on the product by prod(|L| + E) - prod |L|.  Each of the
-    59 complex multiplications of the pairwise product has relative
-    error at most sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp.
-    76 (2007)), so the computed product P is within
+    of Theta.
+
+    In double, with u = 2^-53, the real and imaginary parts of l are
+    each summed with one rounding (_face_values), so the computed value
+    L is within u |l| <= 2u |L| of l at the computed Theta; each factor
+    is thus within E = d + 2u |L| of l at the true Theta, and product_err
+    bounds the effect on the product by prod(|L| + E) - prod |L|.  Each
+    of the 59 complex multiplications of the pairwise product has
+    relative error at most sqrt(5) u (Brent, Percival and Zimmermann,
+    Math. Comp. 76 (2007)), so the computed product P is within
     ((1 + sqrt(5) u)^59 - 1) prod |L| <= 2 * 59 sqrt(5) u |P| of prod L.
-    The scaling by a power of two is exact.  In double, all this needs
-    every partial product in the normal range; a point where the faces
-    could leave it raises instead of returning a false bound."""
+    All this needs every partial product in the normal range; a point
+    where the faces could leave it raises instead of returning a false
+    bound.
+
+    In high precision, each Theta_i enters a floating complex exactly and
+    each face is an exact integer sum, so L = l at the computed Theta
+    and E = d.  The 59 multiplications are numeric.fc_mul at
+    wp = prec + GUARD_BITS bits, which count their cuts: P is within
+    2 c 2^-wp |P| of prod L for its error count c, the factor two
+    covering second-order terms, and rounding P to an mpc adds
+    2^(1 - prec) |P|.
+
+    The scaling by a power of two is exact in both."""
     vec = theta_second_vector(tau, eps, hiprec)
     with value_prec(hiprec):
-        u = 2.0 ** (1 - mp.mp.prec) if hiprec else 2.0 ** -53
-        vals = _face_values([t.value for t in vec], hiprec)
-        mods = [abs(complex(L)) for L in vals]
-        if not hiprec:
+        if hiprec:
+            wp = mp.mp.prec + GUARD_BITS
+            vals = _face_values([fc_from_mpc(t.value) for t in vec], True)
+            mods = [fc_abs(L) for L in vals]
+            P = _pairwise_product(vals, partial(fc_mul, wp=wp))
+            value = fc_to_mpc(P)
+            face_err = 0.0
+            rounding = (2 * P[3] * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec)) * fc_abs(P)
+        else:
+            u = 2.0 ** -53
+            vals = _face_values([t.value for t in vec], False)
+            mods = [abs(L) for L in vals]
             logs = [math.log(m) for m in mods if m]
             if (sum(t for t in logs if t < 0) < _LOG_TINY
                     or sum(t for t in logs if t > 0) > _LOG_HUGE):
                 raise ArithmeticError("the face product leaves the double range; use hiprec")
-        factors = [(m, sum(t.err for a, t in zip(face, vec) if a) + 2 * u * m, 1)
+            value = _pairwise_product(vals)
+            face_err = 2 * u
+            rounding = 2 * 59 * math.sqrt(5) * u * abs(value)
+        factors = [(m, sum(t.err for a, t in zip(face, vec) if a) + face_err * m, 1)
                    for m, face in zip(mods, all_faces())]
-        P = _pairwise_product(vals)
-        err = product_err(factors) + 2 * 59 * math.sqrt(5) * u * abs(complex(P))
-        return ThetaValue(PHI_CONSTANT * P, -PHI_CONSTANT * err)
+        err = product_err(factors) + rounding
+        return ThetaValue(PHI_CONSTANT * value, -PHI_CONSTANT * err)
 
 
 def phi_gamma(gamma, tau, eps=1e-12, hiprec=False):

@@ -18,12 +18,16 @@ form one orbit under the four generators of Sp(4,Z), so the collection
 closes that orbit instead of visiting the 720 cosets one by one; every
 image stands for 720 / (orbit size) cosets.  This module does that
 collection once, asserts the expected multiplicities, and evaluates
-the resulting short signed sums with certified error bounds.  The bounds
-propagate each theta constant's certified error, which covers both the
-truncation and the rounding of its series, through the products; the
-rounding of the products and signed sums themselves (a few units of
-roundoff relative to the largest monomial: about 1e-16 in double,
-negligible at high precision) is not included.
+the resulting short signed sums with certified error bounds.  The bound
+of a signed sum (chi5_product, chi12 and the weight-30 sum) propagates
+each theta constant's certified error, which covers both the truncation
+and the rounding of its series, through the products, and adds the
+rounding of the products and of the sum themselves (_signed_sum_eval):
+in double sqrt(5) u per complex multiplication and the rounding of the
+final fsum; in high precision the error counts of Python-integer
+floating complexes, whose signed sum is exact and rounded once.  The
+bounds of chi10 and p2 propagate the theta errors only; the one and the
+three multiplications that form their values are not charged.
 
 Forms provided:
   * chi5_product: the weight-5 product of the ten even constants, and its
@@ -41,15 +45,17 @@ Forms provided:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, partial, reduce
 
 import mpmath as mp
 
 from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
-from .numeric import fsum_complex, value_prec
+from .numeric import (fc_abs, fc_from_mpc, fc_mul, fc_pow, fc_sum, fc_to_mpc,
+                      fsum_complex, value_prec)
 from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
                          coset_reps, lower_translation, translation)
-from .theta import (MPRIME_ORDER, ThetaValue, theta_all_even,
+from .theta import (GUARD_BITS, MPRIME_ORDER, ThetaValue, theta_all_even,
                     theta_gradient, theta_second_vector, trace_btc,
                     transform_unit)
 
@@ -77,36 +83,58 @@ def monomial_degree(key):
     return sum(e for _, e in key)
 
 
+def _factor_logs(a, err):
+    """(log a, log1p(err / a), log(a + err)) of a factor of modulus a with
+    certified error err, the first None for a = 0 and the last None for
+    a + err = 0: what product_err reads of a factor, computed once per
+    factor however many products it enters."""
+    hi = a + err
+    hi_log = math.log(hi) if hi else None
+    if a == 0.0:
+        return None, 0.0, hi_log
+    return math.log(a), math.log1p(err / a), hi_log
+
+
+def _product_err_logs(factors):
+    """product_err from per-factor _factor_logs: `factors` iterates
+    (logs, exp).  Returns (err, log prod |v_i|^{e_i}), the log None when
+    a factor is zero."""
+    lo_log = 0.0
+    delta = 0.0
+    hi_log = 0.0
+    lo_zero = False
+    for (lo, d, hi), e in factors:
+        if hi is None:
+            return 0.0, None
+        hi_log += e * hi
+        if lo is None:
+            lo_zero = True
+        else:
+            lo_log += e * lo
+            delta += e * d
+    if lo_zero:
+        return _exp(hi_log), None
+    if delta > 1.0:
+        # a factor is dominated by its own error (theta numerically zero);
+        # expm1 would overflow and its one-ulp precision is irrelevant here,
+        # so fall back to the slightly larger pure log-space bound
+        return _exp(lo_log + delta) * (1 + 1e-12) + 5e-324, lo_log
+    # one-ulp slop of the float evaluation absorbed by a small inflation
+    return math.exp(lo_log) * math.expm1(delta) * (1 + 1e-12) + 5e-324, lo_log
+
+
+def _exp(x):
+    """e^x, inf beyond the float range."""
+    return math.inf if x > 709.0 else math.exp(x)
+
+
 def product_err(factors):
     """Certified absolute error of a product from per-factor certified
     errors: prod(|v_i| + err_i)^{e_i} - prod |v_i|^{e_i}, evaluated in log
     space so that errors far below one ulp of the values still register.
     `factors` iterates (value, err, exp)."""
-    lo_log = 0.0
-    delta = 0.0
-    hi_log = 0.0
-    lo_zero = False
-    for v, err, e in factors:
-        a = float(abs(v))
-        hi = a + err
-        if hi == 0.0:
-            return 0.0
-        hi_log += e * math.log(hi)
-        if a == 0.0:
-            lo_zero = True
-        else:
-            lo_log += e * math.log(a)
-            delta += e * math.log1p(err / a)
-    if lo_zero:
-        return math.inf if hi_log > 709.0 else math.exp(hi_log)
-    if delta > 1.0:
-        # a factor is dominated by its own error (theta numerically zero);
-        # expm1 would overflow and its one-ulp precision is irrelevant here,
-        # so fall back to the slightly larger pure log-space bound
-        s = lo_log + delta
-        return math.inf if s > 709.0 else math.exp(s) * (1 + 1e-12) + 5e-324
-    # one-ulp slop of the float evaluation absorbed by a small inflation
-    return math.exp(lo_log) * math.expm1(delta) * (1 + 1e-12) + 5e-324
+    return _product_err_logs((_factor_logs(float(abs(v)), err), e)
+                             for v, err, e in factors)[0]
 
 
 # --- the classical product forms -----------------------------------------
@@ -278,28 +306,84 @@ def chi12_terms():
     return _signed_terms(base, None, 720 // 15, 15)
 
 
+# Unit roundoff of IEEE double.
+_U = 2.0 ** -53
+
+# Bound on the absolute error a double complex multiplication can add
+# when one of its real products underflows: at most 2^-1075, half the
+# least subnormal, per rounding, three roundings per part.
+_UNDERFLOW = 2.0 ** -1072
+
+
 def _signed_sum_eval(terms, tau, eps, hiprec):
+    """(value, certified error, largest monomial modulus) of the signed
+    sum of monomials `terms`, all of one degree d, at tau.
+
+    Theta errors.  Each monomial v = prod theta_m^k carries
+    product_err of the certified errors of its constants, from their
+    logs, taken once per call (_factor_logs).
+
+    Rounding in double.  theta ** k (CPython's binary powering) and the
+    products of the powers form v in a tree of multiplications; unshared,
+    a tree over d factors has d - 1 nodes.  Each complex multiplication
+    is off by at most sqrt(5) u times its exact value (Brent, Percival
+    and Zimmermann, Math. Comp. 76 (2007)), u = 2^-53, plus _UNDERFLOW
+    should a real product underflow.  To first order a node's error is
+    multiplied by the moduli of the factors outside it: to |v| for the
+    relative part, and to at most max(1, max_m |theta_m|)^d for the
+    absolute part.  So v is off by at most
+    (d - 1) (sqrt 5 u |v| + _UNDERFLOW max(1, max |theta|)^d), doubled
+    to cover second-order terms; fsum_complex rounds each part of the
+    total once, adding 2 u |total|.
+
+    Rounding in high precision.  Each theta value enters a floating
+    complex exactly (numeric.fc_from_mpc), the powers and products are
+    fc_pow and fc_mul at wp = prec + GUARD_BITS bits, and v carries their
+    error count c: v is off by at most 2 c 2^-wp |v|, the factor two
+    covering second-order terms.  The signed monomials are added
+    exactly (fc_sum) and the total rounded once to an mpc, adding
+    2^(1 - prec) |total|.
+
+    |v| is e^(sum k log |theta_m|) from the same logs, which also give
+    the largest monomial modulus."""
     th = theta_all_even(tau, eps, hiprec)
+    items = {me for _, key in terms for me in key}
     with value_prec(hiprec):
-        # each theta_m ** e and |theta_m| once, shared by every monomial
-        powers = {(m, e): th[m].value ** e for m, e in {me for _, key in terms for me in key}}
-        mods = {m: float(abs(t.value)) for m, t in th.items()}
-        vals = []
-        err = 0.0
-        max_abs = 0.0
-        for s, key in terms:
-            v = None
-            for me in key:
-                v = powers[me] if v is None else v * powers[me]
-            e = product_err((mods[m], th[m].err, k) for m, k in key)
-            vals.append(s * v)
-            err += e
-            max_abs = max(max_abs, float(abs(v)))
         if hiprec:
-            total = mp.mpc(mp.fsum(v.real for v in vals), mp.fsum(v.imag for v in vals))
+            wp = mp.mp.prec + GUARD_BITS
+            fcs = {m: fc_from_mpc(t.value) for m, t in th.items()}
+            mods = {m: fc_abs(z) for m, z in fcs.items()}
+            powers = {(m, k): fc_pow(fcs[m], k, wp) for m, k in items}
+            mul = partial(fc_mul, wp=wp)
         else:
-            total = fsum_complex(vals)
-    return total, err, max_abs
+            mods = {m: abs(t.value) for m, t in th.items()}
+            powers = {(m, k): th[m].value ** k for m, k in items}
+            mul = operator.mul
+        logs = {m: _factor_logs(mods[m], t.err) for m, t in th.items()}
+        monos = []
+        err = 0.0
+        rel = 0.0  # sum of |v|, each weighted by its error count in high precision
+        max_log = -math.inf
+        for s, key in terms:
+            v = reduce(mul, (powers[me] for me in key))
+            e, log_v = _product_err_logs((logs[m], k) for m, k in key)
+            err += e
+            if log_v is not None:
+                max_log = max(max_log, log_v)
+                rel += (v[3] if hiprec else 1) * _exp(log_v)
+            monos.append((s, v))
+        if hiprec:
+            total = fc_sum(monos)
+            value = fc_to_mpc(total)
+            err += 2 * rel * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec) * fc_abs(total)
+        else:
+            d = monomial_degree(terms[0][1])
+            top = max((la for la, _, _ in logs.values() if la is not None), default=0.0)
+            big = _exp(d * max(0.0, top))
+            value = fsum_complex([s * v for s, v in monos])
+            err += (2 * (d - 1) * (math.sqrt(5) * _U * rel + len(terms) * _UNDERFLOW * big)
+                    + 2 * _U * abs(value))
+    return value, err, _exp(max_log)
 
 
 def azy_eval(tau, eps=1e-12, hiprec=False):

@@ -1,5 +1,6 @@
 """Small numeric helpers shared by the double-precision and mpmath paths,
-and the Python-integer floating complex of the high-precision theta walk.
+and the Python-integer floating complex of the high-precision theta walk
+and of the products and signed sums formed from its results.
 
 2x2 matrices are nested tuples so the same code runs on Python complex,
 numpy scalars and mpmath mpc entries.  All Siegel-point transforms in this
@@ -14,6 +15,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, round_nearest
 
 # Working decimal precision for all high-precision code paths.
 HIPREC_DPS = 50
@@ -100,7 +102,9 @@ def to_mpc(z):
 # (x + i y) 2^e with its mantissa pair cut to wp bits, the larger part
 # exactly wp bits long, and `count`, a first-order bound on its error in
 # units of 2^-wp relative to the exact value it stands for.  Operations
-# add their own rounding to the counts of their operands.
+# add their own rounding to the counts of their operands.  An exact
+# conversion (fc_from_mpc) or sum may carry a mantissa pair of any
+# length; fc_mul accepts it and cuts its product.
 
 # Error counts of the quotients of an inverse and of cutting a mantissa
 # pair to wp bits: the floor of each part is off by under one unit of
@@ -112,7 +116,7 @@ FC_QUOT_ERR, FC_CUT_ERR = 1, 3
 def fc_cut(x, y, e, count, wp):
     """The floating complex (x + i y) 2^e with error count `count`, its
     mantissa pair scaled to wp bits (floor rounding)."""
-    s = max(abs(x), abs(y)).bit_length() - wp
+    s = max(x.bit_length(), y.bit_length()) - wp
     if s <= 0:
         return x << -s, y << -s, e + s, count
     return x >> s, y >> s, e + s, count + FC_CUT_ERR
@@ -150,3 +154,54 @@ def fc_fixed(a, wp):
     x, y, e, _ = a
     s = e + wp
     return (x << s, y << s) if s >= 0 else (x >> -s, y >> -s)
+
+
+def fc_from_mpc(z, count=0):
+    """An mpc, or its raw (re, im) pair of mpf tuples, as the floating
+    complex of its two mantissas aligned to the smaller exponent, with
+    error count `count`.  Exact: the mantissa pair is not cut, so it may
+    be shorter or longer than wp bits; fc_cut scales it."""
+    parts = getattr(z, "_mpc_", z)
+    e = min((p[2] for p in parts if p[1]), default=0)
+    x, y = [(-m if sg else m) << (pe - e) if m else 0 for sg, m, pe, _ in parts]
+    return x, y, e, count
+
+
+def fc_align(zs):
+    """The mantissa pairs of the floating complexes zs shifted exactly to
+    one exponent, the least of the nonzero ones: ([(x, y), ...], e)."""
+    e = min((z[2] for z in zs if z[0] or z[1]), default=0)
+    return [(z[0] << (z[2] - e), z[1] << (z[2] - e)) if z[0] or z[1] else (0, 0)
+            for z in zs], e
+
+
+def fc_sum(terms):
+    """Exact sum of s z over the pairs (s, z) of `terms`, s an integer and
+    z a floating complex, as the unrounded (x, y, e).  The counts of the
+    z do not carry over: relative to the sum, which may cancel, they mean
+    nothing, so the caller bounds each term's error itself."""
+    signs, zs = zip(*terms)
+    parts, e = fc_align(zs)
+    return (sum(s * p[0] for s, p in zip(signs, parts)),
+            sum(s * p[1] for s, p in zip(signs, parts)), e)
+
+
+def fc_to_mpc(a):
+    """(x + i y) 2^e of a floating complex (or of fc_sum's (x, y, e)) as an
+    mpc, each part rounded once to nearest at the ambient precision: off
+    by at most 2^-prec times its modulus."""
+    prec = mp.mp.prec
+    return mp.make_mpc((from_man_exp(a[0], a[2], prec, round_nearest),
+                        from_man_exp(a[1], a[2], prec, round_nearest)))
+
+
+def fc_abs(a):
+    """|a| of a floating complex as a float, from its top 64 bits (so
+    within a few units of 2^-53 relative); 0.0 below the float range and
+    inf above it."""
+    x, y, e = a[0], a[1], a[2]
+    s = max(x.bit_length() - 64, y.bit_length() - 64, 0)
+    try:
+        return math.ldexp(math.hypot(x >> s, y >> s), e + s)
+    except OverflowError:
+        return math.inf

@@ -119,8 +119,8 @@ from mpmath.libmp import from_man_exp, mpc_expjpi, mpf_shift
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
-from .numeric import (fc_cut, fc_fixed, fc_inv, fc_mul, fc_pow, fsum_complex,
-                      m2_det, mobius, value_prec)
+from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_pow,
+                      fsum_complex, m2_det, mobius, value_prec)
 from .siegel import TAU_I, SiegelPoint
 from .symplectic import act_tau
 
@@ -294,9 +294,7 @@ def _walk(t, a2, box, wp, moments=False):
         # e^{pi i T/4} for one entry T: exact argument, exponential at wp
         # bits, its two parts aligned to one binary exponent
         z = mpc_expjpi((from_man_exp(re, e - 2), from_man_exp(im, e - 2)), wp)
-        ex = min((x[2] for x in z if x[1]), default=0)
-        x, y = [(-m if sg else m) << (xe - ex) if m else 0 for sg, m, xe, _ in z]
-        return fc_cut(x, y, ex, _EXP_ERR, wp)
+        return fc_cut(*fc_from_mpc(z, _EXP_ERR), wp)
 
     def mul(*zs):
         out = zs[0]

@@ -1,0 +1,114 @@
+"""The certified bounds of the signed sums (azy_eval, chi12, chi5_product)
+and of phi against references: high precision against twice
+HIPREC_DPS digits, double against high precision, and, with the theta
+constants taken as exact, the rounding bounds alone against the same
+arithmetic at 300 digits."""
+
+import mpmath as mp
+import pytest
+
+import azy5.construction as construction
+import azy5.forms as forms
+import azy5.numeric as numeric
+from azy5.cli import _FORMS_TAU
+from azy5.construction import PHI_CONSTANT, phi
+from azy5.forms import azy_eval, azy_terms, chi5_product, chi12, chi12_terms
+from azy5.geometry import all_faces
+from azy5.siegel import SiegelPoint
+from azy5.theta import ThetaValue
+
+from conftest import near_boundary_point
+
+FORMS = {"azy_eval": azy_eval, "chi12": chi12, "chi5_product": chi5_product, "phi": phi}
+
+
+def _cusp(s):
+    """tau = X + i s Y at the X, Y of the default forms point."""
+    x = [[0.13, -0.21], [-0.21, 0.37]]
+    y = [[1.0, 0.3], [0.3, 0.8]]
+    return SiegelPoint([[x[i][j] + 1j * s * y[i][j] for j in range(2)] for i in range(2)])
+
+
+POINTS = {
+    "s1": _FORMS_TAU,
+    "s10": _cusp(10),
+    "s20": _cusp(20),
+    "lam0.03": near_boundary_point(0.03, 0.4, 0.7, 0.2, -0.1, 0.3),
+}
+
+
+def _diff(a, b):
+    with mp.workdps(2 * numeric.HIPREC_DPS + 20):
+        return float(abs(mp.mpmathify(a) - mp.mpmathify(b)))
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("name", FORMS)
+def test_hiprec_err_covers_twice_the_digits(name, point, monkeypatch):
+    """At eps below the working precision, each bound is mostly the
+    rounding of the series and of the products; it covers the distance
+    to the same form at 2 * HIPREC_DPS digits."""
+    fn, tau = FORMS[name], POINTS[point]
+    value, err = fn(tau, 1e-60, True)[:2]
+    monkeypatch.setattr(numeric, "HIPREC_DPS", 2 * numeric.HIPREC_DPS)
+    ref, ref_err = fn(tau, 1e-110, True)[:2]
+    assert _diff(value, ref) <= err + ref_err
+
+
+def test_double_azy_err_covers_hiprec_under_cancellation():
+    """At s = 2 the signed sum cancels to a hundredth of its largest
+    monomial; the double err still covers the distance to high
+    precision."""
+    tau = _cusp(2)
+    value, err, largest = azy_eval(tau)
+    assert largest > 100 * abs(value)
+    ref, ref_err, _ = azy_eval(tau, 1e-40, True)
+    assert _diff(value, ref) <= err + ref_err
+    assert err < 1e-8 * abs(value)
+
+
+def _exact_inputs(monkeypatch, module, name, tau, hiprec):
+    """Replace module.name (a theta evaluator) by one returning its values
+    at tau with err 0, and return those values."""
+    real = getattr(module, name)
+    with numeric.value_prec(hiprec):
+        got = real(tau, 1e-60 if hiprec else 1e-12, hiprec)
+    keys = got.keys() if isinstance(got, dict) else range(len(got))
+    values = {k: got[k].value for k in keys}
+    fake = {k: ThetaValue(v, 0.0) for k, v in values.items()}
+    if not isinstance(got, dict):
+        fake = tuple(fake[k] for k in keys)
+    monkeypatch.setattr(module, name, lambda tau, eps, hiprec: fake)
+    return values
+
+
+@pytest.mark.parametrize("hiprec", [False, True], ids=["double", "hiprec"])
+@pytest.mark.parametrize("point", ["s1", "lam0.03"])
+@pytest.mark.parametrize("name", ["azy_eval", "chi12", "chi5_product"])
+def test_signed_sum_rounding_bound(name, point, hiprec, monkeypatch):
+    """With exact theta inputs the err of a signed sum is its rounding
+    bound alone: it covers the distance to the sum of the same monomials
+    of the same inputs at 300 digits."""
+    th = _exact_inputs(monkeypatch, forms, "theta_all_even", POINTS[point], hiprec)
+    terms = {"azy_eval": azy_terms(), "chi12": chi12_terms(),
+             "chi5_product": ((1, tuple((m, 1) for m in th)),)}[name]
+    value, err = FORMS[name](POINTS[point], 1e-12, hiprec)[:2]
+    with mp.workdps(300):
+        ref = mp.fsum(s * mp.fprod(mp.mpmathify(th[m]) ** k for m, k in key)
+                      for s, key in terms)
+        diff = float(abs(mp.mpmathify(value) - ref))
+        assert 0 < diff <= err
+        assert err < (1e-42 if hiprec else 1e-9) * float(abs(ref))
+
+
+def test_hiprec_phi_rounding_bound(monkeypatch):
+    """With exact Theta inputs the err of high-precision phi is its
+    rounding bound alone: it covers the distance to the 300-digit face
+    product of the same inputs."""
+    tau = POINTS["lam0.03"]
+    x = _exact_inputs(monkeypatch, construction, "theta_second_vector", tau, True)
+    got = phi(tau, 1e-12, True)
+    with mp.workdps(300):
+        ref = PHI_CONSTANT * mp.fprod(mp.fsum(a * x[k] for k, a in enumerate(face) if a)
+                                      for face in all_faces())
+        assert 0 < float(abs(got.value - ref)) <= got.err < 1e-45 * float(abs(ref))

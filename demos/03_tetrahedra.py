@@ -38,7 +38,7 @@ def main():
 
     tau = sample_taus(seed=6, count=1)[0]
     print("\nF at the second-order constants vs the four-fold product:")
-    print(f"  F_M0(tau) = {f_m(M0, tau):+.12e}")
+    print(f"  F_M0(tau) = {f_m(M0, tau).value:+.12e}")
     print(f"  P2(tau)   = {p2(tau).value:+.12e}")
 
     print("\nall fifteen tetrahedra (every vertex coordinate is 0 or a")

@@ -35,29 +35,31 @@ over the alternate transversal with phi, and phi_modularity_error
 compares phi at the four generator images with one phi(tau).
 estimate_lambda compares phi with the 60-monomial signed sum, which is
 computed from the first-order constants and so independently of Theta.
+
+Every product here is the certified product of azy5.forms: phi, P2 and
+each F are forms.face_product at Theta, and phi_transversal multiplies
+its factors by forms.value_product; each bound covers the input errors
+and the rounding of its own multiplications.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import random
 from dataclasses import dataclass
-from functools import partial, reduce
 from statistics import median
 
 import mpmath as mp
 import numpy as np
 
 from .chars import M0, act_set, chi_p, pair_sign
-from .forms import azy_eval, p2, product_err
+from .forms import azy_eval, face_product, p2, value_product
 from .geometry import all_faces, tetrahedron
-from .numeric import fc_abs, fc_align, fc_from_mpc, fc_mul, fc_to_mpc, value_prec
+from .numeric import value_prec
 from .siegel import sample_tau
 from .symplectic import (E11, E22, ESYM, GENERATORS, THETA0_2, act_tau,
                          automorphy_factor, coset_reps, gl_rotation,
                          lower_translation, translation)
-from .theta import GUARD_BITS, ThetaValue, theta_second_vector
+from .theta import ThetaValue, theta_second_vector
 
 AZY_NORMALIZATION = (
     "weight-30 signed triple sum normalized so the monomial "
@@ -74,104 +76,14 @@ PHI_CONSTANT = -(2.0 ** -44)
 INVARIANCE_WORD_LENGTH = 6
 CANCELLATION_GUARD = 1e-6
 
-# Bounds on sum log|L| over the faces below and above 1 in modulus that
-# keep every partial product of the double product, and phi, normal:
-# 2^-969 leaves 53 bits after the scaling by 2^-44, 2^1000 room to round.
-_LOG_TINY = -969 * math.log(2)
-_LOG_HUGE = 1000 * math.log(2)
-
-
-def _face_values(x, hiprec):
-    """The 60 faces of all_faces() at the length-4 vector x.  A unit
-    times x_k is exact.  In double, x holds complex numbers and the real
-    and imaginary part of each face are rounded once by math.fsum.  In
-    high precision, x holds floating complexes (numeric.fc_*), aligned to
-    one exponent, and each face is their exact integer sum, a floating
-    complex with error count 0."""
-    if hiprec:
-        parts, e = fc_align(x)
-        total = sum
-
-        def make(re, im):
-            return re, im, e, 0
-    else:
-        total, make = math.fsum, complex
-        parts = [(v.real, v.imag) for v in x]
-    # (Re, Im) of a * x_k for the four units a
-    rot = [{1: (r, i), -1: (-r, -i), 1j: (-i, r), -1j: (i, -r)} for r, i in parts]
-    out = []
-    for face in all_faces():
-        re, im = zip(*(rot[k][a] for k, a in enumerate(face) if a))
-        out.append(make(total(re), total(im)))
-    return out
-
-
-def _pairwise_product(vals, mul=operator.mul):
-    """Product of a list as a balanced tree of n - 1 multiplications."""
-    while len(vals) > 1:
-        nxt = [mul(a, b) for a, b in zip(vals[::2], vals[1::2])]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def phi(tau, eps=1e-12, hiprec=False):
     """The weight-30 form PHI_CONSTANT * prod of the 60 faces of
-    all_faces() at Theta(tau).
-
-    Error bound.  Let Theta_i carry the certified error e_i.  A face l
-    has coefficients a_i in {0, +-1, +-i}, so every a_i Theta_i is exact
-    and l(Theta) moves by at most d = sum_{a_i != 0} e_i under the errors
-    of Theta.
-
-    In double, with u = 2^-53, the real and imaginary parts of l are
-    each summed with one rounding (_face_values), so the computed value
-    L is within u |l| <= 2u |L| of l at the computed Theta; each factor
-    is thus within E = d + 2u |L| of l at the true Theta, and product_err
-    bounds the effect on the product by prod(|L| + E) - prod |L|.  Each
-    of the 59 complex multiplications of the pairwise product has
-    relative error at most sqrt(5) u (Brent, Percival and Zimmermann,
-    Math. Comp. 76 (2007)), so the computed product P is within
-    ((1 + sqrt(5) u)^59 - 1) prod |L| <= 2 * 59 sqrt(5) u |P| of prod L.
-    All this needs every partial product in the normal range; a point
-    where the faces could leave it raises instead of returning a false
-    bound.
-
-    In high precision, each Theta_i enters a floating complex exactly and
-    each face is an exact integer sum, so L = l at the computed Theta
-    and E = d.  The 59 multiplications are numeric.fc_mul at
-    wp = prec + GUARD_BITS bits, which count their cuts: P is within
-    2 c 2^-wp |P| of prod L for its error count c, the factor two
-    covering second-order terms, and rounding P to an mpc adds
-    2^(1 - prec) |P|.
-
-    The scaling by a power of two is exact in both."""
-    vec = theta_second_vector(tau, eps, hiprec)
+    all_faces() at Theta(tau), through forms.face_product, whose bound
+    covers the theta errors and the rounding of the faces and of the
+    59 multiplications.  The scaling by a power of two is exact."""
+    P = face_product(all_faces(), theta_second_vector(tau, eps, hiprec), hiprec)
     with value_prec(hiprec):
-        if hiprec:
-            wp = mp.mp.prec + GUARD_BITS
-            vals = _face_values([fc_from_mpc(t.value) for t in vec], True)
-            mods = [fc_abs(L) for L in vals]
-            P = _pairwise_product(vals, partial(fc_mul, wp=wp))
-            value = fc_to_mpc(P)
-            face_err = 0.0
-            rounding = (2 * P[3] * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec)) * fc_abs(P)
-        else:
-            u = 2.0 ** -53
-            vals = _face_values([t.value for t in vec], False)
-            mods = [abs(L) for L in vals]
-            logs = [math.log(m) for m in mods if m]
-            if (sum(t for t in logs if t < 0) < _LOG_TINY
-                    or sum(t for t in logs if t > 0) > _LOG_HUGE):
-                raise ArithmeticError("the face product leaves the double range; use hiprec")
-            value = _pairwise_product(vals)
-            face_err = 2 * u
-            rounding = 2 * 59 * math.sqrt(5) * u * abs(value)
-        factors = [(m, sum(t.err for a, t in zip(face, vec) if a) + face_err * m, 1)
-                   for m, face in zip(mods, all_faces())]
-        err = product_err(factors) + rounding
-        return ThetaValue(PHI_CONSTANT * value, -PHI_CONSTANT * err)
+        return ThetaValue(PHI_CONSTANT * P.value, -PHI_CONSTANT * P.err)
 
 
 def phi_gamma(gamma, tau, eps=1e-12, hiprec=False):
@@ -191,10 +103,7 @@ def phi_transversal(tau, eps=1e-12, hiprec=False, reps=None):
         reps = coset_reps(THETA0_2).reps
     if len(reps) != 15:
         raise ValueError("phi_transversal needs a 15-element coset transversal")
-    factors = [phi_gamma(g, tau, eps, hiprec) for g in reps]
-    with value_prec(hiprec):
-        v = reduce(operator.mul, (f.value for f in factors))
-    return ThetaValue(v, product_err((f.value, f.err, 1) for f in factors))
+    return value_product([phi_gamma(g, tau, eps, hiprec) for g in reps], hiprec)
 
 
 # Generators of the kernel of pair_sign inside the stabilizer: the three
@@ -294,13 +203,8 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
         pv = phi(tau, eps, hiprec)
         with value_prec(hiprec):
             ratios.append(pv.value / av)
-    med = complex(median([float(r.real) for r in ratios]),
-                  median([float(r.imag) for r in ratios]))
-    spread = max(float(abs(a - b)) for a in ratios for b in ratios) / abs(med)
-    if hiprec:
-        with value_prec(True):
-            med = mp.mpc(median([r.real for r in ratios]),
-                         median([r.imag for r in ratios]))
+    with value_prec(hiprec):
+        med, spread = _median_spread(ratios)
     return LambdaEstimate(med, tuple(ratios), spread)
 
 
@@ -308,10 +212,11 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False):
     """Per-representative constancy of F_{gamma^{-1} M0} / phi_gamma over
     the sample points, plus the spread of (prod of all fifteen F) /
     (prod of all fifteen phi_gamma), the latter being phi_transversal.
-    Theta(tau) and each phi_gamma are evaluated once per point; the F
-    values, the ratios and their spreads are formed at the working
-    precision.  Returns (per_rep, product_spread) where per_rep maps each
-    representative index to (sorted quadruple, relative spread)."""
+    Theta(tau) and each phi_gamma are evaluated once per point; each F
+    is a face product at Theta, and the ratios and their spreads are
+    formed at the working precision.  Returns (per_rep, product_spread)
+    where per_rep maps each representative index to (sorted quadruple,
+    relative spread)."""
     reps = coset_reps(THETA0_2).reps
     quads = [frozenset(act_set(g.inverse(), M0)) for g in reps]
     if len(set(quads)) != 15:
@@ -320,22 +225,23 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False):
     rep_ratios = []
     prod_ratios = []
     for tau in taus:
-        x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
-        pgs = [phi_gamma(g, tau, eps, hiprec).value for g in reps]
+        x = theta_second_vector(tau, eps, hiprec)
+        pgs = [phi_gamma(g, tau, eps, hiprec) for g in reps]
+        fvs = [face_product(T.faces, x, hiprec) for T in tets]
         with value_prec(hiprec):
-            fvs = [T.form_value(x) for T in tets]
-            rep_ratios.append([f / p for f, p in zip(fvs, pgs)])
-            prod_ratios.append(reduce(operator.mul, fvs) / reduce(operator.mul, pgs))
+            rep_ratios.append([f.value / p.value for f, p in zip(fvs, pgs)])
+            prod_ratios.append(value_product(fvs, hiprec).value
+                               / value_product(pgs, hiprec).value)
     with value_prec(hiprec):
-        per_rep = {i: (tuple(sorted(q)), _relative_spread([r[i] for r in rep_ratios]))
+        per_rep = {i: (tuple(sorted(q)), _median_spread([r[i] for r in rep_ratios])[1])
                    for i, q in enumerate(quads)}
-        return per_rep, _relative_spread(prod_ratios)
+        return per_rep, _median_spread(prod_ratios)[1]
 
 
-def _relative_spread(rs):
-    """Largest pairwise distance of the ratios over the modulus of their
-    componentwise median, as a float; mpc ratios are compared at the
+def _median_spread(rs):
+    """The componentwise median of the ratios, and their largest pairwise
+    distance over its modulus as a float; mpc ratios are compared at the
     ambient precision."""
     re, im = median([r.real for r in rs]), median([r.imag for r in rs])
     med = mp.mpc(re, im) if isinstance(re, mp.mpf) else complex(re, im)
-    return float(max(abs(a - b) for a in rs for b in rs) / abs(med))
+    return med, float(max(abs(a - b) for a in rs for b in rs) / abs(med))

@@ -19,22 +19,27 @@ closes that orbit instead of visiting the 720 cosets one by one; every
 image stands for 720 / (orbit size) cosets.  This module does that
 collection once, asserts the expected multiplicities, and evaluates
 the resulting short signed sums with certified error bounds.  The bound
-of a signed sum (chi5_product, chi12 and the weight-30 sum) propagates
-each theta constant's certified error, which covers both the truncation
-and the rounding of its series, through the products, and adds the
-rounding of the products and of the sum themselves (_signed_sum_eval):
-in double sqrt(5) u per complex multiplication and the rounding of the
-final fsum; in high precision the error counts of Python-integer
-floating complexes, whose signed sum is exact and rounded once.  The
-bounds of chi10 and p2 propagate the theta errors only; the one and the
-three multiplications that form their values are not charged.
+of a signed sum (chi5_product, chi10, chi12 and the weight-30 sum)
+propagates each theta constant's certified error, which covers both the
+truncation and the rounding of its series, through the products, and
+adds the rounding of the products and of the sum themselves
+(_signed_sum_eval): in double sqrt(5) u per complex multiplication and
+the rounding of the final fsum; in high precision the error counts of
+Python-integer floating complexes, whose signed sum is exact and
+rounded once.
+
+P2, each quartic F_M and construction.phi are products of linear forms
+in the second-order constants Theta: face_product, over the one
+certified_product that also multiplies phi_transversal's factors and
+charges the factor errors and its own rounding.
 
 Forms provided:
   * chi5_product: the weight-5 product of the ten even constants, and its
     expression chi5_determinant as a constant multiple of the 4 x 4
     determinant of second-order constants and their tau-derivatives;
-  * chi10 = chi5^2;
-  * p2: the product of the four second-order constants (weight 2);
+  * chi10 = chi5^2, the one-term signed sum of the squares of the ten;
+  * p2: the product of the four second-order constants (weight 2), the
+    face product over the coordinate faces;
   * the weight-30 signed sum over the 60 odd-sum triples of even
     characteristics, each entering as (theta_a theta_b theta_c)^20, built
     by symmetrizing the base triple (every sign comes out in {+1, -1});
@@ -51,8 +56,8 @@ from functools import lru_cache, partial, reduce
 import mpmath as mp
 
 from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
-from .numeric import (fc_abs, fc_from_mpc, fc_mul, fc_pow, fc_sum, fc_to_mpc,
-                      fsum_complex, value_prec)
+from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
+                      fc_to_mpc, fsum_complex, value_prec)
 from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
                          coset_reps, lower_translation, translation)
 from .theta import (GUARD_BITS, MPRIME_ORDER, ThetaValue, theta_all_even,
@@ -137,6 +142,107 @@ def product_err(factors):
                              for v, err, e in factors)[0]
 
 
+# --- the certified product -----------------------------------------------
+
+# Unit roundoff of IEEE double.
+_U = 2.0 ** -53
+
+# Bounds on sum log|v| over the factors below and above 1 in modulus that
+# keep every partial product of a double product, and the product, normal:
+# 2^-969 leaves 53 bits after a scaling by PHI_CONSTANT = -2^-44
+# (construction.phi), 2^1000 room to round.
+_LOG_TINY = -969 * math.log(2)
+_LOG_HUGE = 1000 * math.log(2)
+
+# The four coordinate faces X_k, whose product is P2.
+_COORDINATE_FACES = tuple(tuple(complex(j == k) for j in range(4)) for k in range(4))
+
+
+def _pairwise_product(vals, mul=operator.mul):
+    """Product of a list as a balanced tree of n - 1 multiplications."""
+    while len(vals) > 1:
+        nxt = [mul(a, b) for a, b in zip(vals[::2], vals[1::2])]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def certified_product(factors, hiprec):
+    """ThetaValue of the product of `factors`, pairs (v, e) of a factor in
+    its working form (a complex in double, a floating complex in high
+    precision) and a certified bound e on its distance from the exact
+    factor.  product_err bounds the effect of the e by
+    prod(|v| + e) - prod |v|; the n - 1 multiplications form a pairwise
+    tree.  In double each has relative error at most sqrt(5) u,
+    u = 2^-53 (Brent, Percival and Zimmermann, Math. Comp. 76 (2007)),
+    so the computed P is within ((1 + sqrt(5) u)^(n-1) - 1) prod |v|
+    <= 2 (n - 1) sqrt(5) u |P| of prod v, provided every partial product
+    is normal: a product that could leave the range raises.  In high
+    precision they are numeric.fc_mul at wp = prec + GUARD_BITS bits:
+    P is within 2 c 2^-wp |P| of prod v for its error count c (the two
+    covers second-order terms), and rounding P to an mpc adds
+    2^(1 - prec) |P|."""
+    vals = [v for v, _ in factors]
+    with value_prec(hiprec):
+        if hiprec:
+            wp = mp.mp.prec + GUARD_BITS
+            mods = [fc_abs(v) for v in vals]
+            P = _pairwise_product(vals, partial(fc_mul, wp=wp))
+            value = fc_to_mpc(P)
+            rounding = (2 * P[3] * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec)) * fc_abs(P)
+        else:
+            mods = [abs(v) for v in vals]
+            logs = [math.log(m) for m in mods if m]
+            if (sum(t for t in logs if t < 0) < _LOG_TINY
+                    or sum(t for t in logs if t > 0) > _LOG_HUGE):
+                raise ArithmeticError("the product leaves the double range; use hiprec")
+            value = _pairwise_product(vals)
+            rounding = 2 * (len(vals) - 1) * math.sqrt(5) * _U * abs(value)
+    err = _product_err_logs((_factor_logs(m, e), 1) for m, (_, e) in zip(mods, factors))[0]
+    return ThetaValue(value, err + rounding)
+
+
+def value_product(tvs, hiprec):
+    """certified_product of ThetaValues at the working precision: in high
+    precision each mpc value enters a floating complex exactly."""
+    return certified_product([(fc_from_mpc(t.value) if hiprec else t.value, t.err)
+                              for t in tvs], hiprec)
+
+
+def face_product(faces, thetas, hiprec):
+    """ThetaValue of the product of the linear forms `faces`, coefficients
+    in {0, +-1, +-i}, at the four ThetaValues `thetas`
+    (theta_second_vector), through certified_product.
+
+    Every a_i Theta_i is exact, so a face l(Theta) moves by at most
+    d = sum_{a_i != 0} e_i under the errors e_i of Theta.  In double the
+    real and imaginary parts of l are each summed by math.fsum with one
+    rounding, so the computed L is within u |l| <= 2u |L| of l at the
+    computed Theta, and the factor within d + 2u |L| of l at the true
+    Theta.  In high precision each Theta_i enters a floating complex
+    exactly, aligned to one exponent, and each face is their exact
+    integer sum with error count 0: L = l and the factor is within d."""
+    if hiprec:
+        parts, e = fc_align([fc_from_mpc(t.value) for t in thetas])
+        total, rel = sum, 0.0
+
+        def make(re, im):
+            return re, im, e, 0
+    else:
+        parts = [(t.value.real, t.value.imag) for t in thetas]
+        total, make, rel = math.fsum, complex, 2 * _U
+    # (Re, Im) of a * Theta_k for the four units a
+    rot = [{1: (r, i), -1: (-r, -i), 1j: (-i, r), -1j: (i, -r)} for r, i in parts]
+    factors = []
+    for face in faces:
+        re, im = zip(*(rot[k][a] for k, a in enumerate(face) if a))
+        L = make(total(re), total(im))
+        d = sum(t.err for a, t in zip(face, thetas) if a)
+        factors.append((L, d + rel * abs(L) if rel else d))
+    return certified_product(factors, hiprec)
+
+
 # --- the classical product forms -----------------------------------------
 
 
@@ -149,21 +255,18 @@ def chi5_product(tau, eps=1e-12, hiprec=False):
 
 
 def chi10(tau, eps=1e-12, hiprec=False):
-    """The weight-10 cusp form: square of the even-theta product."""
-    p = chi5_product(tau, eps, hiprec)
-    with value_prec(hiprec):
-        v = p.value * p.value
-    return ThetaValue(v, product_err([(p.value, p.err, 2)]))
+    """The weight-10 cusp form: square of the even-theta product, the
+    one-term signed sum of the squares of the ten even constants."""
+    v, err, _ = _signed_sum_eval(((1, mono_key((m, 2) for m in EVEN_CHARS)),),
+                                 tau, eps, hiprec)
+    return ThetaValue(v, err)
 
 
 def p2(tau, eps=1e-12, hiprec=False):
     """Product of the four second-order theta constants: the defining form
     of the coordinate tetrahedron, weight 2 with sign character on the
     group fixing it."""
-    vec = theta_second_vector(tau, eps, hiprec)
-    with value_prec(hiprec):
-        v = vec[0].value * vec[1].value * vec[2].value * vec[3].value
-    return ThetaValue(v, product_err((t.value, t.err, 1) for t in vec))
+    return face_product(_COORDINATE_FACES, theta_second_vector(tau, eps, hiprec), hiprec)
 
 
 def _det3(a):
@@ -305,9 +408,6 @@ def chi12_terms():
     base = mono_key((m, 4) for m in SIXPLET_BASE)
     return _signed_terms(base, None, 720 // 15, 15)
 
-
-# Unit roundoff of IEEE double.
-_U = 2.0 ** -53
 
 # Bound on the absolute error a double complex multiplication can add
 # when one of its real products underflows: at most 2^-1075, half the

@@ -11,7 +11,9 @@ For a plus-quadruple M of even characteristics, the six quadrics {Q_n = 0,
 n even not in M} meet in exactly four points of P^3.  Those points span a
 tetrahedron whose four face planes multiply to a quartic form F_M; for the
 coordinate quadruple (all m' = 0) the tetrahedron is the coordinate
-simplex and F is the monomial X0 X1 X2 X3.
+simplex and F is the monomial X0 X1 X2 X3 = P2.  f_m evaluates F_M at
+Theta(tau) through forms.face_product, the certified product of linear
+forms that also gives P2 and construction.phi.
 
 Everything here is exact.  Every vertex has coordinates in {0, +-1, +-i},
 so the intersection is found by testing the 156 projective points of
@@ -37,8 +39,7 @@ from functools import lru_cache
 from itertools import product
 
 from .chars import EVEN_CHARS, classify_quadruple, even_quadruples
-from .forms import _det3
-from .numeric import value_prec
+from .forms import _det3, face_product
 from .theta import theta_all_even, theta_second_vector
 
 _D = ((0, (1, 1, 1, 1)),
@@ -137,14 +138,6 @@ class Tetrahedron:
     faces: tuple
     residual: float
 
-    def form_value(self, x):
-        """F(x) = product of the four face forms at a length-4 vector."""
-        v = None
-        for face in self.faces:
-            t = face[0] * x[0] + face[1] * x[1] + face[2] * x[2] + face[3] * x[3]
-            v = t if v is None else v * t
-        return v
-
 
 # The projective points of {0, +-1, +-i}^4 with first nonzero coordinate 1.
 _CANDIDATES = tuple(p for p in product(_UNITS, repeat=4)
@@ -181,9 +174,7 @@ def all_faces():
 
 
 def f_m(quad, tau, eps=1e-12, hiprec=False):
-    """The tetrahedral quartic F_M evaluated at the second-order constants
-    of tau, multiplied out at the working precision."""
-    T = tetrahedron(frozenset(quad))
-    x = [t.value for t in theta_second_vector(tau, eps, hiprec)]
-    with value_prec(hiprec):
-        return T.form_value(x)
+    """ThetaValue of the tetrahedral quartic F_M at the second-order
+    constants of tau: forms.face_product over the four faces."""
+    return face_product(tetrahedron(frozenset(quad)).faces,
+                        theta_second_vector(tau, eps, hiprec), hiprec)

@@ -1,25 +1,31 @@
-"""The certified bounds of the signed sums (azy_eval, chi12, chi5_product)
-and of phi against references: high precision against twice
-HIPREC_DPS digits, double against high precision, and, with the theta
-constants taken as exact, the rounding bounds alone against the same
-arithmetic at 300 digits."""
+"""The certified bounds of the signed sums (azy_eval, chi12, chi5_product,
+chi10) and of the face products (phi, p2, f_m) against references: high
+precision against twice HIPREC_DPS digits, double against high
+precision, and, with the theta constants taken as exact, the rounding
+bounds alone against the same arithmetic at 300 digits."""
+
+from functools import partial
 
 import mpmath as mp
 import pytest
 
 import azy5.construction as construction
 import azy5.forms as forms
+import azy5.geometry as geometry
 import azy5.numeric as numeric
+from azy5.chars import even_quadruples
 from azy5.cli import _FORMS_TAU
 from azy5.construction import PHI_CONSTANT, phi
-from azy5.forms import azy_eval, azy_terms, chi5_product, chi12, chi12_terms
-from azy5.geometry import all_faces
+from azy5.forms import (azy_eval, azy_terms, chi5_product, chi10, chi12,
+                        chi12_terms, p2)
+from azy5.geometry import all_faces, f_m, tetrahedron
 from azy5.siegel import SiegelPoint
 from azy5.theta import ThetaValue
 
 from conftest import near_boundary_point
 
-FORMS = {"azy_eval": azy_eval, "chi12": chi12, "chi5_product": chi5_product, "phi": phi}
+FORMS = {"azy_eval": azy_eval, "chi12": chi12, "chi5_product": chi5_product, "phi": phi,
+         "p2": p2, "chi10": chi10}
 
 
 def _cusp(s):
@@ -84,14 +90,15 @@ def _exact_inputs(monkeypatch, module, name, tau, hiprec):
 
 @pytest.mark.parametrize("hiprec", [False, True], ids=["double", "hiprec"])
 @pytest.mark.parametrize("point", ["s1", "lam0.03"])
-@pytest.mark.parametrize("name", ["azy_eval", "chi12", "chi5_product"])
+@pytest.mark.parametrize("name", ["azy_eval", "chi12", "chi5_product", "chi10"])
 def test_signed_sum_rounding_bound(name, point, hiprec, monkeypatch):
     """With exact theta inputs the err of a signed sum is its rounding
     bound alone: it covers the distance to the sum of the same monomials
     of the same inputs at 300 digits."""
     th = _exact_inputs(monkeypatch, forms, "theta_all_even", POINTS[point], hiprec)
     terms = {"azy_eval": azy_terms(), "chi12": chi12_terms(),
-             "chi5_product": ((1, tuple((m, 1) for m in th)),)}[name]
+             "chi5_product": ((1, tuple((m, 1) for m in th)),),
+             "chi10": ((1, tuple((m, 2) for m in th)),)}[name]
     value, err = FORMS[name](POINTS[point], 1e-12, hiprec)[:2]
     with mp.workdps(300):
         ref = mp.fsum(s * mp.fprod(mp.mpmathify(th[m]) ** k for m, k in key)
@@ -112,3 +119,35 @@ def test_hiprec_phi_rounding_bound(monkeypatch):
         ref = PHI_CONSTANT * mp.fprod(mp.fsum(a * x[k] for k, a in enumerate(face) if a)
                                       for face in all_faces())
         assert 0 < float(abs(got.value - ref)) <= got.err < 1e-45 * float(abs(ref))
+
+
+# A plus-quadruple other than M0, whose faces have several terms.
+_QUAD = even_quadruples("plus")[1]
+
+# name -> (module whose theta_second_vector the form reads, the form at
+# tau, its faces, its constant factor)
+FACE_PRODUCTS = {
+    "phi": (construction, phi, all_faces, PHI_CONSTANT),
+    "p2": (forms, p2, lambda: forms._COORDINATE_FACES, 1),
+    "f_m": (geometry, partial(f_m, _QUAD), lambda: tetrahedron(frozenset(_QUAD)).faces, 1),
+}
+
+
+@pytest.mark.parametrize("point", ["s1", "lam0.03"])
+@pytest.mark.parametrize("name, hiprec", [
+    ("phi", False), ("p2", False), ("p2", True), ("f_m", False), ("f_m", True)],
+    ids=["phi-double", "p2-double", "p2-hiprec", "f_m-double", "f_m-hiprec"])
+def test_face_product_rounding_bound(name, hiprec, point, monkeypatch):
+    """With exact Theta inputs the err of a face product is its rounding
+    bound alone: it covers the distance to the 300-digit product of the
+    same faces of the same inputs (high-precision phi:
+    test_hiprec_phi_rounding_bound)."""
+    module, fn, faces, const = FACE_PRODUCTS[name]
+    tau = POINTS[point]
+    x = _exact_inputs(monkeypatch, module, "theta_second_vector", tau, hiprec)
+    got = fn(tau, 1e-12, hiprec)
+    with mp.workdps(300):
+        ref = const * mp.fprod(mp.fsum(a * mp.mpmathify(x[k]) for k, a in enumerate(face) if a)
+                               for face in faces())
+        assert 0 < float(abs(got.value - ref)) <= got.err
+        assert got.err < (1e-45 if hiprec else 1e-13) * float(abs(ref))

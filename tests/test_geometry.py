@@ -9,12 +9,12 @@ import pytest
 
 from azy5 import cli
 from azy5.chars import EVEN_CHARS, M0, even_quadruples
-from azy5.forms import p2
+from azy5.forms import face_product, p2
 from azy5.geometry import (_CANDIDATES, _UNITS, ADDITION_TABLE,
                            addition_residuals, all_faces, all_tetrahedra, f_m,
                            faces_from_vertices, quadric_value, tetrahedron)
 from azy5.siegel import sample_taus
-from azy5.theta import theta_constant, theta_second_vector
+from azy5.theta import ThetaValue, theta_constant, theta_second_vector
 
 UNITS = {0, 1, -1, 1j, -1j}
 
@@ -90,12 +90,13 @@ def test_standard_form_is_coordinate_monomial():
     T = tetrahedron(M0)
     x = (0.3 + 0.1j, -1.2, 0.7j, 2.0 - 0.5j)
     prod = x[0] * x[1] * x[2] * x[3]
-    assert abs(T.form_value(x) - prod) < 1e-9 * abs(prod)
+    got = face_product(T.faces, [ThetaValue(v, 0.0) for v in x], False).value
+    assert abs(got - prod) < 1e-9 * abs(prod)
 
 
 def test_f_m_on_standard_quadruple_is_p2(taus):
     for tau in taus[:2]:
-        a = f_m(M0, tau)
+        a = f_m(M0, tau).value
         b = p2(tau).value
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
@@ -110,9 +111,11 @@ def test_hiprec_f_m_is_formed_at_working_precision(monkeypatch):
         m.setattr(numeric, "HIPREC_DPS", 70)
         x = [t.value for t in theta_second_vector(tau, 1e-60, True)]
     for quad in even_quadruples("plus")[:3]:
-        got = f_m(quad, tau, 1e-30, True)
-        with mp.workdps(70):
-            want = tetrahedron(frozenset(quad)).form_value(x)
+        got = f_m(quad, tau, 1e-30, True).value
+        with monkeypatch.context() as m, mp.workdps(70):
+            m.setattr(numeric, "HIPREC_DPS", 70)
+            want = face_product(tetrahedron(frozenset(quad)).faces,
+                                [ThetaValue(v, 0.0) for v in x], True).value
             assert abs(got - want) < 1e-25 * abs(want)
 
 

@@ -60,9 +60,8 @@ from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
                       fc_to_mpc, fsum_complex, value_prec)
 from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
                          coset_reps, lower_translation, translation)
-from .theta import (GUARD_BITS, MPRIME_ORDER, ThetaValue, theta_all_even,
-                    theta_gradient, theta_second_vector, trace_btc,
-                    transform_unit)
+from .theta import (GUARD_BITS, ThetaValue, theta_all_even, theta_gradient_vector,
+                    theta_second_vector, trace_btc, transform_unit)
 
 AZY_BASE_TRIPLE = (0, 1, 4)
 AZY_EXPONENT = 20
@@ -289,7 +288,7 @@ def chi5_determinant(tau, eps=1e-12, hiprec=False):
     their three tau-derivatives (columns in MPRIME_ORDER).  Proportional
     to chi5_product with a tau-independent constant; see mu_ratio."""
     vec = theta_second_vector(tau, eps, hiprec)
-    grads = [theta_gradient(mpv, tau, eps, hiprec) for mpv in MPRIME_ORDER]
+    grads = theta_gradient_vector(tau, eps, hiprec)
     rows = [[vec[j].value for j in range(4)],
             [grads[j][0] for j in range(4)],
             [grads[j][1] for j in range(4)],

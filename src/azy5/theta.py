@@ -21,54 +21,54 @@ evaluated numerically with a geometric remainder.  Derivative series carry
 an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
 err of a value is this tail plus a rounding bound for the summation.
 
-Every series runs through one kernel contract.  A kernel sums the terms
-e^{pi i v^T T v}, v = n + a2/2, over a box of n, with T = 2^s tau for a
-power of two that the series fixes and a2 in {0, 1}^2.  It returns the
-four sums S_pq over the classes n = (p, q) mod 2, optionally the three
-sums weighted by k0^2, 2 k0 k1 and k1^2 (k = (k0, k1) = 2v), and a
-rounding bound per class; the sum of the four covers every signed
-combination of the S_pq.  Characteristics that share m' differ only in
-the factor e^{pi i m''.v} = i^{a2.m''} (-1)^{p m''_1 + q m''_2}, so one
-kernel run serves every m'' (_character_sum): theta_all_even makes four
-runs for its ten constants.  The second-order constants
-Theta_{m'}(tau) = sum_n e^{pi i (2n+m')^T (tau/2) (2n+m')} are the
-classes k = m' mod 2 of one run over k in [-2R, 2R+1]^2 at tau/2: the
-same terms as four separate series, in one box, each charged the bound of
-its own class.  The gradient is one run with the moments.  The precision
-only chooses the kernel and how the combined sums are rounded once, to an
-mpc or to a complex.
+One kernel contract serves every series.  With k = 2n + m', the term of
+theta[m'; m''] is e^{pi i k^T (tau/4) k} i^{k.m''}, and that of Theta_{m'}
+is e^{pi i k^T (tau/2) k}.  A kernel run sums e^{pi i k^T T k}
+over the symmetric box k in [-K, K]^2 at T = 2^s tau and returns the 16
+class sums S_r, r = k mod 4, and a rounding bound per class; with
+moments, also the three sums weighted by k0^2, 2 k0 k1 and k1^2, split
+by class.  Since i^{k.m''} depends on k mod 4 only, and exactly for any
+integer m'', theta[m'; m''] = sum over r = m' mod 2 of i^{r.m''} S_r,
+charged the bounds of its four classes: theta_all_even is one run at
+tau/4 for its ten constants, theta_second_vector one run at tau/2 for
+its four, and the four gradients one run at tau/2 with moments.  For
+every m', the box ||n||_inf <= R holds the k = 2n + m' with
+|k_i| <= 2R + 1, so K = 2R + 1 omits a subset of the terms that box
+omits, and tail(R) still bounds them.  The precision only chooses the
+kernel and how the combined sums are rounded once, to an mpc or to a
+complex.
 
-Double precision runs _grid: numpy terms over the whole box, each class
-summed by math.fsum, so each S_pq is exactly rounded and the result does
-not depend on summation order; _grid's docstring derives its bound.
+The term at -k equals the term at k, so both kernels visit only the rows
+k1 >= 0.  Row k1 = 0 is counted once; each term of a row k1 > 0 is also
+credited to the class of -k, and charged in the bound of both classes.
+Double precision runs _grid: numpy terms over the half box, each class's
+contributions summed by one math.fsum, so each S_r is exactly rounded
+whatever the order; _grid's docstring derives its bound.
 
-High precision runs _walk, a row recurrence in Python integers.  With
-k = (k0, k1) = 2v, each row fixes k1 and walks k0 outward, both ways,
-from the row's largest term, at n0 = nint(-Y12 v1 / Y11 - a2_0/2)
-clipped to the box.  A step costs two multiplications, t <- t u and
-u <- u E with E = e^{2 pi i T11}, where t is the term and u the ratio
-of neighbouring terms, u = e^{pi i ((k0 + 1) T11 + k1 T12)} (the downward
-walk has its own ratio w = e^{pi i ((1 - k0) T11 - k1 T12)}).  Every
-quantity of a walk has modulus at most 1, since it moves away from the
-row's minimum of the real quadratic form, so the walk is fixed point
+High precision runs _walk, a row recurrence in Python integers.  Each
+row k1 = 0, 1, ..., K is walked from its largest term, at
+k0 = nint(-Y12 k1 / Y11) clipped to the box, by unit steps out to
+k0 = K and to k0 = -K.  A step costs two multiplications, t <- t u and
+u <- u E with E = e^{2 pi i T11}, where t is the term and u the ratio of
+neighbouring terms, u = e^{pi i ((2 k0 + 1) T11 + 2 k1 T12)} (the
+downward walk has its own ratio w = e^{pi i ((1 - 2 k0) T11 - 2 k1 T12)}).
+Every quantity of a walk has modulus at most 1, since it moves away from
+the row's minimum of the real quadratic form, so the walk is fixed point
 with the working precision plus GUARD_BITS fractional bits, and its
 error is absolute.
 
 The seeds t, u, w of every row and E come from three full-precision
-exponentials per run, A, B, C = e^{pi i T11/4}, e^{pi i T12/4},
-e^{pi i T22/4}, whose arguments are formed exactly from the binary
-entries of T; everything else is a product.  E, F, G = A^8, B^8, C^8.
-The start row, the one nearest k1 = 0, takes its seeds as powers:
-t = A^{k0^2} B^{2 k0 k1} C^{k1^2}, u = A^{4(k0+1)} B^{4 k1},
-w = A^{4(1-k0)} B^{-4 k1}.  From there each way d = +-1 is walked row by
-row: one vertical step at the old centre, t <- t V with
-V = e^{pi i (d k0 T12 + (d k1 + 1) T22)} the ratio of the terms at
-k1 + 2d and k1, then V <- V G, u <- u F^d, w <- w F^-d; then one
-horizontal step per unit the centre moves, k0 <- k0 + 2: t <- t u,
-u <- u E, w <- w E^-1, V <- V F^d (and the mirror image for k0 - 2).
-Ratios such as V, F^-1 and E^-1 can exceed 1 in modulus, so these seeds
-are floating complexes (numeric.fc_*): a wp-bit mantissa pair with one
-shared binary exponent, cut (floor) to wp bits after each operation.
+exponentials per run, A, B, C = e^{pi i T11}, e^{pi i T12}, e^{pi i T22};
+everything else is a product.  E, F, G = A^2, B^2, C^2.  Row 0 starts at
+k0 = 0 with t = 1, u = w = A and V = C, the ratio of the terms at
+(k0, k1 + 1) and (k0, k1), V = e^{pi i (2 k0 T12 + (2 k1 + 1) T22)}.
+Each later row takes one vertical step at the old centre, t <- t V, then
+V <- V G, u <- u F, w <- w F^-1; then one horizontal step per unit the
+centre moves, k0 <- k0 + 1: t <- t u, u <- u E, w <- w E^-1, V <- V F
+(and the mirror image for k0 - 1).  Ratios such as V, F^-1 and E^-1 can
+exceed 1 in modulus, so these seeds are floating complexes (numeric.fc_*):
+a wp-bit mantissa pair with one shared binary exponent, cut (floor) to wp
+bits after each operation.
 
 Each floating seed carries a count of its error in units of 2^-wp
 relative to its exact value, which adds up along products to first
@@ -76,18 +76,18 @@ order.  mpmath's floor-rounded exponential at wp bits counts 3 (under 2
 per part, plus its internal roundings at wp + 10 bits); cutting a
 mantissa pair to wp bits counts 3 (2 sqrt 2, relative to a modulus of at
 least 2^(wp-1)); so a product adds 3 to the sum of its factors' counts,
-an exponential counts at most 6, and an inverse adds 1 for its quotients, which
-carry at least wp + 1 bits, plus 3 for the cut.  In fixed point, where
-moduli are at most 1, a seed with count n is off by at most s = n + 1.5,
-the 1.5 covering its truncation, and each product of _ray by at most
-1.5 more.  So a term k steps from its row's centre is off by at most
-s_t + k (s_u + 1.5) + (s_E + 1.5) k (k - 1)/2, with s_t, s_u and s_E
-those of the row's t, of the larger of its u and w, and of E.  A row
-charges each of its points twice that at k = hi0 - lo0, the most steps a
-walk takes, the factor two covering second-order terms (_point_charge);
-a class's bound is the sum of those charges over its points.  The
-integer sums are exact, so the result does not depend on summation order
-and is deterministic.
+and an inverse adds 1 for its quotients, which carry at least wp + 1
+bits, plus 3 for the cut.  In fixed point, where moduli are at most 1, a
+seed with count n is off by at most s = n + 1.5, the 1.5 covering its
+truncation, and each product of _ray by at most 1.5 more.  So a term j
+steps from its row's centre is off by at most
+s_t + j (s_u + 1.5) + (s_E + 1.5) j (j - 1)/2, with s_t, s_u and s_E
+those of the row's t, of the ratio its way walks by (u or w), and of E.
+Each point is charged twice that at its own j, the factor two covering
+second-order terms (_point_charge); a row sums those charges over the
+points of each class in closed form (_ray_charges), and a class's bound
+is the sum over the rows.  The integer sums are exact, so the result
+does not depend on summation order and is deterministic.
 
 Either way the combined sum is rounded once to the working precision
 (53 bits in double), which adds 2^(1-prec) |value| to the bound.
@@ -115,12 +115,12 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpc_expjpi, mpf_shift
+from mpmath.libmp import mpc_expjpi, mpf_shift, to_float
 
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
-from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_pow,
-                      fsum_complex, m2_det, mobius, value_prec)
+from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
+                      m2_det, mobius, value_prec)
 from .siegel import TAU_I, SiegelPoint
 from .symplectic import act_tau
 
@@ -182,51 +182,61 @@ _U = 2.0 ** -53
 
 
 @lru_cache(maxsize=None)
-def _parity_rows(lo, n):
-    """2 x n matrix of 0/1 whose row p marks the indices i with lo + i = p
-    mod 2: P0 W P1^T sums an array W over the parity classes of a box."""
-    i = (lo + np.arange(n)) % 2
-    return np.stack([i == 0, i == 1]).astype(float)
+def _class_order(K):
+    """(order, starts): the flat indices of the half box k0 in [-K, K],
+    k1 in [0, K] that contribute to class c = 4 r0 + r1 (each point to its
+    own class, each with k1 > 0 also to that of -k) are
+    order[starts[c]:starts[c + 1]]; no class is empty for K >= 3."""
+    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
+                                             indexing="ij"))
+    pos = np.flatnonzero(k1)
+    cls = np.concatenate((4 * (k0 % 4) + k1 % 4, 4 * (-k0[pos] % 4) + -k1[pos] % 4))
+    idx = np.concatenate((np.arange(k0.size), pos))
+    perm = np.argsort(cls, kind="stable")
+    return idx[perm], np.searchsorted(cls[perm], np.arange(17)).tolist()
 
 
-def _grid(t, a2, box, moments=False):
+def _grid(t, K, moments=False):
     """The numpy kernel behind every double-precision series, with the
-    contract of _walk: t = (T11, T12, T22) as Python complex, a2 and box
-    as there.  sums[p][q] and the moment sums are (re, im) pairs, each
-    component an exactly rounded math.fsum over its terms, and
-    bounds[p][q] is the rounding bound of S_pq.
+    contract of _walk: t = (T11, T12, T22) as Python complex, K as there.
+    sums[r0][r1] and the moment sums are (re, im) pairs, each component
+    one exactly rounded math.fsum over the contributions of its class
+    (_class_order), and bounds[r0][r1] is the rounding bound of S_r.
 
-    With v = k/2, the lattice values v and v_i v_j are exact, so forming
-    q = v^T T v costs one rounding per monomial and one per addition: at
-    most 3 u Q, u the unit roundoff and Q = |T11| v1^2 + 2 |T12| |v1 v2|
-    + |T22| v2^2 the sum of the moduli of its monomials.  The factor
-    pi i, with pi rounded, adds 2 u |q| <= 2 u Q, and the complex
-    exponential at most 5 u (exp, cos and sin within one ulp each, and
-    one product).  Each term is therefore off by at most
-    8 u |t| (1 + pi Q), the slack covering second-order terms, and
-    rounding a class sum adds u |S_pq| per component, counted as
-    2 u |S_pq|."""
-    (lo0, hi0), (lo1, hi1) = box
-    k0 = np.arange(2 * lo0 + a2[0], 2 * hi0 + a2[0] + 1, 2, dtype=float)[:, None]
-    k1 = np.arange(2 * lo1 + a2[1], 2 * hi1 + a2[1] + 1, 2, dtype=float)[None, :]
-    v0, v1 = k0 / 2, k1 / 2
+    The lattice values k and k_i k_j are exact, so forming q = k^T T k
+    costs one rounding per monomial and one per addition: at most 3 u Q,
+    u the unit roundoff and Q = |T11| k0^2 + 2 |T12| |k0 k1| + |T22| k1^2
+    the sum of the moduli of its monomials.  The factor pi i, with pi
+    rounded, adds 2 u |q| <= 2 u Q, and the complex exponential at most
+    5 u (exp, cos and sin within one ulp each, and one product).  Each
+    term is therefore off by at most 8 u |t| (1 + pi Q), the slack
+    covering second-order terms, and rounding a class sum adds u |S_r| per
+    component, counted as 2 u |S_r|."""
+    k0 = np.arange(-K, K + 1, dtype=float)[:, None]
+    k1 = np.arange(K + 1, dtype=float)[None, :]
     t11, t12, t22 = t
-    form = t11 * (v0 * v0) + 2 * t12 * (v0 * v1) + t22 * (v1 * v1)
-    form_abs = abs(t11) * (v0 * v0) + 2 * abs(t12) * np.abs(v0 * v1) + abs(t22) * (v1 * v1)
+    form = t11 * (k0 * k0) + 2 * t12 * (k0 * k1) + t22 * (k1 * k1)
+    form_abs = abs(t11) * (k0 * k0) + 2 * abs(t12) * np.abs(k0 * k1) + abs(t22) * (k1 * k1)
     terms = np.exp(1j * np.pi * form)
+    order, starts = _class_order(K)
+    spans = list(zip(starts, starts[1:]))
 
-    def pair(x):
-        z = fsum_complex(x.ravel())
-        return z.real, z.imag
+    def by_class(x):
+        # the exactly rounded class sums of x, as a 4 x 4 list of pairs
+        x = x.ravel()[order]
+        re, im = x.real.tolist(), x.imag.tolist()
+        z = [(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in spans]
+        return [z[4 * r0:4 * r0 + 4] for r0 in range(4)]
 
-    sums = [[pair(terms[(p - lo0) % 2::2, (q - lo1) % 2::2]) for q in (0, 1)]
-            for p in (0, 1)]
-    weight = np.abs(terms) * (1 + np.pi * form_abs)
-    wsum = _parity_rows(lo0, hi0 - lo0 + 1) @ weight @ _parity_rows(lo1, hi1 - lo1 + 1).T
-    bounds = [[8 * _U * w + 2 * _U * abs(complex(*s)) for w, s in zip(*rows)]
-              for rows in zip(wsum.tolist(), sums)]
-    mom = [pair(terms * w) for w in (k0 * k0, 2 * k0 * k1, k1 * k1)] if moments else None
-    return sums, mom, bounds
+    sums = by_class(terms)
+    weight = np.add.reduceat((np.abs(terms) * (1 + np.pi * form_abs)).ravel()[order],
+                             starts[:16]).tolist()
+    bounds = [[8 * _U * weight[4 * r0 + r1] + 2 * _U * abs(complex(*sums[r0][r1]))
+               for r1 in range(4)] for r0 in range(4)]
+    if not moments:
+        return sums, None, bounds
+    mom = [by_class(terms * w) for w in (k0 * k0, 2 * k0 * k1, k1 * k1)]
+    return sums, [[[m[r0][r1] for m in mom] for r1 in range(4)] for r0 in range(4)], bounds
 
 
 # Fractional bits the fixed-point walk carries beyond the working precision.
@@ -258,125 +268,108 @@ def _ray(xr, xi, ur, ui, er, ei, count, wp):
 _EXP_ERR = 3
 
 
-def _point_charge(term, ratio, mult, steps):
-    """Rounding bound, in units of 2^-wp, of each term of a row walked at
-    most `steps` steps from its centre, whose seeds carry the error counts
-    `term` (the centre term), `ratio` (the larger of u and w) and `mult`
-    (E): twice s_t + k (s_u + 1.5) + (s_E + 1.5) k (k - 1)/2 at k = steps,
+def _point_charge(term, ratio, mult):
+    """(a, b, g): a point j steps from its row's centre, whose seeds carry
+    the error counts `term` (the centre term), `ratio` (u or w, the ratio
+    its way walks by) and `mult` (E), is charged a + b j + g j (j - 1) in
+    units of 2^-wp: twice s_t + j (s_u + 1.5) + (s_E + 1.5) j (j - 1)/2,
     s = count + 1.5 (module docstring)."""
-    return 2 * term + 3 + 2 * steps * (ratio + 3) + (mult + 3) * steps * (steps - 1)
+    return 2 * term + 3, 2 * ratio + 6, mult + 3
 
 
-def _walk(t, a2, box, wp, moments=False):
+def _ray_steps(n):
+    """For r = 0..3, (m, sum of j, sum of j (j - 1)) over the m steps
+    j = 1..n of a ray with j = r mod 4, in closed form."""
+    out = [None] * 4
+    for j0 in (1, 2, 3, 4):
+        m = (n - j0) // 4 + 1  # j = j0 + 4i, 0 <= i < m
+        s1 = m * j0 + 2 * m * (m - 1)
+        s2 = m * j0 * j0 + 4 * j0 * m * (m - 1) + 16 * ((m - 1) * m * (2 * m - 1) // 6)
+        out[j0 % 4] = (m, s1, s2 - s1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_steps(c, K):
+    """For each class r0 = k0 mod 4 of a row k0 in [-K, K] walked from c:
+    its points, the sums of the steps j of its upward and of its downward
+    points, and the sum of j (j - 1) over all of them."""
+    out = [[0, 0, 0, 0] for _ in range(4)]
+    out[c % 4][0] = 1  # the centre, j = 0
+    for d, n, col in ((1, K - c, 1), (-1, c + K, 2)):
+        for j, (m, s1, s2) in enumerate(_ray_steps(n)):
+            cell = out[(c + d * j) % 4]
+            cell[0] += m
+            cell[col] += s1
+            cell[3] += s2
+    return out
+
+
+def _walk(t, K, wp, moments=False):
     """The row-recurrence kernel behind every high-precision series.
 
-    Sums e^{pi i v^T T v} over v = n + a2/2, n in the box
-    ((lo0, hi0), (lo1, hi1)), T given by _raw_entries, a2 in {0, 1}^2.
-    Returns (sums, mom, bounds): sums[p][q] is the (re, im) fixed-point
-    integer sum, wp fractional bits, over n = (p, q) mod 2; with moments,
-    mom is the three sums weighted by k0^2, 2 k0 k1 and k1^2,
-    k = (k0, k1) = 2v (else None); bounds[p][q] is the rounding bound
-    of sums[p][q].
-
-    Each row k1 is walked from its centre k0 by _ray, with the seeds
-    t, u, w and E (module docstring), all floating complexes derived
-    from the three exponentials A, B, C: the start row's by powers, each
-    later row's from the row before it.  Each seed counts its error, and
-    a row charges each of its points _point_charge of its seeds' counts.
+    Sums e^{pi i k^T T k} over k in [-K, K]^2, T given by _raw_entries.
+    Returns (sums, mom, bounds), each indexed [r0][r1] by the class
+    r = k mod 4: sums is the (re, im) fixed-point integer sum, wp
+    fractional bits; with moments, mom holds the three (re, im) sums
+    weighted by k0^2, 2 k0 k1 and k1^2 (else None); bounds is the rounding
+    bound of sums.  Rows, seeds and charges as in the module docstring.
     """
-    (lo0, hi0), (lo1, hi1) = box
-    parts = [x for z in t for x in z]
-    e = min((x[2] for x in parts if x[1]), default=0)
-    r00, i00, r01, i01, r11, i11 = [
-        (-x[1] if x[0] else x[1]) << (x[2] - e) if x[1] else 0 for x in parts]
+    def mul(a, b):
+        return fc_mul(a, b, wp)
 
-    def exp4(re, im):
-        # e^{pi i T/4} for one entry T: exact argument, exponential at wp
-        # bits, its two parts aligned to one binary exponent
-        z = mpc_expjpi((from_man_exp(re, e - 2), from_man_exp(im, e - 2)), wp)
-        return fc_cut(*fc_from_mpc(z, _EXP_ERR), wp)
-
-    def mul(*zs):
-        out = zs[0]
-        for z in zs[1:]:
-            out = fc_mul(out, z, wp)
-        return out
-
-    A, B, C = exp4(r00, i00), exp4(r01, i01), exp4(r11, i11)
-    E, F, G = (fc_pow(z, 8, wp) for z in (A, B, C))
+    A, B, C = (fc_cut(*fc_from_mpc(mpc_expjpi(z, wp), _EXP_ERR), wp) for z in t)
+    E, F, G = (mul(z, z) for z in (A, B, C))
     Einv, Finv = fc_inv(E, wp), fc_inv(F, wp)
     er, ei = fc_fixed(E, wp)
-    slope = -i01 / i00 if i00 else 0.0
-    steps = hi0 - lo0
-    sums = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    mom = [[0, 0], [0, 0], [0, 0]]
-    charge = [0, 0]
-    ks = range(2 * lo0 + a2[0], 2 * hi0 + a2[0] + 1, 2)
+    slope = -to_float(t[1][1]) / to_float(t[0][1])
+    ks = range(-K, K + 1)
+    width = 9 if moments else 3  # charge, sum, three moments; re, im each
+    # cells [charge, re, im, (k0^2, 2 k0 k1, k1^2 moments)] of row 0, and
+    # of the rows k1 > 0, each by class 4 r0 + r1
+    row0, pos = ([[0] * width for _ in range(16)] for _ in range(2))
 
-    def centre(n1):
-        # the row's largest term sits at the nearest lattice point to the
-        # minimum of Y11 v0^2 + 2 Y12 v0 v1 in v0
-        return min(hi0, max(lo0, round((slope * (2 * n1 + a2[1]) - a2[0]) / 2)))
-
-    def row(n1, c, x, u, w):
-        k1 = 2 * n1 + a2[1]
+    def row(k1, c, x, u, w):
         xr, xi = fc_fixed(x, wp)
-        re, im = [xr], [xi]
-        ratio = 0
-        if c < hi0:
-            up = _ray(xr, xi, *fc_fixed(u, wp), er, ei, hi0 - c, wp)
-            re += up[0]
-            im += up[1]
-            ratio = u[3]
-        if c > lo0:
-            down = _ray(xr, xi, *fc_fixed(w, wp), er, ei, c - lo0, wp)
-            re = down[0][::-1] + re
-            im = down[1][::-1] + im
-            ratio = max(ratio, w[3])
-        p, q = lo0 & 1, n1 & 1
-        charge[q] += _point_charge(x[3], ratio, E[3], steps)
-        for cls, sl in ((p, slice(0, None, 2)), (1 - p, slice(1, None, 2))):
-            sums[cls][q][0] += sum(re[sl])
-            sums[cls][q][1] += sum(im[sl])
+        up = _ray(xr, xi, *fc_fixed(u, wp), er, ei, K - c, wp)
+        down = _ray(xr, xi, *fc_fixed(w, wp), er, ei, c + K, wp)
+        parts = (down[0][::-1] + [xr] + up[0], down[1][::-1] + [xi] + up[1])
+        scale = (1, 1)
         if moments:
-            for j, vals in enumerate((re, im)):
-                m1 = sum(k * v for k, v in zip(ks, vals))
-                mom[0][j] += sum(k * k * v for k, v in zip(ks, vals))
-                mom[1][j] += 2 * k1 * m1
-                mom[2][j] += k1 * k1 * sum(vals)
+            k0v = [[k * z for k, z in zip(ks, v)] for v in parts]
+            parts += tuple([k * z for k, z in zip(ks, v)] for v in k0v) + tuple(k0v) + parts
+            scale += (1, 1, 2 * k1, 2 * k1, k1 * k1, k1 * k1)
+        a, bu, g = _point_charge(x[3], u[3], E[3])
+        bw = _point_charge(x[3], w[3], E[3])[1]
+        acc = pos if k1 else row0
+        for r0, (m, s1u, s1w, s2) in enumerate(_row_steps(c, K)):
+            sl = slice((r0 + K) % 4, None, 4)
+            cell = acc[4 * r0 + k1 % 4]
+            cell[0] += a * m + bu * s1u + bw * s1w + g * s2
+            for i, (f, v) in enumerate(zip(scale, parts), 1):
+                cell[i] += f * sum(v[sl])
 
-    # the start row, nearest k1 = 0, takes its seeds from powers
-    n_start = min(range(lo1, hi1 + 1), key=lambda n: abs(2 * n + a2[1]))
-    c_start = centre(n_start)
-    k0, k1 = 2 * c_start + a2[0], 2 * n_start + a2[1]
-    seeds = (mul(fc_pow(A, k0 * k0, wp), fc_pow(B, 2 * k0 * k1, wp), fc_pow(C, k1 * k1, wp)),
-             mul(fc_pow(A, 4 * (k0 + 1), wp), fc_pow(B, 4 * k1, wp)),
-             mul(fc_pow(A, 4 * (1 - k0), wp), fc_pow(B, -4 * k1, wp)))
-    row(n_start, c_start, *seeds)
-    # each way d = +-1 out: one vertical step at the old centre, by the
-    # ratio V of the terms at k1 + 2d and k1, then |new - old| horizontal
-    # steps to the new centre
-    for d, end, Fd, Fback in ((1, hi1, F, Finv), (-1, lo1, Finv, F)):
-        x, u, w = seeds
-        c = c_start
-        V = mul(fc_pow(B, 4 * d * k0, wp), fc_pow(C, 4 * (d * k1 + 1), wp))
-        for n1 in range(n_start + d, end + d, d):
-            x, V, u, w = mul(x, V), mul(V, G), mul(u, Fd), mul(w, Fback)
-            new = centre(n1)
-            while c < new:
-                x, u, w, V, c = mul(x, u), mul(u, E), mul(w, Einv), mul(V, Fd), c + 1
-            while c > new:
-                x, w, u, V, c = mul(x, w), mul(w, E), mul(u, Einv), mul(V, Fback), c - 1
-            row(n1, c, x, u, w)
-    bounds = [[charge[q] * len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2)) * 2.0 ** -wp
-               for q in (0, 1)] for p in (0, 1)]
-    return sums, (mom if moments else None), bounds
-
-
-def _to_mpc(z, wp):
-    """Fixed-point pair (re, im) with wp fractional bits as an mpc,
-    rounded once to the ambient precision."""
-    return mp.mpc(mp.mpf((z[0], -wp)), mp.mpf((z[1], -wp)))
+    # row 0 from its centre k0 = 0; each later row by one vertical step at
+    # the old centre, by the ratio V of the terms at k1 + 1 and k1, then
+    # |new - old| horizontal steps to the new centre
+    x, u, w, V, c = fc_cut(1, 0, 0, 0, wp), A, A, C, 0
+    row(0, c, x, u, w)
+    for k1 in range(1, K + 1):
+        x, V, u, w = mul(x, V), mul(V, G), mul(u, F), mul(w, Finv)
+        new = min(K, max(-K, round(slope * k1)))
+        while c < new:
+            x, u, w, V, c = mul(x, u), mul(u, E), mul(w, Einv), mul(V, F), c + 1
+        while c > new:
+            x, w, u, V, c = mul(x, w), mul(w, E), mul(u, Einv), mul(V, Finv), c - 1
+        row(k1, c, x, u, w)
+    # class r holds row 0's terms, those of the rows k1 > 0, and the terms
+    # at -k, equal to those at k, of class -r in the rows k1 > 0
+    tot = [[[p + q + s for p, q, s in zip(row0[4 * r0 + r1], pos[4 * r0 + r1],
+                                         pos[4 * (-r0 % 4) + -r1 % 4])]
+            for r1 in range(4)] for r0 in range(4)]
+    sums = [[v[1:3] for v in cells] for cells in tot]
+    mom = [[[v[3:5], v[5:7], v[7:9]] for v in cells] for cells in tot] if moments else None
+    return sums, mom, [[v[0] * 2.0 ** -wp for v in cells] for cells in tot]
 
 
 class _Sums(NamedTuple):
@@ -394,38 +387,44 @@ class _Sums(NamedTuple):
     pi: object
 
 
-def _run_kernel(tau, shift, a2, box, hiprec, moments=False):
-    """The kernel of the precision over the box at 2^shift tau.  High
-    precision must run under the working precision, as value_prec
+def _run_kernel(tau, shift, K, hiprec, moments=False):
+    """The kernel of the precision over the box [-K, K]^2 at 2^shift tau.
+    High precision must run under the working precision, as value_prec
     provides."""
     if hiprec:
         wp = mp.mp.prec + GUARD_BITS
-        run = _walk(_raw_entries(tau, shift), a2, box, wp, moments)
-        return _Sums(*run, sum, lambda z: _to_mpc(z, wp), 2.0 ** (1 - mp.mp.prec), mp.pi)
+        run = _walk(_raw_entries(tau, shift), K, wp, moments)
+        return _Sums(*run, sum, lambda z: fc_to_mpc((*z, -wp)), 2.0 ** (1 - mp.mp.prec), mp.pi)
     T = tau.entries()
     t = [z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])]
-    return _Sums(*_grid(t, a2, box, moments), math.fsum, lambda z: complex(*z),
-                 2 * _U, math.pi)
+    return _Sums(*_grid(t, K, moments), math.fsum, lambda z: complex(*z), 2 * _U, math.pi)
 
 
-def _theta_value(k, z, tail, bound):
-    """ThetaValue of the combined pair z of kernel run k: the tail, the
-    kernel's rounding bound of the classes combined in z and the final
-    rounding."""
-    val = k.round(z)
-    return ThetaValue(val, tail + (bound + k.ulp * float(abs(val))))
+# The classes r = k mod 4 of the lattice points k = m' mod 2, by m'.
+_CLASSES = {a: [(a[0] + 2 * p, a[1] + 2 * q) for p in (0, 1) for q in (0, 1)]
+            for a in MPRIME_ORDER}
 
 
-def _character_sum(sums, a2, mdbl, add):
-    """theta[m'; m''] from the parity sums of its m' class, as an (re, im)
-    pair: i^{a2.m''} sum_pq (-1)^{p m''_1 + q m''_2} S_pq, each component
-    combined by `add`."""
-    signed = [s if (p * mdbl[0] + q * mdbl[1]) % 2 == 0 else (-s[0], -s[1])
-              for p, row in enumerate(sums) for q, s in enumerate(row)]
-    re, im = add(s[0] for s in signed), add(s[1] for s in signed)
-    for _ in range((a2[0] * mdbl[0] + a2[1] * mdbl[1]) % 4):
-        re, im = -im, re
-    return re, im
+def _class_sum(k, cells, mprime, mdbl):
+    """sum over the classes r = m' mod 2 of i^{r.m''} cells[r], cells a 4 x 4
+    list of (re, im) pairs of kernel run k, each component combined by
+    k.add."""
+    parts = []
+    for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2]:
+        z = cells[r0][r1]
+        for _ in range((r0 * mdbl[0] + r1 * mdbl[1]) % 4):
+            z = (-z[1], z[0])
+        parts.append(z)
+    return k.add(z[0] for z in parts), k.add(z[1] for z in parts)
+
+
+def _theta(k, tail, mprime, mdbl):
+    """ThetaValue of theta[m'; m''] from kernel run k over its k = 2n + m'
+    (module docstring): the tail, the rounding bounds of its four classes
+    and the final rounding."""
+    val = k.round(_class_sum(k, k.sums, mprime, mdbl))
+    bound = sum(k.bounds[r0][r1] for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2])
+    return ThetaValue(val, tail + (bound + k.ulp * abs(complex(val))))
 
 
 def _truncation(lam, eps):
@@ -434,23 +433,22 @@ def _truncation(lam, eps):
     return R, _tail(lam, R)
 
 
-def _theta_class(mprime, mdbls, tau, R, tail, hiprec):
-    """theta[m'; m''] for each m'' in mdbls, all from one kernel run over
-    the parity classes of m' in the box of radius R."""
-    a2 = tuple(int(x) % 2 for x in mprime)
-    with value_prec(hiprec):
-        k = _run_kernel(tau, 0, a2, ((-R, R), (-R, R)), hiprec)
-        bound = sum(x for row in k.bounds for x in row)
-        return [_theta_value(k, _character_sum(k.sums, a2, b, k.add), tail, bound)
-                for b in mdbls]
+def _first_order(tau, eps, hiprec):
+    """(run, tail): the one kernel run at tau/4 behind every first-order
+    constant at tau, over K = 2R + 1 for the radius R of eps.  High
+    precision must run under the working precision."""
+    R, tail = _truncation(tau.lam_min, eps)
+    return _run_kernel(tau, -2, 2 * R + 1, hiprec), tail
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
     """Theta constant for integer (possibly unreduced) characteristic
-    vectors.  The m' part is reduced internally by an exact lattice shift;
-    the m'' part is kept as given, so the classical shift sign
-    theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
-    return _theta_class(mprime, [mdbl], tau, *_truncation(tau.lam_min, eps), hiprec)[0]
+    vectors.  The lattice points k = 2n + m' depend on m' mod 2 only, and
+    m'' is kept as given in the exact factor i^{k.m''}, so the classical
+    shift sign theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the
+    series itself."""
+    with value_prec(hiprec):
+        return _theta(*_first_order(tau, eps, hiprec), mprime, mdbl)
 
 
 def theta_constant(m, tau, eps=1e-12, hiprec=False):
@@ -479,43 +477,44 @@ def theta_second_order(mprime, tau, eps=1e-12, hiprec=False):
 
 def theta_second_vector(tau, eps=1e-12, hiprec=False):
     """The four second-order constants in MPRIME_ORDER, from one kernel
-    run: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over k = 2n + m', so
-    the box k in [-2R, 2R+1]^2 at tau/2, split by k mod 2, holds exactly
-    the terms of the four separate series."""
+    run at tau/2: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over
+    k = 2n + m', the classes k = m' mod 2 of the run."""
     # 2 lam_min is the least eigenvalue of Im 2 tau, exactly
     R, tail = _truncation(2 * tau.lam_min, eps)
     with value_prec(hiprec):
-        k = _run_kernel(tau, -1, (0, 0), ((-2 * R, 2 * R + 1),) * 2, hiprec)
-        return tuple(_theta_value(k, k.sums[p][q], tail, k.bounds[p][q])
-                     for p, q in MPRIME_ORDER)
+        k = _run_kernel(tau, -1, 2 * R + 1, hiprec)
+        return tuple(_theta(k, tail, mpv, (0, 0)) for mpv in MPRIME_ORDER)
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False):
-    """All ten even first-order constants, keyed by 4-bit index; the
-    constants sharing m' come from one kernel run, all four runs over the
-    same box."""
-    R, tail = _truncation(tau.lam_min, eps)
-    out = {}
-    for mpv in MPRIME_ORDER:
-        ms = [m for m in EVEN_CHARS if mprime_of(m) == mpv]
-        out.update(zip(ms, _theta_class(mpv, [mdbl_of(m) for m in ms], tau, R, tail, hiprec)))
-    return {m: out[m] for m in EVEN_CHARS}
+    """All ten even first-order constants, keyed by 4-bit index, from one
+    kernel run."""
+    with value_prec(hiprec):
+        k, tail = _first_order(tau, eps, hiprec)
+        return {m: _theta(k, tail, mprime_of(m), mdbl_of(m)) for m in EVEN_CHARS}
+
+
+def theta_gradient_vector(tau, eps, hiprec):
+    """The gradients of the four Theta_{m'} in MPRIME_ORDER, each
+    (d/dtau11, d/dtau12, d/dtau22) with the off-diagonal derivative
+    counting the symmetric entry once, from one kernel run with moments.
+    Differentiating the terms e^{pi i k^T (tau/2) k} of Theta_{m'} gives
+    the weights pi i/2 times k0^2, 2 k0 k1 and k1^2, the moments' integer
+    weights."""
+    R = _radius(2 * tau.lam_min, eps, poly=2, scale=4 * math.pi)
+    with value_prec(hiprec):
+        k = _run_kernel(tau, -1, 2 * R + 1, hiprec, moments=True)
+        half_pi_i = 1j * (k.pi / 2)
+        return tuple(tuple(half_pi_i * k.round(_class_sum(
+            k, [[cell[j] for cell in cells] for cells in k.mom], mpv, (0, 0)))
+            for j in range(3)) for mpv in MPRIME_ORDER)
 
 
 def theta_gradient(mprime, tau, eps=1e-12, hiprec=False):
-    """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau, the off-diagonal
-    derivative counting the symmetric entry once.  Differentiating the
-    2 tau series termwise gives weights 2 pi i v1^2, 4 pi i v1 v2,
-    2 pi i v2^2 on the shifted lattice points v = n + m'/2; the kernel's
-    moments carry the integer weights k1^2, 2 k1 k2, k2^2 of k = 2v, so
-    the prefactor becomes pi i / 2."""
-    lam2 = 2 * tau.lam_min
-    R = _radius(lam2, eps, poly=2, scale=4 * math.pi)
-    a2 = tuple(int(x) % 2 for x in mprime)
-    with value_prec(hiprec):
-        k = _run_kernel(tau, 1, a2, ((-R, R), (-R, R)), hiprec, moments=True)
-        half_pi_i = 1j * (k.pi / 2)
-        return tuple(half_pi_i * k.round(z) for z in k.mom)
+    """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau: its entry of
+    theta_gradient_vector."""
+    return theta_gradient_vector(tau, eps, hiprec)[
+        MPRIME_ORDER.index(tuple(x % 2 for x in mprime))]
 
 
 # --- exact transformation factors ---------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from mpmath.libmp import mpc_expjpi
 
 from azy5.chars import EVEN_CHARS, mdbl_of, mprime_of
+from azy5.forms import chi5_determinant
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
 from azy5.theta import (GUARD_BITS, MPRIME_ORDER, _doubled, _radius, _raw_entries,
@@ -54,7 +55,7 @@ def _worst_transformed():
 
 
 def _skewed():
-    # |Y12 / Y11| = 1.6 > 1, so the centres nint(-Y12 v2 / Y11 - a1) of the
+    # |Y12 / Y11| = 1.6 > 1, so the centres nint(-Y12 k1 / Y11) of the
     # outer rows fall outside the box and are clipped to its edge
     return SiegelPoint([[0.2 + 0.5j, -0.1 + 0.8j], [-0.1 + 0.8j, 0.3 + 2.0j]])
 
@@ -135,10 +136,10 @@ def test_second_vector_matches_second_order(name, prec, direct_mp):
 
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_second_vector_err_is_charged_its_own_class(name):
-    """A double second-order constant is one parity class of the run at
-    tau/2, so its bound is no larger than that of its own series at 2 tau,
-    which has the same terms; a bound over the whole box would be about
-    four times as large."""
+    """A double second-order constant is the four classes k = m' mod 2 of
+    the run at tau/2, charged their bounds only, so its bound is no larger
+    than that of its own series at 2 tau, which has the same terms; a
+    bound over the whole box would be about four times as large."""
     tau = POINTS[name]()
     vec = theta_second_vector(tau, 1e-12)
     for k, mpv in enumerate(MPRIME_ORDER):
@@ -146,45 +147,49 @@ def test_second_vector_err_is_charged_its_own_class(name):
 
 
 def test_walk_bounds_count_each_class(monkeypatch):
-    """The walk charges each parity class the points of that class, on a
-    box whose sides have odd and even lengths and start at odd and even
-    n; the four bounds thus add up to the bound of the whole box.  Each
-    row charges each of its points _point_charge of its seeds' error
-    counts: once with the real charges, whose four bounds add up to the
-    sum over the rows, and once with a unit charge per point."""
+    """The walk visits the rows k1 >= 0 of the symmetric box [-K, K]^2
+    and credits each term of a row k1 > 0 to the classes of k and of -k.
+    With a unit charge per point, each point of the box is counted once,
+    in its own class mod 4, for an odd and an even K.  With the real
+    charges, the mirrored classes r and -r of the rows k1 > 0 receive
+    equal charges, so the classes with r1 != 0, which row 0 does not
+    reach, have equal bounds in mirrored pairs.  The closed-form step
+    sums of a ray, and of a row by class, equal the direct sums over
+    their points."""
     import azy5.theta as theta
-    lo0, hi0, lo1, hi1 = -3, 2, -2, 4
     wp = 53 + GUARD_BITS
-    box = ((lo0, hi0), (lo1, hi1))
-    charge, charges = theta._point_charge, []
+    t = _raw_entries(_generic(), -2)
+    for K in (5, 6):
+        with mp.workdps(16), monkeypatch.context() as patch:
+            _, _, bounds = _walk(t, K, wp)
+            patch.setattr(theta, "_point_charge", lambda *args: (1, 0, 0))
+            _, _, unit = _walk(t, K, wp)
+        for r0 in range(4):
+            for r1 in range(4):
+                count = sum(1 for k0 in range(-K, K + 1) for k1 in range(-K, K + 1)
+                            if (k0 % 4, k1 % 4) == (r0, r1))
+                assert unit[r0][r1] == count * 2.0 ** -wp, (K, r0, r1)
+                if r1:
+                    assert bounds[r0][r1] == bounds[-r0 % 4][-r1 % 4] > 0, (K, r0, r1)
+    for n in range(12):
+        direct = [[0, 0, 0] for _ in range(4)]
+        for j in range(1, n + 1):
+            direct[j % 4] = [a + b for a, b in zip(direct[j % 4], (1, j, j * (j - 1)))]
+        assert [list(s) for s in theta._ray_steps(n)] == direct, n
+    K = 6
+    for c in range(-K, K + 1):
+        direct = [[0, 0, 0, 0] for _ in range(4)]
+        for k0 in range(-K, K + 1):
+            j = abs(k0 - c)
+            cell = direct[k0 % 4]
+            cell[0] += 1
+            cell[1 if k0 > c else 2] += j
+            cell[3] += j * (j - 1)
+        assert theta._row_steps(c, K) == direct, c
 
-    def recorded(*args):
-        charges.append(charge(*args))
-        return charges[-1]
 
-    with mp.workdps(16):
-        monkeypatch.setattr(theta, "_point_charge", recorded)
-        _, _, bounds = _walk(_raw_entries(_generic()), (1, 0), box, wp)
-        monkeypatch.setattr(theta, "_point_charge", lambda *args: 1)
-        _, _, unit = _walk(_raw_entries(_generic()), (1, 0), box, wp)
-    cols = [len(range(lo0 + (p - lo0) % 2, hi0 + 1, 2)) for p in (0, 1)]
-    assert len(charges) == hi1 - lo1 + 1
-    assert sum(map(sum, bounds)) == pytest.approx(
-        sum(charges) * (hi0 - lo0 + 1) * 2.0 ** -wp, rel=1e-12)
-    for q in (0, 1):
-        assert bounds[0][q] * cols[1] == pytest.approx(bounds[1][q] * cols[0], rel=1e-12)
-    for p in (0, 1):
-        for q in (0, 1):
-            count = sum(1 for n0 in range(lo0, hi0 + 1) for n1 in range(lo1, hi1 + 1)
-                        if (n0 % 2, n1 % 2) == (p, q))
-            assert unit[p][q] == count * 2.0 ** -wp
-
-
-@pytest.mark.parametrize("radius", [3, 12])
-def test_walk_makes_three_exponentials(radius, monkeypatch):
-    """A run takes e^{pi i T11/4}, e^{pi i T12/4} and e^{pi i T22/4} from
-    mpmath and derives every other factor by multiplication, whatever the
-    size of the box."""
+def _count_exponentials(monkeypatch):
+    """Record each mpmath exponential the walk takes."""
     import azy5.theta as theta
     calls = []
 
@@ -193,19 +198,35 @@ def test_walk_makes_three_exponentials(radius, monkeypatch):
         return mpc_expjpi(*args, **kwargs)
 
     monkeypatch.setattr(theta, "mpc_expjpi", counted)
+    return calls
+
+
+@pytest.mark.parametrize("radius", [3, 12])
+def test_walk_makes_three_exponentials(radius, monkeypatch):
+    """A run takes e^{pi i T11}, e^{pi i T12} and e^{pi i T22} from mpmath
+    and derives every other factor by multiplication, whatever the size
+    of the box."""
+    calls = _count_exponentials(monkeypatch)
     with mp.workdps(50):
-        _walk(_raw_entries(_generic()), (1, 0), ((-radius, radius),) * 2,
-              mp.mp.prec + GUARD_BITS)
+        _walk(_raw_entries(_generic(), -2), 2 * radius + 1, mp.mp.prec + GUARD_BITS)
+    assert len(calls) == 3
+
+
+def test_all_even_makes_three_exponentials(monkeypatch):
+    """The ten even constants in high precision come from one run, and so
+    from three mpmath exponentials."""
+    calls = _count_exponentials(monkeypatch)
+    theta_all_even(_generic(), PRECISIONS["hiprec"][1], hiprec=True)
     assert len(calls) == 3
 
 
 def test_long_recurrence_against_direct_sum(near_point, direct_mp):
-    """At lam_min 0.03 the walk derives more than 80 rows of seeds from
+    """At lam_min 0.03 the walk derives more than 40 rows of seeds from
     its start row; the second-order constants and one even constant per
     m' class still match the direct sum within their err."""
     hiprec, eps, dps, slack = PRECISIONS["hiprec"]
     tau = near_point(0.03, 0.5, 0.4, 0.3, -0.2, 0.25)
-    assert 4 * _radius(2 * tau.lam_min, eps) + 2 > 80  # rows k in [-2R, 2R+1]
+    assert 2 * _radius(2 * tau.lam_min, eps) + 1 > 40  # rows k1 in [1, 2R+1]
     doubled = _doubled(tau)
     R = truncation_radius(doubled, eps) + WIDER
     for mpv, tv in zip(MPRIME_ORDER, theta_second_vector(tau, eps, hiprec)):
@@ -257,8 +278,9 @@ def test_gradient_against_direct_weighted_sum(name, prec, near_point):
 
 @pytest.mark.parametrize("prec", sorted(PRECISIONS))
 def test_one_kernel_run_per_concept(prec, monkeypatch):
-    """Four runs for the ten even constants, one for the four second-order
-    constants and one per gradient, whichever kernel fills the sums."""
+    """One run for the ten even constants, one for the four second-order
+    constants and one for the four gradients, whichever kernel fills the
+    sums; so chi5_determinant makes at most two."""
     import azy5.theta as theta
     hiprec, eps, _, _ = PRECISIONS[prec]
     name = "_walk" if hiprec else "_grid"
@@ -271,9 +293,10 @@ def test_one_kernel_run_per_concept(prec, monkeypatch):
 
     monkeypatch.setattr(theta, name, counted)
     tau = _generic()
-    for fn, runs in ((lambda: theta_all_even(tau, eps, hiprec), 4),
+    for fn, runs in ((lambda: theta_all_even(tau, eps, hiprec), 1),
                      (lambda: theta_second_vector(tau, eps, hiprec), 1),
-                     (lambda: theta_gradient((1, 0), tau, eps, hiprec), 1)):
+                     (lambda: theta_gradient((1, 0), tau, eps, hiprec), 1),
+                     (lambda: chi5_determinant(tau, eps, hiprec), 2)):
         calls.clear()
         fn()
         assert len(calls) == runs
@@ -281,8 +304,8 @@ def test_one_kernel_run_per_concept(prec, monkeypatch):
 
 @pytest.mark.parametrize("prec", sorted(PRECISIONS))
 def test_all_even_sizes_its_box_once(prec, monkeypatch):
-    """The four kernel runs of theta_all_even share one truncation
-    radius, computed once."""
+    """The one kernel run of theta_all_even sizes its box by one
+    truncation radius, computed once."""
     import azy5.theta as theta
     hiprec, eps, _, _ = PRECISIONS[prec]
     radius, calls = theta._radius, []

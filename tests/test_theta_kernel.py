@@ -151,19 +151,35 @@ def test_walk_bounds_count_each_class(monkeypatch):
     and credits each term of a row k1 > 0 to the classes of k and of -k.
     With a unit charge per point, each point of the box is counted once,
     in its own class mod 4, for an odd and an even K.  With the real
-    charges, the mirrored classes r and -r of the rows k1 > 0 receive
-    equal charges, so the classes with r1 != 0, which row 0 does not
+    charges, each class's bound is the sum of _point_charge of its rows'
+    seeds at each point's own step count, and the mirrored classes r and
+    -r of the rows k1 > 0 receive equal charges, so the classes with r1 != 0, which row 0 does not
     reach, have equal bounds in mirrored pairs.  The closed-form step
     sums of a ray, and of a row by class, equal the direct sums over
     their points."""
     import azy5.theta as theta
     wp = 53 + GUARD_BITS
     t = _raw_entries(_generic(), -2)
+    charge, row_steps = theta._point_charge, theta._row_steps
     for K in (5, 6):
+        charges, centres = [], []
         with mp.workdps(16), monkeypatch.context() as patch:
+            patch.setattr(theta, "_point_charge", lambda *a: charges.append(a) or charge(*a))
+            patch.setattr(theta, "_row_steps", lambda c, k: centres.append(c) or row_steps(c, k))
             _, _, bounds = _walk(t, K, wp)
             patch.setattr(theta, "_point_charge", lambda *args: (1, 0, 0))
             _, _, unit = _walk(t, K, wp)
+        # each row charges (up, down) seeds, then sums by class around its centre
+        direct = [[0] * 4 for _ in range(4)]
+        for k1, c in enumerate(centres[:K + 1]):
+            (a, bu, g), (_, bw, _) = charge(*charges[2 * k1]), charge(*charges[2 * k1 + 1])
+            for k0 in range(-K, K + 1):
+                j = abs(k0 - c)
+                q = a + (bu if k0 > c else bw) * j + g * j * (j - 1)
+                direct[k0 % 4][k1 % 4] += q
+                if k1:
+                    direct[-k0 % 4][-k1 % 4] += q
+        assert bounds == [[q * 2.0 ** -wp for q in row] for row in direct], K
         for r0 in range(4):
             for r1 in range(4):
                 count = sum(1 for k0 in range(-K, K + 1) for k1 in range(-K, K + 1)

@@ -85,7 +85,7 @@ s_t + j (s_u + 1.5) + (s_E + 1.5) j (j - 1)/2, with s_t, s_u and s_E
 those of the row's t, of the ratio its way walks by (u or w), and of E.
 Each point is charged twice that at its own j, the factor two covering
 second-order terms (_point_charge); a row sums those charges over the
-points of each class in closed form (_ray_charges), and a class's bound
+points of each class in closed form (_row_steps), and a class's bound
 is the sum over the rows.  The integer sums are exact, so the result
 does not depend on summation order and is deterministic.
 

@@ -12,10 +12,9 @@ from .chars import (EVEN_CHARS, M0, ODD_CHARS, act_char, act_set, chi_p,
                     classify_quadruple, classify_triple, even_quadruples,
                     even_triples, format_char, pair_sign, parity, parse_char,
                     psi_p)
-from .construction import (AZY_NORMALIZATION, LambdaEstimate,
-                           alternate_system, estimate_lambda,
-                           geometric_crosscheck, invariance_word, phi,
-                           phi_gamma, phi_modularity_error, phi_transversal,
+from .construction import (AZY_NORMALIZATION, LambdaEstimate, estimate_lambda,
+                           geometric_crosscheck, phi, phi_gamma,
+                           phi_modularity_error, phi_transversal,
                            rep_independence_error)
 from .forms import (azy, azy_eval, chi5_determinant, chi5_product, chi10,
                     chi12, mono_key, monomial_at, mu_ratio, p2, slash_unit,
@@ -55,10 +54,9 @@ __all__ = [
     "ADDITION_TABLE", "Tetrahedron", "addition_residuals", "all_faces",
     "all_tetrahedra", "f_m", "faces_from_vertices", "quadric_value",
     "tetrahedron",
-    "AZY_NORMALIZATION", "LambdaEstimate", "alternate_system",
-    "estimate_lambda", "geometric_crosscheck", "invariance_word", "phi",
-    "phi_gamma", "phi_modularity_error", "phi_transversal",
-    "rep_independence_error",
+    "AZY_NORMALIZATION", "LambdaEstimate", "estimate_lambda",
+    "geometric_crosscheck", "phi", "phi_gamma", "phi_modularity_error",
+    "phi_transversal", "rep_independence_error",
     "CheckResult", "EvalReport",
     "__version__",
 ]

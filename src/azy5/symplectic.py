@@ -181,9 +181,12 @@ THETA0_2 = "theta0(2)"
 
 
 def subgroup_generators(spec):
-    """A finite generating-ish alphabet for sampling random elements of the
-    subgroup (words in these letters certainly lie in it; the samplers in
-    the tests only need cheap, well-spread elements, not surjectivity)."""
+    """A finite alphabet of elements of the subgroup, for random words and
+    for checks on its letters.  For THETA0_2 it holds the three upper
+    translations, the three doubled lower translations and three
+    rotations whose 2x2 blocks S, T and R generate GL2(Z), so every
+    rotation is a word in them; construction.rep_independence_error
+    relies on that.  It is not claimed to generate the whole subgroup."""
     if spec == FULL:
         return GENERATORS
     doubled = [tuple(tuple(2 * x for x in row) for row in S) for S in (E11, E22, ESYM)]

@@ -22,13 +22,15 @@ from azy5.theta import _radius, _tail
 REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
            "cancellation_guard", "g", "images"}
 # Parameters removed from one callable, where other callables keep the name:
-# phi_modularity_error covers all four generators at once, and
-# phi_transversal takes its representatives as a plain tuple.
+# phi_modularity_error covers all four generators at once,
+# phi_transversal multiplies over the canonical transversal only, and
+# rep_independence_error checks fixed generators, not a seeded draw.
 REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
                 (azy5.symmetrize_numeric, {"eps", "hiprec"}),
                 (_tail, {"g"}), (_radius, {"g"}),
                 (azy5.phi_modularity_error, {"gamma"}),
-                (azy5.phi_transversal, {"system"}))
+                (azy5.phi_transversal, {"system", "reps"}),
+                (azy5.rep_independence_error, {"seed"}))
 
 
 def _public_callables():
@@ -45,7 +47,6 @@ def test_no_public_callable_takes_a_removed_knob():
         assert not params & REMOVED, (name, params & REMOVED)
         seen += 1
     assert seen > 50
-    assert "length" not in inspect.signature(azy5.invariance_word).parameters
     assert not set(inspect.signature(_bfs_transversal).parameters) & REMOVED
     for obj, names in REMOVED_FROM:
         assert not set(inspect.signature(obj).parameters) & names, obj

@@ -194,12 +194,13 @@ def test_empty_tau_file_exits_1(tmp_path, capsys, argv):
 
 
 def test_verify_evaluates_each_quantity_once(monkeypatch, capsys):
-    """At 3 points: 15 factors per point for representative
-    independence and 15 for the crosscheck, and per point one phi(tau)
-    for representative independence, five for modularity (tau and its
-    four generator images) and one for lambda."""
+    """At 3 points: 15 factors per point, all for the crosscheck; per
+    point five phi for modularity (tau and its four generator images) and
+    one for lambda; and per point ten P2 for representative independence
+    (tau and its nine generator images) and one in each of the 15
+    factors."""
     import azy5.construction as construction
-    calls = {"phi_gamma": 0, "phi": 0}
+    calls = {"phi_gamma": 0, "phi": 0, "p2": 0}
 
     def counted(name):
         fn = getattr(construction, name)
@@ -213,7 +214,8 @@ def test_verify_evaluates_each_quantity_once(monkeypatch, capsys):
         monkeypatch.setattr(construction, name, counted(name))
     assert run(["verify", "--samples", "3"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
-    assert calls == {"phi_gamma": 3 * (15 + 15), "phi": 3 * (1 + 5 + 1)}
+    assert calls == {"phi_gamma": 3 * 15, "phi": 3 * (5 + 1),
+                     "p2": 3 * (10 + 15)}
 
 
 def test_genus1_tau_file_exits_1(tmp_path, capsys):

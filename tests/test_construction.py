@@ -129,8 +129,8 @@ def test_geometric_crosscheck():
 def test_hiprec_geometric_crosscheck_resolves_beyond_double():
     """The F values and their ratios to phi_gamma stay at working
     precision, so the spreads and the product residual show the 1e-30
-    constants, far below the
-    2^-53 that F products rounded at double precision leave."""
+    constants, far below the 2^-53 that F products rounded at double
+    precision leave."""
     per_rep, product_error = geometric_crosscheck(sample_taus(seed=0, count=3),
                                                   1e-30, hiprec=True)
     assert max(s for _, s in per_rep.values()) < 1e-25

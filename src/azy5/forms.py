@@ -33,6 +33,22 @@ in the second-order constants Theta: face_product, over the one
 certified_product that also multiplies phi_transversal's factors and
 charges the factor errors and its own rounding.
 
+Bookkeeping runs on arrays.  Each tuple of faces and each tuple of
+signed terms becomes an index plan once (_face_plan, _term_plan, cached
+like azy_terms): the signed parts of Theta that each face sums, and the
+exponents of each monomial over the ten constants.  A call then
+propagates the certified errors in a few numpy steps over the plan
+(_product_errs): moduli, logs, the double range guard, the exp * expm1
+error of every product and the weights of the rounding terms.  High
+precision feeds its fc_abs moduli and error counts into the same arrays.
+The values do not go through numpy: each face is one exactly rounded
+math.fsum (an exact integer sum in high precision), and the products
+are CPython complex (or integer) arithmetic on Python lists, in a fixed
+order, because numpy's complex multiply rounds differently in the last
+bit.  So the values are bit for bit those of a per-element evaluation
+(tests/test_bounds.py), and only the last digits of the bounds depend
+on the order of the array sums.
+
 Forms provided:
   * chi5_product: the weight-5 product of the ten even constants, and its
     expression chi5_determinant as a constant multiple of the 4 x 4
@@ -54,6 +70,7 @@ import operator
 from functools import lru_cache, partial, reduce
 
 import mpmath as mp
+import numpy as np
 
 from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
 from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
@@ -87,44 +104,36 @@ def monomial_degree(key):
     return sum(e for _, e in key)
 
 
-def _factor_logs(a, err):
-    """(log a, log1p(err / a), log(a + err)) of a factor of modulus a with
-    certified error err, the first None for a = 0 and the last None for
-    a + err = 0: what product_err reads of a factor, computed once per
-    factor however many products it enters."""
-    hi = a + err
-    hi_log = math.log(hi) if hi else None
-    if a == 0.0:
-        return None, 0.0, hi_log
-    return math.log(a), math.log1p(err / a), hi_log
+def _product_errs(mods, errs, expo):
+    """(err, log_abs): for each row i of the exponent matrix expo, the
+    product_err of the factors of moduli `mods` and certified errors
+    `errs` (float arrays) raised to expo[i], and the log of the product's
+    modulus (-inf when a factor is zero).
 
-
-def _product_err_logs(factors):
-    """product_err from per-factor _factor_logs: `factors` iterates
-    (logs, exp).  Returns (err, log prod |v_i|^{e_i}), the log None when
-    a factor is zero."""
-    lo_log = 0.0
-    delta = 0.0
-    hi_log = 0.0
-    lo_zero = False
-    for (lo, d, hi), e in factors:
-        if hi is None:
-            return 0.0, None
-        hi_log += e * hi
-        if lo is None:
-            lo_zero = True
-        else:
-            lo_log += e * lo
-            delta += e * d
-    if lo_zero:
-        return _exp(hi_log), None
-    if delta > 1.0:
-        # a factor is dominated by its own error (theta numerically zero);
-        # expm1 would overflow and its one-ulp precision is irrelevant here,
-        # so fall back to the slightly larger pure log-space bound
-        return _exp(lo_log + delta) * (1 + 1e-12) + 5e-324, lo_log
-    # one-ulp slop of the float evaluation absorbed by a small inflation
-    return math.exp(lo_log) * math.expm1(delta) * (1 + 1e-12) + 5e-324, lo_log
+    In log space, with lo = sum e_j log|v_j| and
+    delta = sum e_j log1p(err_j / |v_j|), the error is
+    e^lo expm1(delta), or e^(lo + delta) when delta > 1 (a factor
+    dominated by its own error, where expm1's precision no longer
+    matters); a product with a zero factor is off by at most
+    prod(|v_j| + err_j)^e_j, and by 0 when that factor's error is 0 too.
+    Each log sum is off by at most n u sum|terms| for n factors, in any
+    order of summation (4.7e-13 at most over the faces of the
+    near-boundary points), which the 1e-12 inflation covers together
+    with the one-ulp slop of log, log1p, exp and expm1."""
+    zero = mods == 0.0
+    safe = mods + zero  # 1 in place of a zero modulus
+    lo = expo @ np.log(safe)
+    delta = expo @ np.log1p(errs / safe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.where(delta > 1.0, np.exp(lo + delta), np.exp(lo) * np.expm1(delta))
+        err = err * (1 + 1e-12) + 5e-324
+        if np.count_nonzero(zero):
+            hi = mods + errs
+            on_zero = expo[:, zero].any(axis=1)
+            err = np.where(on_zero, np.exp(expo @ np.log(hi + (hi == 0.0))), err)
+            err[expo[:, hi == 0.0].any(axis=1)] = 0.0
+            lo[on_zero] = -np.inf
+    return err, lo
 
 
 def _exp(x):
@@ -137,8 +146,8 @@ def product_err(factors):
     errors: prod(|v_i| + err_i)^{e_i} - prod |v_i|^{e_i}, evaluated in log
     space so that errors far below one ulp of the values still register.
     `factors` iterates (value, err, exp)."""
-    return _product_err_logs((_factor_logs(float(abs(v)), err), e)
-                             for v, err, e in factors)[0]
+    rows = np.array([(float(abs(v)), err, e) for v, err, e in factors]).reshape(-1, 3)
+    return float(_product_errs(rows[:, 0], rows[:, 1], rows[None, :, 2])[0][0])
 
 
 # --- the certified product -----------------------------------------------
@@ -160,53 +169,73 @@ _COORDINATE_FACES = tuple(tuple(complex(j == k) for j in range(4)) for k in rang
 def _pairwise_product(vals, mul=operator.mul):
     """Product of a list as a balanced tree of n - 1 multiplications."""
     while len(vals) > 1:
-        nxt = [mul(a, b) for a, b in zip(vals[::2], vals[1::2])]
+        nxt = list(map(mul, vals[::2], vals[1::2]))
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
 
 
-def certified_product(factors, hiprec):
-    """ThetaValue of the product of `factors`, pairs (v, e) of a factor in
-    its working form (a complex in double, a floating complex in high
-    precision) and a certified bound e on its distance from the exact
-    factor.  product_err bounds the effect of the e by
-    prod(|v| + e) - prod |v|; the n - 1 multiplications form a pairwise
-    tree.  In double each has relative error at most sqrt(5) u,
-    u = 2^-53 (Brent, Percival and Zimmermann, Math. Comp. 76 (2007)),
-    so the computed P is within ((1 + sqrt(5) u)^(n-1) - 1) prod |v|
-    <= 2 (n - 1) sqrt(5) u |P| of prod v, provided every partial product
-    is normal: a product that could leave the range raises.  In high
-    precision they are numeric.fc_mul at wp = prec + GUARD_BITS bits:
-    P is within 2 c 2^-wp |P| of prod v for its error count c (the two
-    covers second-order terms), and rounding P to an mpc adds
-    2^(1 - prec) |P|."""
-    vals = [v for v, _ in factors]
+def certified_product(vals, mods, errs, hiprec):
+    """ThetaValue of the product of the factors `vals`, in their working
+    form (complex in double, floating complex in high precision), of
+    moduli `mods` (floats) and certified bounds `errs` on their distances
+    from the exact factors.  product_err bounds the effect of the errs by
+    prod(|v| + e) - prod |v|, from the arrays of _product_errs; the n - 1
+    multiplications form a pairwise tree.  In double each has relative
+    error at most sqrt(5) u, u = 2^-53 (Brent, Percival and Zimmermann,
+    Math. Comp. 76 (2007)), so the computed P is within
+    ((1 + sqrt(5) u)^(n-1) - 1) prod |v| <= 2 (n - 1) sqrt(5) u |P| of
+    prod v, provided every partial product is normal: a product whose
+    log moduli leave _LOG_TINY/_LOG_HUGE raises.  In high precision they
+    are numeric.fc_mul at wp = prec + GUARD_BITS bits: P is within
+    2 c 2^-wp |P| of prod v for its error count c (the two covers
+    second-order terms), and rounding P to an mpc adds 2^(1 - prec) |P|.
+
+    The products stay CPython complex (or integer) arithmetic on Python
+    lists: numpy's complex multiply rounds differently in the last bit."""
+    mods = np.asarray(mods, float)
     with value_prec(hiprec):
         if hiprec:
             wp = mp.mp.prec + GUARD_BITS
-            mods = [fc_abs(v) for v in vals]
             P = _pairwise_product(vals, partial(fc_mul, wp=wp))
             value = fc_to_mpc(P)
             rounding = (2 * P[3] * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec)) * fc_abs(P)
         else:
-            mods = [abs(v) for v in vals]
-            logs = [math.log(m) for m in mods if m]
-            if (sum(t for t in logs if t < 0) < _LOG_TINY
-                    or sum(t for t in logs if t > 0) > _LOG_HUGE):
+            logs = np.log(mods[mods > 0.0])
+            if logs[logs < 0].sum() < _LOG_TINY or logs[logs > 0].sum() > _LOG_HUGE:
                 raise ArithmeticError("the product leaves the double range; use hiprec")
             value = _pairwise_product(vals)
             rounding = 2 * (len(vals) - 1) * math.sqrt(5) * _U * abs(value)
-    err = _product_err_logs((_factor_logs(m, e), 1) for m, (_, e) in zip(mods, factors))[0]
-    return ThetaValue(value, err + rounding)
+    err = _product_errs(mods, np.asarray(errs, float), np.ones((1, len(vals))))[0][0]
+    return ThetaValue(value, float(err) + rounding)
 
 
 def value_product(tvs, hiprec):
     """certified_product of ThetaValues at the working precision: in high
     precision each mpc value enters a floating complex exactly."""
-    return certified_product([(fc_from_mpc(t.value) if hiprec else t.value, t.err)
-                              for t in tvs], hiprec)
+    vals = [fc_from_mpc(t.value) if hiprec else t.value for t in tvs]
+    mods = [fc_abs(v) if hiprec else abs(v) for v in vals]
+    return certified_product(vals, mods, [t.err for t in tvs], hiprec)
+
+
+# (Re, Im) of a Theta_k as offsets into the signed parts of face_product,
+# for the four units a: 0 Re Theta, 4 Im Theta, 8 -Re Theta, 12 -Im Theta.
+_UNIT_PARTS = {1: (0, 4), -1: (8, 12), 1j: (12, 0), -1j: (4, 8)}
+
+
+@lru_cache(maxsize=64)
+def _face_plan(faces):
+    """(index, support) of a tuple of faces: index[p, i] lists the terms
+    of part p (0 real, 1 imaginary) of face i as positions in the 17
+    signed parts (Re Theta, Im Theta, -Re Theta, -Im Theta, and a zero at
+    16 that pads every face to four terms); support[i, k] is 1 where
+    face i has a nonzero coefficient on Theta_k."""
+    index = np.full((2, len(faces), 4), 16)
+    for i, face in enumerate(faces):
+        for j, k in enumerate(k for k, a in enumerate(face) if a):
+            index[:, i, j] = [p + k for p in _UNIT_PARTS[face[k]]]
+    return index, np.array([[float(a != 0) for a in face] for face in faces])
 
 
 def face_product(faces, thetas, hiprec):
@@ -214,32 +243,37 @@ def face_product(faces, thetas, hiprec):
     in {0, +-1, +-i}, at the four ThetaValues `thetas`
     (theta_second_vector), through certified_product.
 
+    _face_plan turns the faces into index arrays once; each call gathers
+    the terms of all faces from the signed parts of Theta in one step.
     Every a_i Theta_i is exact, so a face l(Theta) moves by at most
     d = sum_{a_i != 0} e_i under the errors e_i of Theta.  In double the
     real and imaginary parts of l are each summed by math.fsum with one
-    rounding, so the computed L is within u |l| <= 2u |L| of l at the
-    computed Theta, and the factor within d + 2u |L| of l at the true
-    Theta.  In high precision each Theta_i enters a floating complex
-    exactly, aligned to one exponent, and each face is their exact
-    integer sum with error count 0: L = l and the factor is within d."""
+    rounding (the padding is -0.0, which leaves every sum as it is), so
+    the computed L is within u |l| <= 2u |L| of l at the computed Theta,
+    and the factor within d + 2u |L| of l at the true Theta.  In high
+    precision each Theta_i enters a floating complex exactly, aligned to
+    one exponent, and each face is their exact integer sum with error
+    count 0: L = l and the factor is within d.  Summing the faces any
+    other way, or multiplying them in numpy, would change the last bits
+    of the value."""
+    index, support = _face_plan(faces)
     if hiprec:
-        parts, e = fc_align([fc_from_mpc(t.value) for t in thetas])
-        total, rel = sum, 0.0
-
-        def make(re, im):
-            return re, im, e, 0
+        mant, e = fc_align([fc_from_mpc(t.value) for t in thetas])
+        parts, pad, total = [x for x, _ in mant] + [y for _, y in mant], 0, sum
     else:
-        parts = [(t.value.real, t.value.imag) for t in thetas]
-        total, make, rel = math.fsum, complex, 2 * _U
-    # (Re, Im) of a * Theta_k for the four units a
-    rot = [{1: (r, i), -1: (-r, -i), 1j: (-i, r), -1j: (i, -r)} for r, i in parts]
-    factors = []
-    for face in faces:
-        re, im = zip(*(rot[k][a] for k, a in enumerate(face) if a))
-        L = make(total(re), total(im))
-        d = sum(t.err for a, t in zip(face, thetas) if a)
-        factors.append((L, d + rel * abs(L) if rel else d))
-    return certified_product(factors, hiprec)
+        parts = [t.value.real for t in thetas] + [t.value.imag for t in thetas]
+        pad, total = -0.0, math.fsum
+    parts = np.array(parts + [-p for p in parts] + [pad], dtype=object if hiprec else float)
+    re, im = (list(map(total, rows)) for rows in parts[index].tolist())
+    errs = support @ [t.err for t in thetas]
+    if hiprec:
+        vals = [(x, y, e, 0) for x, y in zip(re, im)]
+        mods = [fc_abs(v) for v in vals]
+    else:
+        vals = list(map(complex, re, im))
+        mods = np.hypot(re, im)
+        errs += 2 * _U * mods
+    return certified_product(vals, mods, errs, hiprec)
 
 
 # --- the classical product forms -----------------------------------------
@@ -414,13 +448,31 @@ def chi12_terms():
 _UNDERFLOW = 2.0 ** -1072
 
 
+@lru_cache(maxsize=64)
+def _term_plan(terms):
+    """(signs, powers, picks, expo) of a tuple of signed monomials: the
+    distinct powers (c, k) of theta_{EVEN_CHARS[c]}, each term's powers as
+    positions in that list (in key order), and expo[i, c], the exponent
+    of theta_{EVEN_CHARS[c]} in term i."""
+    col = {m: c for c, m in enumerate(EVEN_CHARS)}
+    powers = sorted({(col[m], k) for _, key in terms for m, k in key})
+    pos = {p: i for i, p in enumerate(powers)}
+    expo = np.zeros((len(terms), len(EVEN_CHARS)))
+    for i, (_, key) in enumerate(terms):
+        for m, k in key:
+            expo[i, col[m]] = k
+    picks = tuple(tuple(pos[col[m], k] for m, k in key) for _, key in terms)
+    return tuple(s for s, _ in terms), tuple(powers), picks, expo
+
+
 def _signed_sum_eval(terms, tau, eps, hiprec):
     """(value, certified error, largest monomial modulus) of the signed
     sum of monomials `terms`, all of one degree d, at tau.
 
-    Theta errors.  Each monomial v = prod theta_m^k carries
-    product_err of the certified errors of its constants, from their
-    logs, taken once per call (_factor_logs).
+    Theta errors.  Each monomial v = prod theta_m^k carries product_err
+    of the certified errors of its constants: _product_errs over the rows
+    of _term_plan's exponent matrix, one array step for all monomials,
+    which also gives each log |v|.
 
     Rounding in double.  theta ** k (CPython's binary powering) and the
     products of the powers form v in a tree of multiplications; unshared,
@@ -433,7 +485,9 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     absolute part.  So v is off by at most
     (d - 1) (sqrt 5 u |v| + _UNDERFLOW max(1, max |theta|)^d), doubled
     to cover second-order terms; fsum_complex rounds each part of the
-    total once, adding 2 u |total|.
+    total once, adding 2 u |total|.  The powers and products are CPython
+    complex arithmetic, term by term as reduce(mul) in key order, so the
+    value does not depend on the plan.
 
     Rounding in high precision.  Each theta value enters a floating
     complex exactly (numeric.fc_from_mpc), the powers and products are
@@ -441,48 +495,39 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     error count c: v is off by at most 2 c 2^-wp |v|, the factor two
     covering second-order terms.  The signed monomials are added
     exactly (fc_sum) and the total rounded once to an mpc, adding
-    2^(1 - prec) |total|.
-
-    |v| is e^(sum k log |theta_m|) from the same logs, which also give
-    the largest monomial modulus."""
+    2^(1 - prec) |total|."""
+    signs, powers, picks, expo = _term_plan(terms)
     th = theta_all_even(tau, eps, hiprec)
-    items = {me for _, key in terms for me in key}
+    thetas = [th[m] for m in EVEN_CHARS]
     with value_prec(hiprec):
         if hiprec:
             wp = mp.mp.prec + GUARD_BITS
-            fcs = {m: fc_from_mpc(t.value) for m, t in th.items()}
-            mods = {m: fc_abs(z) for m, z in fcs.items()}
-            powers = {(m, k): fc_pow(fcs[m], k, wp) for m, k in items}
+            fcs = [fc_from_mpc(t.value) for t in thetas]
+            mods = [fc_abs(z) for z in fcs]
+            pw = [fc_pow(fcs[c], k, wp) for c, k in powers]
             mul = partial(fc_mul, wp=wp)
         else:
-            mods = {m: abs(t.value) for m, t in th.items()}
-            powers = {(m, k): th[m].value ** k for m, k in items}
+            mods = [abs(t.value) for t in thetas]
+            pw = [thetas[c].value ** k for c, k in powers]
             mul = operator.mul
-        logs = {m: _factor_logs(mods[m], t.err) for m, t in th.items()}
-        monos = []
-        err = 0.0
-        rel = 0.0  # sum of |v|, each weighted by its error count in high precision
-        max_log = -math.inf
-        for s, key in terms:
-            v = reduce(mul, (powers[me] for me in key))
-            e, log_v = _product_err_logs((logs[m], k) for m, k in key)
-            err += e
-            if log_v is not None:
-                max_log = max(max_log, log_v)
-                rel += (v[3] if hiprec else 1) * _exp(log_v)
-            monos.append((s, v))
+        monos = [reduce(mul, map(pw.__getitem__, p)) for p in picks]
+        errs, logs = _product_errs(np.array(mods), np.array([t.err for t in thetas]), expo)
+        with np.errstate(over="ignore"):
+            sizes = np.exp(logs)
+        err = float(errs.sum())
         if hiprec:
-            total = fc_sum(monos)
+            total = fc_sum(zip(signs, monos))
             value = fc_to_mpc(total)
+            rel = float(np.dot([v[3] for v in monos], sizes))  # |v| weighted by its error count
             err += 2 * rel * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec) * fc_abs(total)
         else:
             d = monomial_degree(terms[0][1])
-            top = max((la for la, _, _ in logs.values() if la is not None), default=0.0)
-            big = _exp(d * max(0.0, top))
-            value = fsum_complex([s * v for s, v in monos])
-            err += (2 * (d - 1) * (math.sqrt(5) * _U * rel + len(terms) * _UNDERFLOW * big)
+            big = _exp(d * math.log(max(1.0, max(mods))))
+            value = fsum_complex([s * v for s, v in zip(signs, monos)])
+            err += (2 * (d - 1) * (math.sqrt(5) * _U * float(sizes.sum())
+                                   + len(terms) * _UNDERFLOW * big)
                     + 2 * _U * abs(value))
-    return value, err, _exp(max_log)
+    return value, err, float(sizes.max())
 
 
 def azy_eval(tau, eps=1e-12, hiprec=False):

@@ -181,12 +181,13 @@ def truncation_radius(tau, eps):
 _U = 2.0 ** -53
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _class_order(K):
     """(order, starts): the flat indices of the half box k0 in [-K, K],
     k1 in [0, K] that contribute to class c = 4 r0 + r1 (each point to its
     own class, each with k1 > 0 also to that of -k) are
-    order[starts[c]:starts[c + 1]]; no class is empty for K >= 3."""
+    order[starts[c]:starts[c + 1]]; no class is empty for K >= 3.  Cached
+    per box size, at most 64 sizes, so a long process stays bounded."""
     k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
                                              indexing="ij"))
     pos = np.flatnonzero(k1)

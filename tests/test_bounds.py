@@ -4,7 +4,9 @@ precision against twice HIPREC_DPS digits, double against high
 precision, and, with the theta constants taken as exact, the rounding
 bounds alone against the same arithmetic at 300 digits."""
 
-from functools import partial
+import math
+import operator
+from functools import partial, reduce
 
 import mpmath as mp
 import pytest
@@ -13,14 +15,15 @@ import azy5.construction as construction
 import azy5.forms as forms
 import azy5.geometry as geometry
 import azy5.numeric as numeric
-from azy5.chars import even_quadruples
+from azy5.chars import EVEN_CHARS, even_quadruples
 from azy5.cli import _FORMS_TAU
 from azy5.construction import PHI_CONSTANT, phi
 from azy5.forms import (azy_eval, azy_terms, chi5_product, chi10, chi12,
-                        chi12_terms, p2)
+                        chi12_terms, face_product, mono_key, p2)
 from azy5.geometry import all_faces, f_m, tetrahedron
+from azy5.numeric import fsum_complex
 from azy5.siegel import SiegelPoint
-from azy5.theta import ThetaValue
+from azy5.theta import ThetaValue, theta_all_even, theta_second_vector
 
 from conftest import near_boundary_point
 
@@ -151,3 +154,60 @@ def test_face_product_rounding_bound(name, hiprec, point, monkeypatch):
                                for face in faces())
         assert 0 < float(abs(got.value - ref)) <= got.err
         assert got.err < (1e-45 if hiprec else 1e-13) * float(abs(ref))
+
+
+def _face_values(faces, x):
+    """Each face at the second-order values x, one math.fsum per part."""
+    out = []
+    for face in faces:
+        terms = [a * t.value for a, t in zip(face, x) if a]
+        out.append(complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)))
+    return out
+
+
+@pytest.mark.parametrize("point", [*POINTS, "lam0.12"])
+def test_double_values_equal_per_element_reference(point):
+    """Double face products and signed sums equal, bit for bit, their
+    evaluation element by element: faces by math.fsum multiplied in the
+    pairwise tree, and monomials by reduce(mul) summed by fsum_complex."""
+    tau = POINTS.get(point) or near_boundary_point(0.12, 0.5, 0.4, 0.3, -0.2, 0.25)
+    x = theta_second_vector(tau, 1e-12, False)
+    for faces in (all_faces(), forms._COORDINATE_FACES, tetrahedron(frozenset(_QUAD)).faces):
+        want = forms._pairwise_product(_face_values(faces, x))
+        assert face_product(faces, x, False).value == want
+    th = theta_all_even(tau, 1e-12, False)
+    for terms in (azy_terms(), chi12_terms(), ((1, mono_key((m, 2) for m in EVEN_CHARS)),),
+                  ((1, mono_key((m, 1) for m in EVEN_CHARS)),)):
+        want = fsum_complex([s * reduce(operator.mul, (th[m].value ** k for m, k in key))
+                             for s, key in terms])
+        assert forms._signed_sum_eval(terms, tau, 1e-12, False)[0] == want
+
+
+@pytest.mark.parametrize("hiprec", [False, True], ids=["double", "hiprec"])
+def test_phi_with_a_zero_face(hiprec):
+    """On H4 (tau11 = tau22) a face of phi is exactly zero: phi is 0, and
+    its err is the whole bound 2^-44 prod(|L| + e) over the faces L with
+    their errors e."""
+    tau = SiegelPoint([[0.1 + 1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.1 + 1j]])
+    x = theta_second_vector(tau, 1e-12, hiprec)
+    got = phi(tau, 1e-12, hiprec)
+    if hiprec:
+        with mp.workdps(400):
+            mods = [float(abs(mp.fsum(a * mp.mpmathify(t.value) for a, t in zip(face, x) if a)))
+                    for face in all_faces()]
+    else:
+        mods = [abs(v) for v in _face_values(all_faces(), x)]
+    logs = []
+    for face, m in zip(all_faces(), mods):
+        e = sum(t.err for a, t in zip(face, x) if a) + (0.0 if hiprec else 2 * 2.0 ** -53 * m)
+        logs.append(math.log(m + e))
+    assert 0.0 in mods
+    assert got.value == 0
+    assert got.err == pytest.approx(-PHI_CONSTANT * math.exp(math.fsum(logs)), rel=1e-12, abs=0)
+
+
+def test_double_face_product_leaving_the_range_raises():
+    """60 factors of modulus 1e-20 would underflow a double product."""
+    x = [ThetaValue(1e-20 + 0j, 0.0)] * 4
+    with pytest.raises(ArithmeticError):
+        face_product(forms._COORDINATE_FACES * 15, x, False)

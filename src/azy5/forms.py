@@ -35,8 +35,9 @@ charges the factor errors and its own rounding.
 
 Bookkeeping runs on arrays.  Each tuple of faces and each tuple of
 signed terms becomes an index plan once (_face_plan, _term_plan, cached
-like azy_terms): the signed parts of Theta that each face sums, and the
-exponents of each monomial over the ten constants.  A call then
+by the tuple's identity and then by its value, _plan_cache): the signed
+parts of Theta that each face sums, and the exponents of each monomial
+over the ten constants.  A call then
 propagates the certified errors in a few numpy steps over the plan
 (_product_errs): moduli, logs, the double range guard, the exp * expm1
 error of every product and the weights of the rounding terms.  High
@@ -221,12 +222,34 @@ def value_product(tvs, hiprec):
     return certified_product(vals, mods, [t.err for t in tvs], hiprec)
 
 
+def _plan_cache(build):
+    """build(key) for tuples of faces or of signed terms, cached twice:
+    by the key's identity, then by equality (at most 64 keys each).  An
+    lru_cache hashes the whole tuple on every call, since CPython tuples
+    do not cache their hash; the tuples that all_faces() and azy_terms()
+    return once per process are found by their id.  Each identity entry
+    holds its key, so the id cannot be reused while the entry lives."""
+    by_value = lru_cache(maxsize=64)(build)
+    by_id = {}
+
+    def plan(key):
+        hit = by_id.get(id(key))
+        if hit is not None and hit[0] is key:
+            return hit[1]
+        if len(by_id) >= 64:
+            by_id.clear()
+        out = by_value(key)
+        by_id[id(key)] = key, out
+        return out
+    return plan
+
+
 # (Re, Im) of a Theta_k as offsets into the signed parts of face_product,
 # for the four units a: 0 Re Theta, 4 Im Theta, 8 -Re Theta, 12 -Im Theta.
 _UNIT_PARTS = {1: (0, 4), -1: (8, 12), 1j: (12, 0), -1j: (4, 8)}
 
 
-@lru_cache(maxsize=64)
+@_plan_cache
 def _face_plan(faces):
     """(index, support) of a tuple of faces: index[p, i] lists the terms
     of part p (0 real, 1 imaginary) of face i as positions in the 17
@@ -450,7 +473,7 @@ def chi12_terms():
 _UNDERFLOW = 2.0 ** -1072
 
 
-@lru_cache(maxsize=64)
+@_plan_cache
 def _term_plan(terms):
     """(signs, powers, picks, expo) of a tuple of signed monomials: the
     distinct powers (c, k) of theta_{EVEN_CHARS[c]}, each term's powers as

@@ -8,6 +8,8 @@ with entries listed row-major.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .numeric import sym2_eig_bounds, to_mpc
@@ -30,7 +32,10 @@ class SiegelPoint:
         m = np.asarray(entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        if not np.allclose(m, m.T, rtol=0, atol=1e-12 * (1 + np.abs(m).max())):
+        z = m.ravel().tolist()
+        if not all(map(cmath.isfinite, z)):
+            raise ValueError("tau must be finite")
+        if not abs(z[1] - z[2]) <= 1e-12 * (1 + max(map(abs, z))):
             raise ValueError("tau must be symmetric")
         m = (m + m.T) / 2
         y = m.imag

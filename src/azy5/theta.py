@@ -19,36 +19,71 @@ holds 8r points, giving the certified tail majorant
 
 evaluated numerically with a geometric remainder.  Derivative series carry
 an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
-err of a value is this tail plus a rounding bound for the summation.
+err of a value is this tail, the bound P(rho) of the terms the kernel
+leaves outside its ellipse (below), and a rounding bound for the
+summation.
 
 One kernel contract serves every series.  With k = 2n + m', the term of
 theta[m'; m''] is e^{pi i k^T (tau/4) k} i^{k.m''}, and that of Theta_{m'}
-is e^{pi i k^T (tau/2) k}.  A kernel run sums e^{pi i k^T T k}
-over the symmetric box k in [-K, K]^2 at T = 2^s tau and returns the 16
-class sums S_r, r = k mod 4, and a rounding bound per class; with
-moments, also the three sums weighted by k0^2, 2 k0 k1 and k1^2, split
-by class.  Since i^{k.m''} depends on k mod 4 only, and exactly for any
-integer m'', theta[m'; m''] = sum over r = m' mod 2 of i^{r.m''} S_r,
-charged the bounds of its four classes: theta_all_even is one run at
-tau/4 for its ten constants, theta_second_vector one run at tau/2 for
-its four, and the four gradients one run at tau/2 with moments.  For
-every m', the box ||n||_inf <= R holds the k = 2n + m' with
-|k_i| <= 2R + 1, so K = 2R + 1 omits a subset of the terms that box
-omits, and tail(R) still bounds them.  The precision only chooses the
-kernel and how the combined sums are rounded once, to an mpc or to a
-complex.
+is e^{pi i k^T (tau/2) k}.  A kernel run sums e^{pi i k^T T k} at
+T = 2^s tau over the box k in [-K, K]^2 cut to the ellipse
+
+    E(rho) = {k : q(k) <= rho^2},   q(k) = pi k^T Im(T) k,
+
+and returns the 16 class sums S_r, r = k mod 4, a rounding bound per
+class, and P(rho); with moments, also the three sums weighted by k0^2,
+2 k0 k1 and k1^2, split by class.  Since i^{k.m''} depends on k mod 4
+only, and exactly for any integer m'', theta[m'; m''] = sum over
+r = m' mod 2 of i^{r.m''} S_r, charged the bounds of its four classes
+and P(rho) once: theta_all_even is one run at tau/4 for its ten
+constants, theta_second_vector one run at tau/2 for its four, and the
+four gradients one run at tau/2 with moments.  For every m', the box
+||n||_inf <= R holds the k = 2n + m' with |k_i| <= 2R + 1, so K = 2R + 1
+omits a subset of the terms that box omits, and tail(R) still bounds
+them.  The precision only chooses the kernel and how the combined sums
+are rounded once, to an mpc or to a complex.
+
+The ellipse.  The terms of q(k) > rho^2 have modulus e^{-q(k)} below
+e^{-rho^2}, and most of the box holds such terms once K is sized by
+the tail.  Each constant sums a translate k = m' + 2Z^2; under
+x = sqrt(pi) Im(T)^{1/2} k, with q(k) = |x|^2, its points lie at least
+s = 2 sqrt(pi lam) apart, lam the least eigenvalue of Im T, so disks of
+radius s/2 about them are disjoint and at most N(r) <= (2r/s + 1)^2 lie
+within |x| <= r.  Summing by parts (the counting argument of Deconinck
+et al., "Computing Riemann theta functions", Math. Comp. 73 (2004), in
+closed form for g = 2), the terms of one translate outside E are at most
+
+    sum_{|x| > rho} e^{-|x|^2} <= int_rho^inf 2r e^{-r^2} N(r) dr = P(rho),
+    P(rho) = e^{-rho^2} (1 + 4 rho/s + 4 (rho^2 + 1)/s^2)
+             + (2 sqrt(pi)/s) erfc(rho),
+
+from int_rho^inf 2r e^{-r^2} dr = e^{-rho^2},
+int_rho^inf 2r^2 e^{-r^2} dr = rho e^{-rho^2} + (sqrt(pi)/2) erfc(rho)
+and int_rho^inf 2r^3 e^{-r^2} dr = (rho^2 + 1) e^{-rho^2}.  Each run takes
+the least rho with P(rho) <= 2^-b e^{-q*}, where b is the kernel's own
+resolution, 53 bits in _grid and the fixed-point wp bits in _walk, and
+q* = max(q(1, 0), q(0, 1), min(q(1, 1), q(1, -1))) bounds the least
+exponent of the weakest translate, so the cut sits b bits below the
+largest term of every constant (_ellipse).  A point is kept when its
+computed k^T Im(T) k is at most rho^2/pi widened by that form's
+rounding, so every point of E is kept.  Moment runs keep the whole box:
+the gradients carry no err of their own to charge P(rho) to (their
+callers take eps as the truncation), and only chi5_determinant runs
+them.
 
 The term at -k equals the term at k, so both kernels visit only the rows
 k1 >= 0.  Row k1 = 0 is counted once; each term of a row k1 > 0 is also
 credited to the class of -k, and charged in the bound of both classes.
-Double precision runs _grid: numpy terms over the half box, each class's
-contributions summed by one math.fsum, so each S_r is exactly rounded
-whatever the order; _grid's docstring derives its bound.
+Double precision runs _grid: numpy terms over the points of the half
+box in E, each class's contributions summed by one math.fsum, so each
+S_r is exactly rounded whatever the order; _grid's docstring derives its
+bound.
 
 High precision runs _walk, a row recurrence in Python integers.  Each
-row k1 = 0, 1, ..., K is walked from its largest term, at
-k0 = nint(-Y12 k1 / Y11) clipped to the box, by unit steps out to
-k0 = K and to k0 = -K.  A step costs two multiplications, t <- t u and
+row k1 = 0, 1, ... up to E's last row is walked over its chord of E,
+clipped to the box (_chords), from its largest term, at
+k0 = nint(-Y12 k1 / Y11) clipped to the chord, by unit steps out to the
+chord's ends.  A step costs two multiplications, t <- t u and
 u <- u E with E = e^{2 pi i T11}, where t is the term and u the ratio of
 neighbouring terms, u = e^{pi i ((2 k0 + 1) T11 + 2 k1 T12)} (the
 downward walk has its own ratio w = e^{pi i ((1 - 2 k0) T11 - 2 k1 T12)}).
@@ -65,7 +100,8 @@ k0 = 0 with t = 1, u = w = A and V = C, the ratio of the terms at
 Each later row takes one vertical step at the old centre, t <- t V, then
 V <- V G, u <- u F, w <- w F^-1; then one horizontal step per unit the
 centre moves, k0 <- k0 + 1: t <- t u, u <- u E, w <- w E^-1, V <- V F
-(and the mirror image for k0 - 1).  Ratios such as V, F^-1 and E^-1 can
+(and the mirror image for k0 - 1); a row whose chord holds no point
+keeps the old centre.  Ratios such as V, F^-1 and E^-1 can
 exceed 1 in modulus, so these seeds are floating complexes (numeric.fc_*):
 a wp-bit mantissa pair with one shared binary exponent, cut (floor) to wp
 bits after each operation.
@@ -120,7 +156,7 @@ from mpmath.libmp import mpc_expjpi, mpf_shift, to_float
 from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
 from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
-                      m2_det, mobius, value_prec)
+                      m2_det, mobius, sym2_eig_bounds, value_prec)
 from .siegel import TAU_I, SiegelPoint
 from .symplectic import act_tau
 
@@ -152,22 +188,36 @@ def _tail(lam, R, poly=0, scale=1.0):
 
 
 def _radius(lam, eps, poly=0, scale=1.0):
+    """The least R >= 1 with _tail(lam, R, poly, scale) < eps.  The first
+    omitted shell r = R + 1 dominates the tail, and the ratios of later
+    shells to their predecessors fall below e^{-2 pi lam r}, so the tail
+    is near scale 8 r (r + 1/2)^poly e^{-pi lam (r - 1/2)^2} over
+    1 - e^{-2 pi lam r}; three fixed-point steps on that equation give a
+    guess that two evaluations of _tail confirm, in the usual case."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    # analytic first guess: first-term majorant ~ scale*8r (r+1/2)^p
-    # e^{-pi lam (r-1/2)^2} < eps, then walk to the minimal certified R
-    guess = math.sqrt(max(1.0, math.log(max(8.0 * scale, 2.0) / eps)) / (math.pi * lam))
-    R = max(1, int(guess) - 2)
+    if not lam > 0:
+        raise ValueError("lambda_min must be positive")
+    a = math.pi * lam
+    log_eps = math.log(8.0 * scale / eps)
+    r = math.sqrt(max(log_eps, 1.0) / a) + 0.5
+    for _ in range(3):
+        lead = log_eps + math.log(r) + poly * math.log(r + 0.5) - math.log1p(-math.exp(-2 * a * r))
+        r = math.sqrt(max(lead, 0.0) / a) + 0.5
+    R = max(1, math.ceil(r) - 1)
     if R > 4000:
         raise RuntimeError(
             "truncation radius exceeds sanity cap; Im(tau) is too close to "
             "singular for direct summation")
+    if _tail(lam, R, poly, scale) < eps:
+        while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
+            R -= 1
+        return R
+    R += 1
     while _tail(lam, R, poly, scale) >= eps:
         R += 1
         if R > 4096:
             raise RuntimeError("truncation radius exceeds sanity cap")
-    while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
-        R -= 1
     return R
 
 
@@ -177,32 +227,68 @@ def truncation_radius(tau, eps):
     return _radius(tau.lam_min, eps)
 
 
-# Unit roundoff of IEEE double.
+# Unit roundoff of IEEE double, log 2 and sqrt(pi).
 _U = 2.0 ** -53
+_LN2 = math.log(2)
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _ellipse(y, b):
+    """(rho2, keep, cut) of the ellipse E = {k : pi k^T Y k <= rho2} for
+    Y = Im T = (Y11, Y12, Y22) at a kernel of b bits (module docstring):
+    rho2 = rho^2 for the least rho with P(rho) <= 2^-b e^-q*, found by
+    three fixed-point steps from below and one step past them; keep, the
+    bound on the computed k^T Y k up to which a kernel keeps a point,
+    rho2 / pi widened by the rounding of the form, so that every point
+    of E is kept; and cut = P(rho)."""
+    y11, y12, y22 = y
+    lam = sym2_eig_bounds(((y11, y12), (y12, y22)))[0]
+    # relative rounding of k^T Y k (and of lam) is at most 8 u (Y11 + Y22) / lam
+    slack = 2.0 ** -30 + 32 * _U * (y11 + y22) / lam
+    s = 2 * math.sqrt(math.pi * lam * (1 - slack))
+    log_target = -b * _LN2 - math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
+
+    def log_factor(x):
+        # log of P(rho) e^{rho^2} at rho^2 = x; e^x erfc(rho) <= 1/(rho sqrt pi)
+        r = math.sqrt(x)
+        erfcx = math.erfc(r) * math.exp(x) if x < 700 else 1 / (r * _SQRT_PI)
+        return math.log1p(4 * r / s + 4 * (x + 1) / (s * s) + 2 * _SQRT_PI / s * erfcx)
+
+    x = -log_target
+    for _ in range(3):
+        prev, x = x, log_factor(x) - log_target
+    step = max(x - prev, 2.0 ** -40 * x)
+    x += step  # the steps shrink at least twofold, so this passes the root
+    while log_factor(x) - x > log_target:
+        x += step
+    return x, x / math.pi * (1 + slack), math.exp(log_factor(x) - x)
 
 
 @lru_cache(maxsize=64)
-def _class_order(K):
-    """(order, starts): the flat indices of the half box k0 in [-K, K],
-    k1 in [0, K] that contribute to class c = 4 r0 + r1 (each point to its
-    own class, each with k1 > 0 also to that of -k) are
-    order[starts[c]:starts[c + 1]]; no class is empty for K >= 3.  Cached
-    per box size, at most 64 sizes, so a long process stays bounded."""
+def _class_points(K):
+    """(k0, k1, cls): the points of the half box k0 in [-K, K],
+    k1 in [0, K], each with k1 > 0 listed twice, once for its own class
+    c = 4 r0 + r1 and once for that of -k, sorted by class; cls[i] is the
+    class entry i counts in.  Cached per box size, at most 64 sizes, as
+    int16 and int8: 5 bytes an entry."""
     k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
                                              indexing="ij"))
     pos = np.flatnonzero(k1)
     cls = np.concatenate((4 * (k0 % 4) + k1 % 4, 4 * (-k0[pos] % 4) + -k1[pos] % 4))
     idx = np.concatenate((np.arange(k0.size), pos))
     perm = np.argsort(cls, kind="stable")
-    return idx[perm], np.searchsorted(cls[perm], np.arange(17)).tolist()
+    idx = idx[perm]
+    return k0[idx].astype(np.int16), k1[idx].astype(np.int16), cls[perm].astype(np.int8)
 
 
 def _grid(t, K, moments=False):
     """The numpy kernel behind every double-precision series, with the
-    contract of _walk: t = (T11, T12, T22) as Python complex, K as there.
-    sums[r0][r1] and the moment sums are (re, im) pairs, each component
-    one exactly rounded math.fsum over the contributions of its class
-    (_class_order), and bounds[r0][r1] is the rounding bound of S_r.
+    contract of _walk: t = (T11, T12, T22) as Python complex, K as there,
+    b = 53.  sums[r0][r1] and the moment sums are (re, im) pairs, each
+    component one exactly rounded math.fsum over the contributions of
+    its class that lie in E (_class_points; E's test comes before any
+    exponential), bounds[r0][r1] is the rounding bound of S_r, and cut
+    is P(rho).
 
     The lattice values k and k_i k_j are exact, so forming q = k^T T k
     costs one rounding per monomial and one per addition: at most 3 u Q,
@@ -213,31 +299,33 @@ def _grid(t, K, moments=False):
     term is therefore off by at most 8 u |t| (1 + pi Q), the slack
     covering second-order terms, and rounding a class sum adds u |S_r| per
     component, counted as 2 u |S_r|."""
-    k0 = np.arange(-K, K + 1, dtype=float)[:, None]
-    k1 = np.arange(K + 1, dtype=float)[None, :]
     t11, t12, t22 = t
-    form = t11 * (k0 * k0) + 2 * t12 * (k0 * k1) + t22 * (k1 * k1)
-    form_abs = abs(t11) * (k0 * k0) + 2 * abs(t12) * np.abs(k0 * k1) + abs(t22) * (k1 * k1)
-    terms = np.exp(1j * np.pi * form)
-    order, starts = _class_order(K)
-    spans = list(zip(starts, starts[1:]))
+    _, keep, cut = (0.0, math.inf, 0.0) if moments else _ellipse(
+        (t11.imag, t12.imag, t22.imag), 53)
+    k0, k1, cls = _class_points(K)
+    k0, k1 = k0.astype(float), k1.astype(float)
+    aa, ab, bb = k0 * k0, k0 * k1, k1 * k1
+    inside = t11.imag * aa + (2 * t12.imag) * ab + t22.imag * bb <= keep
+    aa, ab, bb, cls = aa[inside], ab[inside], bb[inside], cls[inside]
+    terms = np.exp(1j * np.pi * (t11 * aa + (2 * t12) * ab + t22 * bb))
+    form_abs = abs(t11) * aa + (2 * abs(t12)) * np.abs(ab) + abs(t22) * bb
+    ends = np.cumsum(np.bincount(cls, minlength=16)).tolist()
+    spans = list(zip([0] + ends, ends))
 
     def by_class(x):
         # the exactly rounded class sums of x, as a 4 x 4 list of pairs
-        x = x.ravel()[order]
         re, im = x.real.tolist(), x.imag.tolist()
         z = [(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in spans]
         return [z[4 * r0:4 * r0 + 4] for r0 in range(4)]
 
     sums = by_class(terms)
-    weight = np.add.reduceat((np.abs(terms) * (1 + np.pi * form_abs)).ravel()[order],
-                             starts[:16]).tolist()
+    weight = np.bincount(cls, np.abs(terms) * (1 + np.pi * form_abs), minlength=16).tolist()
     bounds = [[8 * _U * weight[4 * r0 + r1] + 2 * _U * abs(complex(*sums[r0][r1]))
                for r1 in range(4)] for r0 in range(4)]
     if not moments:
-        return sums, None, bounds
-    mom = [by_class(terms * w) for w in (k0 * k0, 2 * k0 * k1, k1 * k1)]
-    return sums, [[[m[r0][r1] for m in mom] for r1 in range(4)] for r0 in range(4)], bounds
+        return sums, None, bounds, cut
+    mom = [by_class(terms * w) for w in (aa, 2 * ab, bb)]
+    return sums, [[[m[r0][r1] for m in mom] for r1 in range(4)] for r0 in range(4)], bounds, cut
 
 
 # Fractional bits the fixed-point walk carries beyond the working precision.
@@ -290,14 +378,15 @@ def _ray_steps(n):
     return out
 
 
-@lru_cache(maxsize=None)
-def _row_steps(c, K):
-    """For each class r0 = k0 mod 4 of a row k0 in [-K, K] walked from c:
-    its points, the sums of the steps j of its upward and of its downward
-    points, and the sum of j (j - 1) over all of them."""
+@lru_cache(maxsize=1024)
+def _row_steps(c, up, down):
+    """For each class r0 = k0 mod 4 of a row walked from k0 = c by `up`
+    steps up and `down` steps down: its points, the sums of the steps j
+    of its upward and of its downward points, and the sum of j (j - 1)
+    over all of them.  Only c mod 4 matters."""
     out = [[0, 0, 0, 0] for _ in range(4)]
     out[c % 4][0] = 1  # the centre, j = 0
-    for d, n, col in ((1, K - c, 1), (-1, c + K, 2)):
+    for d, n, col in ((1, up, 1), (-1, down, 2)):
         for j, (m, s1, s2) in enumerate(_ray_steps(n)):
             cell = out[(c + d * j) % 4]
             cell[0] += m
@@ -306,15 +395,37 @@ def _row_steps(c, K):
     return out
 
 
+def _chords(y, keep, K):
+    """[(lo, hi)] of the rows k1 = 0, 1, ... of the box [-K, K]^2 up to
+    the last row that meets k^T Y k <= keep: row k1 keeps k0 in [lo, hi]
+    (empty when lo > hi), the chord of that ellipse, widened by 2^-40 of
+    its size against rounding and clipped to the box."""
+    if keep == math.inf:
+        return [(-K, K)] * (K + 1)
+    y11, y12, y22 = y
+    det = y11 * y22 - y12 * y12
+    out = []
+    for k1 in range(K + 1):
+        # y11 (k0 - c)^2 + k1^2 det / y11 <= keep
+        disc = (keep - k1 * k1 * det / y11) / y11
+        if disc < 0:
+            break
+        c, h = -y12 * k1 / y11, math.sqrt(disc)
+        slack = 2.0 ** -40 * (1 + abs(c) + h)
+        out.append((max(-K, math.ceil(c - h - slack)), min(K, math.floor(c + h + slack))))
+    return out
+
+
 def _walk(t, K, wp, moments=False):
     """The row-recurrence kernel behind every high-precision series.
 
-    Sums e^{pi i k^T T k} over k in [-K, K]^2, T given by _raw_entries.
-    Returns (sums, mom, bounds), each indexed [r0][r1] by the class
-    r = k mod 4: sums is the (re, im) fixed-point integer sum, wp
-    fractional bits; with moments, mom holds the three (re, im) sums
-    weighted by k0^2, 2 k0 k1 and k1^2 (else None); bounds is the rounding
-    bound of sums.  Rows, seeds and charges as in the module docstring.
+    Sums e^{pi i k^T T k} over the k of the box [-K, K]^2 in E, b = wp,
+    T given by _raw_entries.  Returns (sums, mom, bounds, cut), the first
+    three indexed [r0][r1] by the class r = k mod 4: sums is the (re, im)
+    fixed-point integer sum, wp fractional bits; with moments, mom holds
+    the three (re, im) sums weighted by k0^2, 2 k0 k1 and k1^2 (else
+    None); bounds is the rounding bound of sums; cut is P(rho).  Rows,
+    seeds and charges as in the module docstring.
     """
     def mul(a, b):
         return fc_mul(a, b, wp)
@@ -323,28 +434,30 @@ def _walk(t, K, wp, moments=False):
     E, F, G = (mul(z, z) for z in (A, B, C))
     Einv, Finv = fc_inv(E, wp), fc_inv(F, wp)
     er, ei = fc_fixed(E, wp)
-    slope = -to_float(t[1][1]) / to_float(t[0][1])
-    ks = range(-K, K + 1)
+    y = tuple(to_float(z[1]) for z in t)
+    _, keep, cut = (0.0, math.inf, 0.0) if moments else _ellipse(y, wp)
+    slope = -y[1] / y[0]
     width = 9 if moments else 3  # charge, sum, three moments; re, im each
     # cells [charge, re, im, (k0^2, 2 k0 k1, k1^2 moments)] of row 0, and
     # of the rows k1 > 0, each by class 4 r0 + r1
     row0, pos = ([[0] * width for _ in range(16)] for _ in range(2))
 
-    def row(k1, c, x, u, w):
+    def row(k1, c, x, u, w, lo, hi):
         xr, xi = fc_fixed(x, wp)
-        up = _ray(xr, xi, *fc_fixed(u, wp), er, ei, K - c, wp)
-        down = _ray(xr, xi, *fc_fixed(w, wp), er, ei, c + K, wp)
+        up = _ray(xr, xi, *fc_fixed(u, wp), er, ei, hi - c, wp)
+        down = _ray(xr, xi, *fc_fixed(w, wp), er, ei, c - lo, wp)
         parts = (down[0][::-1] + [xr] + up[0], down[1][::-1] + [xi] + up[1])
         scale = (1, 1)
         if moments:
+            ks = range(lo, hi + 1)
             k0v = [[k * z for k, z in zip(ks, v)] for v in parts]
             parts += tuple([k * z for k, z in zip(ks, v)] for v in k0v) + tuple(k0v) + parts
             scale += (1, 1, 2 * k1, 2 * k1, k1 * k1, k1 * k1)
         a, bu, g = _point_charge(x[3], u[3], E[3])
         bw = _point_charge(x[3], w[3], E[3])[1]
         acc = pos if k1 else row0
-        for r0, (m, s1u, s1w, s2) in enumerate(_row_steps(c, K)):
-            sl = slice((r0 + K) % 4, None, 4)
+        for r0, (m, s1u, s1w, s2) in enumerate(_row_steps(c % 4, hi - c, c - lo)):
+            sl = slice((r0 - lo) % 4, None, 4)
             cell = acc[4 * r0 + k1 % 4]
             cell[0] += a * m + bu * s1u + bw * s1w + g * s2
             for i, (f, v) in enumerate(zip(scale, parts), 1):
@@ -352,17 +465,20 @@ def _walk(t, K, wp, moments=False):
 
     # row 0 from its centre k0 = 0; each later row by one vertical step at
     # the old centre, by the ratio V of the terms at k1 + 1 and k1, then
-    # |new - old| horizontal steps to the new centre
+    # |new - old| horizontal steps to the new centre; a row that E's
+    # chord leaves empty keeps the old centre
     x, u, w, V, c = fc_cut(1, 0, 0, 0, wp), A, A, C, 0
-    row(0, c, x, u, w)
-    for k1 in range(1, K + 1):
-        x, V, u, w = mul(x, V), mul(V, G), mul(u, F), mul(w, Finv)
-        new = min(K, max(-K, round(slope * k1)))
+    for k1, (lo, hi) in enumerate(_chords(y, keep, K)):
+        if k1:
+            x, V, u, w = mul(x, V), mul(V, G), mul(u, F), mul(w, Finv)
+        if lo > hi:
+            continue
+        new = min(hi, max(lo, round(slope * k1)))
         while c < new:
             x, u, w, V, c = mul(x, u), mul(u, E), mul(w, Einv), mul(V, F), c + 1
         while c > new:
             x, w, u, V, c = mul(x, w), mul(w, E), mul(u, Einv), mul(V, Finv), c - 1
-        row(k1, c, x, u, w)
+        row(k1, c, x, u, w, lo, hi)
     # class r holds row 0's terms, those of the rows k1 > 0, and the terms
     # at -k, equal to those at k, of class -r in the rows k1 > 0
     tot = [[[p + q + s for p, q, s in zip(row0[4 * r0 + r1], pos[4 * r0 + r1],
@@ -370,11 +486,12 @@ def _walk(t, K, wp, moments=False):
             for r1 in range(4)] for r0 in range(4)]
     sums = [[v[1:3] for v in cells] for cells in tot]
     mom = [[[v[3:5], v[5:7], v[7:9]] for v in cells] for cells in tot] if moments else None
-    return sums, mom, [[v[0] * 2.0 ** -wp for v in cells] for cells in tot]
+    return sums, mom, [[v[0] * 2.0 ** -wp for v in cells] for cells in tot], cut
 
 
 class _Sums(NamedTuple):
-    """One kernel run, and the arithmetic of its precision: `add`
+    """One kernel run, and the arithmetic of its precision: `cut`
+    bounds the terms of each translate of 2Z^2 that E leaves out, `add`
     combines class sums (exactly for the walk's integers, exactly rounded
     for the grid's floats), `round` turns a combined (re, im) pair into a
     value, rounded once, `ulp` = 2^(1-prec) bounds that rounding
@@ -382,6 +499,7 @@ class _Sums(NamedTuple):
     sums: list
     mom: list
     bounds: list
+    cut: float
     add: object
     round: object
     ulp: float
@@ -389,8 +507,8 @@ class _Sums(NamedTuple):
 
 
 def _run_kernel(tau, shift, K, hiprec, moments=False):
-    """The kernel of the precision over the box [-K, K]^2 at 2^shift tau.
-    High precision must run under the working precision, as value_prec
+    """The kernel of the precision over the box [-K, K]^2 at 2^shift tau,
+    cut to E unless it sums moments.  High precision must run under the working precision, as value_prec
     provides."""
     if hiprec:
         wp = mp.mp.prec + GUARD_BITS
@@ -421,11 +539,11 @@ def _class_sum(k, cells, mprime, mdbl):
 
 def _theta(k, tail, mprime, mdbl):
     """ThetaValue of theta[m'; m''] from kernel run k over its k = 2n + m'
-    (module docstring): the tail, the rounding bounds of its four classes
-    and the final rounding."""
+    (module docstring): the tail, the rounding bounds of its four classes,
+    the terms outside E of its translate of 2Z^2, and the final rounding."""
     val = k.round(_class_sum(k, k.sums, mprime, mdbl))
     bound = sum(k.bounds[r0][r1] for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2])
-    return ThetaValue(val, tail + (bound + k.ulp * abs(complex(val))))
+    return ThetaValue(val, tail + (bound + k.cut + k.ulp * abs(complex(val))))
 
 
 def _truncation(lam, eps):

@@ -211,3 +211,23 @@ def test_double_face_product_leaving_the_range_raises():
     x = [ThetaValue(1e-20 + 0j, 0.0)] * 4
     with pytest.raises(ArithmeticError):
         face_product(forms._COORDINATE_FACES * 15, x, False)
+
+
+def test_plans_are_found_by_identity():
+    """A plan is built once per tuple of faces or of signed terms: the
+    same tuple again is found without hashing it, and an equal tuple
+    built anew finds the same plan by value."""
+    hashes = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            hashes.append(1)
+            return tuple.__hash__(self)
+
+    for plan, key in ((forms._face_plan, all_faces()), (forms._term_plan, azy_terms())):
+        counted = Counted(key)
+        first = plan(counted)
+        calls = len(hashes)
+        assert calls >= 1
+        assert plan(counted) is first and len(hashes) == calls
+        assert plan(Counted(key)) is first

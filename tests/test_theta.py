@@ -15,7 +15,7 @@ from azy5.numeric import m2_det, mobius
 from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, act_tau,
                              random_word, translation)
-from azy5.theta import (_CHI8, MPRIME_ORDER, kappa4, kappa_numeric,
+from azy5.theta import (_CHI8, MPRIME_ORDER, _tail, kappa4, kappa_numeric,
                         kappa_probes, theta_constant, theta_gradient, theta_raw, theta_second_order,
                         trace_btc, transform_unit, truncation_radius, xi_chi)
 
@@ -101,6 +101,34 @@ def test_truncation_radius_monotone(taus):
     assert truncation_radius(tau, 1e-6) <= truncation_radius(tau, 1e-12)
     with pytest.raises(ValueError):
         truncation_radius(tau, 0.0)
+
+
+def _radius_by_search(lam, eps, poly, scale):
+    """The least R >= 1 with _tail(lam, R) < eps, by a walk from below a
+    first guess, as an independent reference."""
+    guess = math.sqrt(max(1.0, math.log(max(8.0 * scale, 2.0) / eps)) / (math.pi * lam))
+    R = max(1, int(guess) - 2)
+    while _tail(lam, R, poly, scale) >= eps:
+        R += 1
+    while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
+        R -= 1
+    return R
+
+
+@pytest.mark.parametrize("poly,scale", [(0, 1.0), (2, 4 * math.pi)])
+def test_radius_is_least_and_needs_two_tails(poly, scale, monkeypatch):
+    """_radius gives the least certified R, as a search does, for
+    lam_min in [0.01, 5] and eps down to 1e-60, and evaluates the tail
+    at most twice: at R and at R - 1."""
+    import azy5.theta as theta
+    calls = []
+    monkeypatch.setattr(theta, "_tail", lambda *a: calls.append(a) or _tail(*a))
+    for eps in (1e-12, 1e-30, 1e-60):
+        for lam in np.geomspace(0.01, 5, 120):
+            calls.clear()
+            R = theta._radius(lam, eps, poly, scale)
+            assert len(calls) <= 2, (lam, eps)
+            assert R == _radius_by_search(lam, eps, poly, scale), (lam, eps)
 
 
 @pytest.mark.parametrize("hiprec", [False, True])

@@ -8,16 +8,17 @@ import math
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpc_expjpi
+from mpmath.libmp import mpc_expjpi, to_float
 
 from azy5.chars import EVEN_CHARS, mdbl_of, mprime_of
 from azy5.forms import chi5_determinant
+from azy5.numeric import value_prec
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
-from azy5.theta import (GUARD_BITS, MPRIME_ORDER, _doubled, _radius, _raw_entries,
-                        _walk, theta_all_even, theta_constant, theta_gradient,
-                        theta_raw, theta_second_order, theta_second_vector,
-                        truncation_radius)
+from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _doubled, _ellipse,
+                        _radius, _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
+                        theta_constant, theta_gradient, theta_raw, theta_second_order,
+                        theta_second_vector, truncation_radius)
 
 # hiprec flag, eps, digits of the direct sum, allowance beyond err
 PRECISIONS = {
@@ -60,11 +61,23 @@ def _skewed():
     return SiegelPoint([[0.2 + 0.5j, -0.1 + 0.8j], [-0.1 + 0.8j, 0.3 + 2.0j]])
 
 
+def _cusp(scale):
+    """tau(scale) = X + i scale Y, toward the cusp for large scale: the
+    ellipse cuts the box to a few points per class, and some classes mod
+    4 to none."""
+    def point():
+        return SiegelPoint([[0.13 + 1j * scale, -0.21 + 0.3j * scale],
+                            [-0.21 + 0.3j * scale, 0.37 + 0.8j * scale]])
+    return point
+
+
 POINTS = {
     "i*identity": lambda: TAU_I,
     "generic": _generic,
     "worst gamma tau": _worst_transformed,
     "skewed": _skewed,
+    "tau(10)": _cusp(10),
+    "tau(20)": _cusp(20),
 }
 
 
@@ -84,10 +97,15 @@ def test_even_constants_against_direct_sum(name, prec, direct_mp):
 
 
 def test_skewed_point_clips_row_centres():
+    """Some row of the high-precision walk at the skewed point, cut to E,
+    has its centre nint(-Y12 k1 / Y11) outside the box."""
     tau = _skewed()
-    y = tau.mat.imag
-    R = truncation_radius(tau, PRECISIONS["hiprec"][1])
-    assert abs(y[0, 1] / y[0, 0]) * R > R + 1
+    K = 2 * truncation_radius(tau, PRECISIONS["hiprec"][1]) + 1
+    with mp.workdps(50):
+        t = _raw_entries(tau, -2)
+        y, (_, keep, _) = _ellipse_of(t, mp.mp.prec + GUARD_BITS)
+    assert any(abs(round(-y[1] / y[0] * k1)) > K
+               for k1, (lo, hi) in enumerate(_chords(y, keep, K)) if lo <= hi)
 
 
 UNREDUCED = [((0, 1), (2, 3)), ((1, 0), (3, 0)), ((2, 1), (1, 0)),
@@ -146,11 +164,20 @@ def test_second_vector_err_is_charged_its_own_class(name):
         assert vec[k].err <= theta_second_order(mpv, tau, 1e-12).err * (1 + 1e-9)
 
 
+def _ellipse_of(t, wp):
+    """Im T as floats and the ellipse of the walk at T, t from _raw_entries."""
+    y = tuple(to_float(z[1]) for z in t)
+    return y, _ellipse(y, wp)
+
+
 def test_walk_bounds_count_each_class(monkeypatch):
-    """The walk visits the rows k1 >= 0 of the symmetric box [-K, K]^2
+    """The walk visits the rows k1 >= 0 of the box [-K, K]^2 cut to E,
+    each row k1 the chord k0 in [c - down, c + up] around its centre c,
     and credits each term of a row k1 > 0 to the classes of k and of -k.
-    With a unit charge per point, each point of the box is counted once,
-    in its own class mod 4, for an odd and an even K.  With the real
+    With a unit charge per point, each point of the visited rows is
+    counted once, in its own class mod 4, for an odd and an even K; the
+    rows hold every point of the box in E and, at these K, fewer than the
+    box; and with moments the walk visits the whole box.  With the real
     charges, each class's bound is the sum of _point_charge of its rows'
     seeds at each point's own step count, and the mirrored classes r and
     -r of the rows k1 > 0 receive equal charges, so the classes with r1 != 0, which row 0 does not
@@ -160,31 +187,43 @@ def test_walk_bounds_count_each_class(monkeypatch):
     import azy5.theta as theta
     wp = 53 + GUARD_BITS
     t = _raw_entries(_generic(), -2)
+    y, (rho2, _, _) = _ellipse_of(t, wp)
     charge, row_steps = theta._point_charge, theta._row_steps
-    for K in (5, 6):
-        charges, centres = [], []
+    for K in (9, 10):
+        box = [(k0, k1) for k0 in range(-K, K + 1) for k1 in range(-K, K + 1)]
+        charges, rows = [], []
         with mp.workdps(16), monkeypatch.context() as patch:
             patch.setattr(theta, "_point_charge", lambda *a: charges.append(a) or charge(*a))
-            patch.setattr(theta, "_row_steps", lambda c, k: centres.append(c) or row_steps(c, k))
-            _, _, bounds = _walk(t, K, wp)
+            patch.setattr(theta, "_row_steps",
+                          lambda *a: rows.append((len(charges) // 2 - 1, *a)) or row_steps(*a))
+            _, _, bounds, _ = _walk(t, K, wp)
             patch.setattr(theta, "_point_charge", lambda *args: (1, 0, 0))
-            _, _, unit = _walk(t, K, wp)
-        # each row charges (up, down) seeds, then sums by class around its centre
+            _, _, unit, _ = _walk(t, K, wp)
+            _, _, whole, _ = _walk(t, K, wp, moments=True)
+        # each row charges (up, down) seeds, then sums by class around its
+        # centre c, of which _row_steps sees c mod 4
         direct = [[0] * 4 for _ in range(4)]
-        for k1, c in enumerate(centres[:K + 1]):
-            (a, bu, g), (_, bw, _) = charge(*charges[2 * k1]), charge(*charges[2 * k1 + 1])
-            for k0 in range(-K, K + 1):
+        kept = set()
+        for (i, _, up, down), (k1, c) in zip(rows, _centres(t, K, wp)):
+            (a, bu, g), (_, bw, _) = charge(*charges[2 * i]), charge(*charges[2 * i + 1])
+            for k0 in range(c - down, c + up + 1):
                 j = abs(k0 - c)
                 q = a + (bu if k0 > c else bw) * j + g * j * (j - 1)
                 direct[k0 % 4][k1 % 4] += q
+                kept.add((k0, k1))
                 if k1:
                     direct[-k0 % 4][-k1 % 4] += q
+                    kept.add((-k0, -k1))
         assert bounds == [[q * 2.0 ** -wp for q in row] for row in direct], K
+        in_e = {k for k in box if math.pi * (y[0] * k[0] ** 2 + 2 * y[1] * k[0] * k[1]
+                                             + y[2] * k[1] ** 2) <= rho2 * (1 - 1e-9)}
+        assert in_e <= kept < set(box), K
         for r0 in range(4):
             for r1 in range(4):
-                count = sum(1 for k0 in range(-K, K + 1) for k1 in range(-K, K + 1)
-                            if (k0 % 4, k1 % 4) == (r0, r1))
+                count = sum(1 for k in kept if (k[0] % 4, k[1] % 4) == (r0, r1))
                 assert unit[r0][r1] == count * 2.0 ** -wp, (K, r0, r1)
+                count = sum(1 for k in box if (k[0] % 4, k[1] % 4) == (r0, r1))
+                assert whole[r0][r1] == count * 2.0 ** -wp, (K, r0, r1)
                 if r1:
                     assert bounds[r0][r1] == bounds[-r0 % 4][-r1 % 4] > 0, (K, r0, r1)
     for n in range(12):
@@ -192,16 +231,63 @@ def test_walk_bounds_count_each_class(monkeypatch):
         for j in range(1, n + 1):
             direct[j % 4] = [a + b for a, b in zip(direct[j % 4], (1, j, j * (j - 1)))]
         assert [list(s) for s in theta._ray_steps(n)] == direct, n
-    K = 6
-    for c in range(-K, K + 1):
-        direct = [[0, 0, 0, 0] for _ in range(4)]
-        for k0 in range(-K, K + 1):
-            j = abs(k0 - c)
-            cell = direct[k0 % 4]
-            cell[0] += 1
-            cell[1 if k0 > c else 2] += j
-            cell[3] += j * (j - 1)
-        assert theta._row_steps(c, K) == direct, c
+    for c in range(4):
+        for up in range(7):
+            for down in range(7):
+                direct = [[0, 0, 0, 0] for _ in range(4)]
+                for k0 in range(c - down, c + up + 1):
+                    j = abs(k0 - c)
+                    cell = direct[k0 % 4]
+                    cell[0] += 1
+                    cell[1 if k0 > c else 2] += j
+                    cell[3] += j * (j - 1)
+                assert theta._row_steps(c, up, down) == direct, (c, up, down)
+
+
+def _centres(t, K, wp):
+    """(k1, centre) of each row the walk sums: the row centre
+    nint(-Y12 k1 / Y11) clipped to the row's chord, rows left empty by E
+    skipped."""
+    y, (_, keep, _) = _ellipse_of(t, wp)
+    return [(k1, min(hi, max(lo, round(-y[1] / y[0] * k1))))
+            for k1, (lo, hi) in enumerate(_chords(y, keep, K)) if lo <= hi]
+
+
+def _lam_012(near_point):
+    return near_point(0.12, 0.5, 0.4, 0.3, -0.2, 0.25)
+
+
+@pytest.mark.parametrize("name,prec", _cases(["skewed", "lam_min 0.12"]))
+def test_omitted_terms_within_their_charge(name, prec, near_point):
+    """Each kernel run sums the box cut to E = {k : pi k^T Y k <= rho^2},
+    and charges P(rho) to every constant for the terms of its translate
+    k = m' mod 2 of 2Z^2 that E leaves out.  At the first- and the
+    second-order run, the moduli of exactly those terms, summed directly
+    at 70 digits, are nonzero and at most the charge: the err of the
+    constant, without tail, less its class rounding bounds and its final
+    rounding."""
+    hiprec, eps, _, _ = PRECISIONS[prec]
+    tau = _skewed() if name == "skewed" else _lam_012(near_point)
+    for shift, lam in ((-2, tau.lam_min), (-1, 2 * tau.lam_min)):
+        K = 2 * _radius(lam, eps) + 1
+        with value_prec(hiprec):
+            run = _run_kernel(tau, shift, K, hiprec)
+            t = _raw_entries(tau, shift)
+            bits = mp.mp.prec + GUARD_BITS if hiprec else 53
+            rho2 = _ellipse_of(t, bits)[1][0]
+            thetas = [_theta(run, 0.0, mpv, (0, 0)) for mpv in MPRIME_ORDER]
+        with mp.workdps(70):
+            y = [mp.mpf(z[1]) for z in t]
+            omitted = dict.fromkeys(MPRIME_ORDER, mp.mpf(0))
+            for k0 in range(-K, K + 1):
+                for k1 in range(-K, K + 1):
+                    q = mp.pi * (y[0] * k0 * k0 + 2 * y[1] * k0 * k1 + y[2] * k1 * k1)
+                    if q > rho2:
+                        omitted[k0 % 2, k1 % 2] += mp.exp(-q)
+        for mpv, tv in zip(MPRIME_ORDER, thetas):
+            rounding = (sum(run.bounds[r0][r1] for r0, r1 in _CLASSES[mpv])
+                        + run.ulp * abs(complex(tv.value)))
+            assert 0 < omitted[mpv] <= tv.err - rounding, (shift, mpv)
 
 
 def _count_exponentials(monkeypatch):

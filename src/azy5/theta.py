@@ -243,7 +243,9 @@ def _ellipse(y, b):
     of E is kept; and cut = P(rho)."""
     y11, y12, y22 = y
     lam = sym2_eig_bounds(((y11, y12), (y12, y22)))[0]
-    # relative rounding of k^T Y k (and of lam) is at most 8 u (Y11 + Y22) / lam
+    # the computed k^T Y k is within 5 u (Y11 + Y22) |k|^2 of its value,
+    # which is at least lam |k|^2; the slack covers that, the rounding of
+    # Y's entries and of lam, and the chords of _chords
     slack = 2.0 ** -30 + 32 * _U * (y11 + y22) / lam
     s = 2 * math.sqrt(math.pi * lam * (1 - slack))
     log_target = -b * _LN2 - math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
@@ -257,11 +259,14 @@ def _ellipse(y, b):
     x = -log_target
     for _ in range(3):
         prev, x = x, log_factor(x) - log_target
+    # the map contracts by 1/x < 1/2 (x >= 53 log 2), so one more step of
+    # the last size passes the root
     step = max(x - prev, 2.0 ** -40 * x)
-    x += step  # the steps shrink at least twofold, so this passes the root
-    while log_factor(x) - x > log_target:
+    while True:
         x += step
-    return x, x / math.pi * (1 + slack), math.exp(log_factor(x) - x)
+        log_p = log_factor(x) - x
+        if log_p <= log_target:
+            return x, x / math.pi * (1 + slack), math.exp(log_p)
 
 
 @lru_cache(maxsize=64)

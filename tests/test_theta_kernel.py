@@ -216,7 +216,7 @@ def test_walk_bounds_count_each_class(monkeypatch):
                     kept.add((-k0, -k1))
         assert bounds == [[q * 2.0 ** -wp for q in row] for row in direct], K
         in_e = {k for k in box if math.pi * (y[0] * k[0] ** 2 + 2 * y[1] * k[0] * k[1]
-                                             + y[2] * k[1] ** 2) <= rho2 * (1 - 1e-9)}
+                                             + y[2] * k[1] ** 2) <= rho2}
         assert in_e <= kept < set(box), K
         for r0 in range(4):
             for r1 in range(4):

@@ -37,11 +37,11 @@ Bookkeeping runs on arrays.  Each tuple of faces and each tuple of
 signed terms becomes an index plan once (_face_plan, _term_plan, cached
 by the tuple's identity and then by its value, _plan_cache): the signed
 parts of Theta that each face sums, and the exponents of each monomial
-over the ten constants.  A call then
-propagates the certified errors in a few numpy steps over the plan
-(_product_errs): moduli, logs, the double range guard, the exp * expm1
-error of every product and the weights of the rounding terms.  High
-precision feeds its fc_abs moduli and error counts into the same arrays.
+over the ten constants.  A call then propagates the certified errors in
+a few numpy steps over the plan (_product_errs): moduli, logs, the
+double range guard, the exp * expm1 error of every product and the
+weights of the rounding terms.  High precision feeds its fc_abs moduli
+and error counts into the same arrays.
 The values do not go through numpy: each face is one exactly rounded
 math.fsum (an exact integer sum in high precision), and the products
 are CPython complex (or integer) arithmetic on Python lists, in a fixed

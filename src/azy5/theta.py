@@ -275,7 +275,7 @@ def _class_points(K):
     k1 in [0, K], each with k1 > 0 listed twice, once for its own class
     c = 4 r0 + r1 and once for that of -k, sorted by class; cls[i] is the
     class entry i counts in.  Cached per box size, at most 64 sizes, as
-    int16 and int8: 5 bytes an entry."""
+    int16 (K <= 8193 under _radius's cap) and int8: 5 bytes an entry."""
     k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
                                              indexing="ij"))
     pos = np.flatnonzero(k1)

@@ -64,7 +64,7 @@ def _load_taus(args):
 # The campaign options, in report and help order.
 _OPTIONS = {
     "eps": dict(type=float, default=None,
-                help="target absolute tail bound per theta value "
+                help="bound on the truncation part of each theta value's err "
                      "(default 1e-12, or 1e-30 with --hiprec)"),
     "seed": dict(type=int, default=0),
     "samples": dict(type=int, default=5),

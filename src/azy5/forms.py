@@ -115,27 +115,41 @@ def _product_errs(mods, errs, expo):
     delta = sum e_j log1p(err_j / |v_j|), the error is
     e^lo expm1(delta), or e^(lo + delta) when delta > 1 (a factor
     dominated by its own error, where expm1's precision no longer
-    matters); a product with a zero factor is off by at most
-    prod(|v_j| + err_j)^e_j, and by 0 when that factor's error is 0 too.
-    Each log sum over n factors is off by at most n u sum|terms| in any
-    order of summation, so the matrix products round no worse than the
-    loops they replace.  The 1e-12 inflation covers that, with the
-    one-ulp slop of log, log1p, exp and expm1, while sum|terms| stays
-    below about 150 for the 60 faces of phi: at the 144 near-boundary
-    benchmark points of seeds 0-2, 60 u sum|log |L|| is 6.4e-13 at most."""
+    matters).  A product with a zero factor is off by at most
+    prod(|v_j| + err_j)^e_j, formed as e^(sum e_j log h_j) with h_j the
+    sum |v_j| + err_j rounded up and the log sum exactly rounded
+    (math.fsum), and by 0 when that factor's error is 0 too.
+
+    Rounding, u = 2^-53, with log, log1p, exp and expm1 within one ulp.
+    A sum over the n columns of expo is off by (n - 1) u sum|terms| in any
+    order, math.fsum by u |sum|, and each term e_j log m_j by 3u of
+    itself (m_j = |v_j|, or h_j), so a log sum is off by (m + 2) u A,
+    A = sum e_j |log m_j|, m = n or 1; delta by (n + 3) u delta, since
+    log1p(x (1 + t)) is within |t| log1p(x) of log1p(x), and expm1 moves
+    by (1 + delta) times its relative change.  With five more roundings,
+    the exact error is within e^c of the computed one,
+    c = (m + 4) u (A + delta + 1) + 5u (delta = 0 in the zero branch):
+    each error is multiplied by e^(c + 4u), the 4u for the roundings of
+    that factor and product, and raised by 2^-1072 for subnormals."""
     zero = mods == 0.0
     safe = mods + zero  # 1 in place of a zero modulus
-    lo = expo @ np.log(safe)
-    delta = expo @ np.log1p(errs / safe)
+    logs, l1p = np.log(safe), np.log1p(errs / safe)
+    lo, delta = expo @ logs, expo @ l1p
+    unit = (expo.shape[1] + 4) * _U
+    charge = expo @ (np.abs(logs) + l1p) * unit + (unit + 9 * _U)  # c + 4u
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.where(delta > 1.0, np.exp(lo + delta), np.exp(lo) * np.expm1(delta))
-        err = err * (1 + 1e-12) + 5e-324
         if np.count_nonzero(zero):
-            hi = mods + errs
-            on_zero = expo[:, zero].any(axis=1)
-            err = np.where(on_zero, np.exp(expo @ np.log(hi + (hi == 0.0))), err)
-            err[expo[:, hi == 0.0].any(axis=1)] = 0.0
-            lo[on_zero] = -np.inf
+            log_hi = np.log(np.nextafter(mods + errs, np.inf))
+            for i in np.flatnonzero(expo[:, zero].any(axis=1)):
+                terms = (expo[i] * log_hi).tolist()
+                err[i] = _exp(math.fsum(terms))
+                charge[i] = 5 * _U * (math.fsum(map(abs, terms)) + 1) + 9 * _U
+                lo[i] = -np.inf
+        err *= np.exp(charge)
+        err += 2.0 ** -1072
+        if np.count_nonzero(zero):
+            err[expo[:, mods + errs == 0.0].any(axis=1)] = 0.0
     return err, lo
 
 

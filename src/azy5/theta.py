@@ -10,42 +10,26 @@ the z = 0 value of the classical series; it vanishes identically for odd m.
 Second-order constants are Theta_{m'}(tau) = theta_{[m';0]}(2 tau), indexed
 by m' in {00, 01, 10, 11} (this order fixes all matrix and vector layouts).
 
-Truncation is over the box of max-norm shells ||n||_inf <= R.  A term on
-shell r has modulus e^{-pi (n+a)^T Y (n+a)} <= e^{-pi lam (r-1/2)^2} with
-lam the least eigenvalue of Y = Im tau and a in [-1/2,1/2]^2, and shell r
-holds 8r points, giving the certified tail majorant
-
-    tail(R) <= 8 * sum_{r > R} r e^{-pi lam (r-1/2)^2},
-
-evaluated numerically with a geometric remainder.  Derivative series carry
-an extra polynomial majorant (r+1/2)^2 and prefactor 4 pi.  The reported
-err of a value is this tail, the bound P(rho) of the terms the kernel
-leaves outside its ellipse (below), and a rounding bound for the
-summation.
-
 One kernel contract serves every series.  With k = 2n + m', the term of
 theta[m'; m''] is e^{pi i k^T (tau/4) k} i^{k.m''}, and that of Theta_{m'}
 is e^{pi i k^T (tau/2) k}.  A kernel run sums e^{pi i k^T T k} at
-T = 2^s tau over the box k in [-K, K]^2 cut to the ellipse
+T = 2^s tau over the ellipse
 
     E(rho) = {k : q(k) <= rho^2},   q(k) = pi k^T Im(T) k,
 
 and returns the 16 class sums S_r, r = k mod 4, a rounding bound per
-class, and P(rho); with moments, also the three sums weighted by k0^2,
-2 k0 k1 and k1^2, split by class.  Since i^{k.m''} depends on k mod 4
-only, and exactly for any integer m'', theta[m'; m''] = sum over
-r = m' mod 2 of i^{r.m''} S_r, charged the bounds of its four classes
-and P(rho) once: theta_all_even is one run at tau/4 for its ten
+class, and the bound P(rho) below; with moments, also the three sums
+weighted by k0^2, 2 k0 k1 and k1^2, split by class.  Since i^{k.m''}
+depends on k mod 4 only, and exactly for any integer m'', theta[m'; m'']
+= sum over r = m' mod 2 of i^{r.m''} S_r, charged the bounds of its four
+classes and P(rho) once: theta_all_even is one run at tau/4 for its ten
 constants, theta_second_vector one run at tau/2 for its four, and the
-four gradients one run at tau/2 with moments.  For every m', the box
-||n||_inf <= R holds the k = 2n + m' with |k_i| <= 2R + 1, so K = 2R + 1
-omits a subset of the terms that box omits, and tail(R) still bounds
-them.  The precision only chooses the kernel and how the combined sums
-are rounded once, to an mpc or to a complex.
+four gradients one run at tau/2 with moments.  The reported err of a
+value is P(rho), its classes' rounding bounds and the final rounding.
+The precision only chooses the kernel and how the combined sums are
+rounded once, to an mpc or to a complex.
 
-The ellipse.  The terms of q(k) > rho^2 have modulus e^{-q(k)} below
-e^{-rho^2}, and most of the box holds such terms once K is sized by
-the tail.  Each constant sums a translate k = m' + 2Z^2; under
+The ellipse.  Each constant sums a translate k = m' + 2Z^2; under
 x = sqrt(pi) Im(T)^{1/2} k, with q(k) = |x|^2, its points lie at least
 s = 2 sqrt(pi lam) apart, lam the least eigenvalue of Im T, so disks of
 radius s/2 about them are disjoint and at most N(r) <= (2r/s + 1)^2 lie
@@ -54,39 +38,47 @@ et al., "Computing Riemann theta functions", Math. Comp. 73 (2004), in
 closed form for g = 2), the terms of one translate outside E are at most
 
     sum_{|x| > rho} e^{-|x|^2} <= int_rho^inf 2r e^{-r^2} N(r) dr = P(rho),
-    P(rho) = e^{-rho^2} (1 + 4 rho/s + 4 (rho^2 + 1)/s^2)
-             + (2 sqrt(pi)/s) erfc(rho),
+    P(rho) = I_1 + (4/s) I_2 + (4/s^2) I_3,
 
-from int_rho^inf 2r e^{-r^2} dr = e^{-rho^2},
-int_rho^inf 2r^2 e^{-r^2} dr = rho e^{-rho^2} + (sqrt(pi)/2) erfc(rho)
-and int_rho^inf 2r^3 e^{-r^2} dr = (rho^2 + 1) e^{-rho^2}.  Each run takes
-the least rho with P(rho) <= 2^-b e^{-q*}, where b is the kernel's own
-resolution, 53 bits in _grid and the fixed-point wp bits in _walk, and
-q* = max(q(1, 0), q(0, 1), min(q(1, 1), q(1, -1))) bounds the least
-exponent of the weakest translate, so the cut sits b bits below the
-largest term of every constant (_ellipse).  A point is kept when its
-computed k^T Im(T) k is at most rho^2/pi widened by that form's
-rounding, so every point of E is kept.  Moment runs keep the whole box:
-the gradients carry no err of their own to charge P(rho) to (their
-callers take eps as the truncation), and only chi5_determinant runs
-them.
+with I_j = int_rho^inf 2 r^j e^{-r^2} dr: I_0 = sqrt(pi) erfc(rho),
+I_1 = e^{-rho^2} and I_j = rho^(j-1) e^{-rho^2} + (j-1)/2 I_(j-2).
+Each run takes the least rho with P(rho) <= min(eps, 2^-b e^{-q*}), where
+b is the kernel's own resolution, 53 bits in _grid and the fixed-point
+wp bits in _walk, and q* = max(q(1, 0), q(0, 1), min(q(1, 1), q(1, -1)))
+bounds the least exponent of the weakest translate, so the cut sits b
+bits below the largest term of every constant and the truncation part
+of each err is at most eps (_ellipse).  At the default eps the
+resolution sets rho.  A point is kept when its computed k^T Im(T) k is
+at most rho^2/pi widened by that form's rounding, so every point of E
+is kept; E lies in the square |k_i| <= K_E,
+K_E = floor(sqrt(keep max(Y11, Y22)/det Y)), which a run too close to
+the boundary, K_E > 8192, refuses before any work.
+
+A moment run sums E(rho) with rho from eps alone, since the gradients
+carry no err of their own.  Its weights are at most
+|k|^2 <= q(k)/(pi lam) in modulus, and f(r) = r^2 e^{-r^2} falls for
+r >= 1, so for rho >= 1 the same count, summed by parts against
+-f'(r) <= 2r^3 e^{-r^2}, bounds the terms of each gradient entry
+outside E, with the factor |pi i/2| of the derivative, by
+
+    W(rho) = (1/(2 lam)) (I_3 + (4/s) I_4 + (4/s^2) I_5) <= eps.
 
 The term at -k equals the term at k, so both kernels visit only the rows
 k1 >= 0.  Row k1 = 0 is counted once; each term of a row k1 > 0 is also
 credited to the class of -k, and charged in the bound of both classes.
-Double precision runs _grid: numpy terms over the points of the half
-box in E, each class's contributions summed by one math.fsum, so each
-S_r is exactly rounded whatever the order; _grid's docstring derives its
-bound.
+Double precision runs _grid: numpy terms over the points of E's half
+square that lie in E, each class's contributions summed by one
+math.fsum, so each S_r is exactly rounded whatever the order; _grid's
+docstring derives its bound.
 
 High precision runs _walk, a row recurrence in Python integers.  Each
-row k1 = 0, 1, ... up to E's last row is walked over its chord of E,
-clipped to the box (_chords), from its largest term, at
-k0 = nint(-Y12 k1 / Y11) clipped to the chord, by unit steps out to the
-chord's ends.  A step costs two multiplications, t <- t u and
-u <- u E with E = e^{2 pi i T11}, where t is the term and u the ratio of
-neighbouring terms, u = e^{pi i ((2 k0 + 1) T11 + 2 k1 T12)} (the
-downward walk has its own ratio w = e^{pi i ((1 - 2 k0) T11 - 2 k1 T12)}).
+row k1 = 0, 1, ... up to E's last row is walked over its chord of E
+(_chords), from its largest term, at k0 = nint(-Y12 k1 / Y11) clipped
+to the chord, by unit steps out to the chord's ends.  A step costs two
+multiplications, t <- t u and u <- u E with E = e^{2 pi i T11}, where t
+is the term and u the ratio of neighbouring terms,
+u = e^{pi i ((2 k0 + 1) T11 + 2 k1 T12)} (the downward walk has its own
+ratio w = e^{pi i ((1 - 2 k0) T11 - 2 k1 T12)}).
 Every quantity of a walk has modulus at most 1, since it moves away from
 the row's minimum of the real quadratic form, so the walk is fixed point
 with the working precision plus GUARD_BITS fractional bits, and its
@@ -144,6 +136,7 @@ checked at fourth-power or modulus level where the branch cancels.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -164,67 +157,42 @@ MPRIME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class ThetaValue(NamedTuple):
-    """Value together with the analytic tail bound of the truncation used."""
+    """Value together with its certified error bound, truncation and
+    rounding."""
     value: complex
     err: float
 
 
-def _tail(lam, R, poly=0, scale=1.0):
-    """Certified tail majorant for truncation radius R (see module docstring)."""
-    if lam <= 0:
-        raise ValueError("lambda_min must be positive")
-    total = 0.0
-    prev = math.inf
-    r = R + 1
-    while True:
-        t = scale * 8.0 * r * (r + 0.5) ** poly * math.exp(-math.pi * lam * (r - 0.5) ** 2)
+def _check_eps(eps):
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+
+
+def _tail(lam, R):
+    """8 sum_{r > R} r e^{-pi lam (r - 1/2)^2}, with a geometric remainder
+    (truncation_radius)."""
+    total, prev = 0.0, math.inf
+    for r in range(R + 1, R + 200001):
+        t = 8.0 * r * math.exp(-math.pi * lam * (r - 0.5) ** 2)
         total += t
         if t <= prev / 2 and (t <= total * 2.0 ** -60 or t < 1e-320):
             return total + t  # geometric remainder at ratio <= 1/2
         prev = t
-        r += 1
-        if r > R + 200000:
-            raise RuntimeError("tail bound fails to certify; lambda_min too small")
-
-
-def _radius(lam, eps, poly=0, scale=1.0):
-    """The least R >= 1 with _tail(lam, R, poly, scale) < eps.  The first
-    omitted shell r = R + 1 dominates the tail, and the ratios of later
-    shells to their predecessors fall below e^{-2 pi lam r}, so the tail
-    is near scale 8 r (r + 1/2)^poly e^{-pi lam (r - 1/2)^2} over
-    1 - e^{-2 pi lam r}; three fixed-point steps on that equation give a
-    guess that two evaluations of _tail confirm, in the usual case."""
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    if not lam > 0:
-        raise ValueError("lambda_min must be positive")
-    a = math.pi * lam
-    log_eps = math.log(8.0 * scale / eps)
-    r = math.sqrt(max(log_eps, 1.0) / a) + 0.5
-    for _ in range(3):
-        lead = log_eps + math.log(r) + poly * math.log(r + 0.5) - math.log1p(-math.exp(-2 * a * r))
-        r = math.sqrt(max(lead, 0.0) / a) + 0.5
-    R = max(1, math.ceil(r) - 1)
-    if R > 4000:
-        raise RuntimeError(
-            "truncation radius exceeds sanity cap; Im(tau) is too close to "
-            "singular for direct summation")
-    if _tail(lam, R, poly, scale) < eps:
-        while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
-            R -= 1
-        return R
-    R += 1
-    while _tail(lam, R, poly, scale) >= eps:
-        R += 1
-        if R > 4096:
-            raise RuntimeError("truncation radius exceeds sanity cap")
-    return R
+    raise RuntimeError("tail bound fails to certify; lambda_min too small")
 
 
 def truncation_radius(tau, eps):
-    """Smallest shell radius whose certified tail bound is below eps for a
-    first-order theta constant at tau."""
-    return _radius(tau.lam_min, eps)
+    """The least R >= 1 for which the box ||n||_inf <= R leaves out terms
+    of a first-order theta constant at tau of total modulus below eps.  A
+    term on shell r = ||n||_inf has modulus e^{-pi (n+a)^T Y (n+a)}
+    <= e^{-pi lam (r-1/2)^2}, lam = tau.lam_min and a in [-1/2,1/2]^2, and
+    shell r holds 8r points, so _tail(lam, R) bounds the terms beyond R.
+    The kernels do not use it; it sizes direct reference sums."""
+    _check_eps(eps)
+    for R in range(1, 4097):
+        if _tail(tau.lam_min, R) < eps:
+            return R
+    raise RuntimeError("truncation radius exceeds sanity cap")
 
 
 # Unit roundoff of IEEE double, log 2 and sqrt(pi).
@@ -232,50 +200,76 @@ _U = 2.0 ** -53
 _LN2 = math.log(2)
 _SQRT_PI = math.sqrt(math.pi)
 
+# The largest half-width of E's bounding square: the int16 entries of
+# _class_points hold it, and _chords walks at most that many rows.
+_MAX_EXTENT = 8192
+_SINGULAR = ("the ellipse exceeds its cap; Im(tau) is too close to singular "
+             "for direct summation")
 
-def _ellipse(y, b):
-    """(rho2, keep, cut) of the ellipse E = {k : pi k^T Y k <= rho2} for
-    Y = Im T = (Y11, Y12, Y22) at a kernel of b bits (module docstring):
-    rho2 = rho^2 for the least rho with P(rho) <= 2^-b e^-q*, found by
-    three fixed-point steps from below and one step past them; keep, the
-    bound on the computed k^T Y k up to which a kernel keeps a point,
+
+def _ellipse(y, b, eps, moments=False):
+    """(rho2, keep, cut, extent) of the ellipse E = {k : pi k^T Y k <= rho2}
+    of a kernel of b bits at Y = Im T = (Y11, Y12, Y22) (module
+    docstring): rho2 = rho^2 for the least rho whose bound on the
+    terms outside E, cut (P(rho), or W(rho) with moments), meets the
+    target, found by three fixed-point steps and steps past them; keep,
+    the bound on the computed k^T Y k up to which a kernel keeps a point,
     rho2 / pi widened by the rounding of the form, so that every point
-    of E is kept; and cut = P(rho)."""
+    of E is kept; and extent, the half-width of the square that holds E.
+    Raises before any kernel work when E is too large to sum."""
     y11, y12, y22 = y
     lam = sym2_eig_bounds(((y11, y12), (y12, y22)))[0]
+    if not lam > 128 * _U * (y11 + y22):
+        raise RuntimeError(_SINGULAR)
     # the computed k^T Y k is within 5 u (Y11 + Y22) |k|^2 of its value,
     # which is at least lam |k|^2; the slack covers that, the rounding of
     # Y's entries and of lam, and the chords of _chords
     slack = 2.0 ** -30 + 32 * _U * (y11 + y22) / lam
-    s = 2 * math.sqrt(math.pi * lam * (1 - slack))
-    log_target = -b * _LN2 - math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
+    lam *= 1 - slack
+    c1 = 2 / math.sqrt(math.pi * lam)  # 4/s
+    c2 = c1 * c1 / 4  # 4/s^2
+    if moments:
+        log_target, scale = math.log(eps), 1 / (2 * lam)
+    else:
+        log_target = min(math.log(eps),
+                         -b * _LN2 - math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12)))
+        scale = 1.0
 
     def log_factor(x):
-        # log of P(rho) e^{rho^2} at rho^2 = x; e^x erfc(rho) <= 1/(rho sqrt pi)
+        # log of P(rho) e^x, or W(rho) e^x, at rho^2 = x, from e^x I_j
+        # (module docstring); e^x erfc(rho) <= 1/(rho sqrt pi)
         r = math.sqrt(x)
-        erfcx = math.erfc(r) * math.exp(x) if x < 700 else 1 / (r * _SQRT_PI)
-        return math.log1p(4 * r / s + 4 * (x + 1) / (s * s) + 2 * _SQRT_PI / s * erfcx)
+        i0 = _SQRT_PI * math.erfc(r) * math.exp(x) if x < 700 else 1 / r
+        i1, i2, i3 = 1.0, r + i0 / 2, x + 1
+        if moments:
+            i1, i2, i3 = i3, r * (x + 1.5) + 0.75 * i0, x * (x + 2) + 2
+        return math.log(scale * (i1 + c1 * i2 + c2 * i3))
 
-    x = -log_target
+    x = max(1.0, -log_target)
     for _ in range(3):
-        prev, x = x, log_factor(x) - log_target
-    # the map contracts by 1/x < 1/2 (x >= 53 log 2), so one more step of
-    # the last size passes the root
+        prev, x = x, max(1.0, log_factor(x) - log_target)
+    # the map contracts by about 1/x (2/x with moments), so where that
+    # is below 1/2 one more step of the last size passes the root
     step = max(x - prev, 2.0 ** -40 * x)
     while True:
         x += step
         log_p = log_factor(x) - x
         if log_p <= log_target:
-            return x, x / math.pi * (1 + slack), math.exp(log_p)
+            break
+    keep = x / math.pi * (1 + slack)
+    extent = math.floor(math.sqrt(keep * max(y11, y22) / (y11 * y22 - y12 * y12)))
+    if extent > _MAX_EXTENT:
+        raise RuntimeError(_SINGULAR)
+    return x, keep, math.exp(log_p), extent
 
 
 @lru_cache(maxsize=64)
 def _class_points(K):
-    """(k0, k1, cls): the points of the half box k0 in [-K, K],
+    """(k0, k1, cls): the points of the half square k0 in [-K, K],
     k1 in [0, K], each with k1 > 0 listed twice, once for its own class
     c = 4 r0 + r1 and once for that of -k, sorted by class; cls[i] is the
-    class entry i counts in.  Cached per box size, at most 64 sizes, as
-    int16 (K <= 8193 under _radius's cap) and int8: 5 bytes an entry."""
+    class entry i counts in.  Cached per size, at most 64 sizes, as int16
+    (K <= _MAX_EXTENT, _ellipse's cap) and int8: 5 bytes an entry."""
     k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
                                              indexing="ij"))
     pos = np.flatnonzero(k1)
@@ -286,14 +280,14 @@ def _class_points(K):
     return k0[idx].astype(np.int16), k1[idx].astype(np.int16), cls[perm].astype(np.int8)
 
 
-def _grid(t, K, moments=False):
+def _grid(t, eps, moments=False):
     """The numpy kernel behind every double-precision series, with the
-    contract of _walk: t = (T11, T12, T22) as Python complex, K as there,
-    b = 53.  sums[r0][r1] and the moment sums are (re, im) pairs, each
-    component one exactly rounded math.fsum over the contributions of
-    its class that lie in E (_class_points; E's test comes before any
-    exponential), bounds[r0][r1] is the rounding bound of S_r, and cut
-    is P(rho).
+    contract of _walk: t = (T11, T12, T22) as Python complex, b = 53.
+    sums[r0][r1] and the moment sums are (re, im) pairs, each component
+    one exactly rounded math.fsum over the contributions of its class
+    that lie in E (the points of _class_points over E's bounding square;
+    E's test comes before any exponential), bounds[r0][r1] is the
+    rounding bound of S_r, and cut is P(rho), or W(rho) with moments.
 
     The lattice values k and k_i k_j are exact, so forming q = k^T T k
     costs one rounding per monomial and one per addition: at most 3 u Q,
@@ -305,9 +299,8 @@ def _grid(t, K, moments=False):
     covering second-order terms, and rounding a class sum adds u |S_r| per
     component, counted as 2 u |S_r|."""
     t11, t12, t22 = t
-    _, keep, cut = (0.0, math.inf, 0.0) if moments else _ellipse(
-        (t11.imag, t12.imag, t22.imag), 53)
-    k0, k1, cls = _class_points(K)
+    _, keep, cut, extent = _ellipse((t11.imag, t12.imag, t22.imag), 53, eps, moments)
+    k0, k1, cls = _class_points(extent)
     k0, k1 = k0.astype(float), k1.astype(float)
     aa, ab, bb = k0 * k0, k0 * k1, k1 * k1
     inside = t11.imag * aa + (2 * t12.imag) * ab + t22.imag * bb <= keep
@@ -400,47 +393,45 @@ def _row_steps(c, up, down):
     return out
 
 
-def _chords(y, keep, K):
-    """[(lo, hi)] of the rows k1 = 0, 1, ... of the box [-K, K]^2 up to
-    the last row that meets k^T Y k <= keep: row k1 keeps k0 in [lo, hi]
-    (empty when lo > hi), the chord of that ellipse, widened by 2^-40 of
-    its size against rounding and clipped to the box."""
-    if keep == math.inf:
-        return [(-K, K)] * (K + 1)
+def _chords(y, keep):
+    """[(lo, hi)] of the rows k1 = 0, 1, ... up to the last row that
+    meets k^T Y k <= keep: row k1 keeps k0 in [lo, hi] (empty when
+    lo > hi), the chord of that ellipse, widened by 2^-40 of its size
+    against rounding."""
     y11, y12, y22 = y
     det = y11 * y22 - y12 * y12
     out = []
-    for k1 in range(K + 1):
+    for k1 in itertools.count():
         # y11 (k0 - c)^2 + k1^2 det / y11 <= keep
         disc = (keep - k1 * k1 * det / y11) / y11
         if disc < 0:
             break
         c, h = -y12 * k1 / y11, math.sqrt(disc)
         slack = 2.0 ** -40 * (1 + abs(c) + h)
-        out.append((max(-K, math.ceil(c - h - slack)), min(K, math.floor(c + h + slack))))
+        out.append((math.ceil(c - h - slack), math.floor(c + h + slack)))
     return out
 
 
-def _walk(t, K, wp, moments=False):
+def _walk(t, wp, eps, moments=False):
     """The row-recurrence kernel behind every high-precision series.
 
-    Sums e^{pi i k^T T k} over the k of the box [-K, K]^2 in E, b = wp,
-    T given by _raw_entries.  Returns (sums, mom, bounds, cut), the first
-    three indexed [r0][r1] by the class r = k mod 4: sums is the (re, im)
+    Sums e^{pi i k^T T k} over the k in E, b = wp, T given by
+    _raw_entries.  Returns (sums, mom, bounds, cut), the first three
+    indexed [r0][r1] by the class r = k mod 4: sums is the (re, im)
     fixed-point integer sum, wp fractional bits; with moments, mom holds
     the three (re, im) sums weighted by k0^2, 2 k0 k1 and k1^2 (else
-    None); bounds is the rounding bound of sums; cut is P(rho).  Rows,
-    seeds and charges as in the module docstring.
+    None); bounds is the rounding bound of sums; cut is P(rho), or W(rho)
+    with moments.  Rows, seeds and charges as in the module docstring.
     """
     def mul(a, b):
         return fc_mul(a, b, wp)
 
+    y = tuple(to_float(z[1]) for z in t)
+    _, keep, cut, _ = _ellipse(y, wp, eps, moments)
     A, B, C = (fc_cut(*fc_from_mpc(mpc_expjpi(z, wp), _EXP_ERR), wp) for z in t)
     E, F, G = (mul(z, z) for z in (A, B, C))
     Einv, Finv = fc_inv(E, wp), fc_inv(F, wp)
     er, ei = fc_fixed(E, wp)
-    y = tuple(to_float(z[1]) for z in t)
-    _, keep, cut = (0.0, math.inf, 0.0) if moments else _ellipse(y, wp)
     slope = -y[1] / y[0]
     width = 9 if moments else 3  # charge, sum, three moments; re, im each
     # cells [charge, re, im, (k0^2, 2 k0 k1, k1^2 moments)] of row 0, and
@@ -473,7 +464,7 @@ def _walk(t, K, wp, moments=False):
     # |new - old| horizontal steps to the new centre; a row that E's
     # chord leaves empty keeps the old centre
     x, u, w, V, c = fc_cut(1, 0, 0, 0, wp), A, A, C, 0
-    for k1, (lo, hi) in enumerate(_chords(y, keep, K)):
+    for k1, (lo, hi) in enumerate(_chords(y, keep)):
         if k1:
             x, V, u, w = mul(x, V), mul(V, G), mul(u, F), mul(w, Finv)
         if lo > hi:
@@ -496,7 +487,8 @@ def _walk(t, K, wp, moments=False):
 
 class _Sums(NamedTuple):
     """One kernel run, and the arithmetic of its precision: `cut`
-    bounds the terms of each translate of 2Z^2 that E leaves out, `add`
+    bounds the terms of each translate of 2Z^2 that E leaves out
+    (weighted, with moments), `add`
     combines class sums (exactly for the walk's integers, exactly rounded
     for the grid's floats), `round` turns a combined (re, im) pair into a
     value, rounded once, `ulp` = 2^(1-prec) bounds that rounding
@@ -511,17 +503,18 @@ class _Sums(NamedTuple):
     pi: object
 
 
-def _run_kernel(tau, shift, K, hiprec, moments=False):
-    """The kernel of the precision over the box [-K, K]^2 at 2^shift tau,
-    cut to E unless it sums moments.  High precision must run under the working precision, as value_prec
-    provides."""
+def _run_kernel(tau, shift, eps, hiprec, moments=False):
+    """The kernel of the precision over E at 2^shift tau, whose cut is at
+    most eps.  High precision must run under the working precision, as
+    value_prec provides."""
+    _check_eps(eps)
     if hiprec:
         wp = mp.mp.prec + GUARD_BITS
-        run = _walk(_raw_entries(tau, shift), K, wp, moments)
+        run = _walk(_raw_entries(tau, shift), wp, eps, moments)
         return _Sums(*run, sum, lambda z: fc_to_mpc((*z, -wp)), 2.0 ** (1 - mp.mp.prec), mp.pi)
     T = tau.entries()
     t = [z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])]
-    return _Sums(*_grid(t, K, moments), math.fsum, lambda z: complex(*z), 2 * _U, math.pi)
+    return _Sums(*_grid(t, eps, moments), math.fsum, lambda z: complex(*z), 2 * _U, math.pi)
 
 
 # The classes r = k mod 4 of the lattice points k = m' mod 2, by m'.
@@ -542,27 +535,13 @@ def _class_sum(k, cells, mprime, mdbl):
     return k.add(z[0] for z in parts), k.add(z[1] for z in parts)
 
 
-def _theta(k, tail, mprime, mdbl):
+def _theta(k, mprime, mdbl):
     """ThetaValue of theta[m'; m''] from kernel run k over its k = 2n + m'
-    (module docstring): the tail, the rounding bounds of its four classes,
-    the terms outside E of its translate of 2Z^2, and the final rounding."""
+    (module docstring): the rounding bounds of its four classes, the
+    terms outside E of its translate of 2Z^2, and the final rounding."""
     val = k.round(_class_sum(k, k.sums, mprime, mdbl))
     bound = sum(k.bounds[r0][r1] for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2])
-    return ThetaValue(val, tail + (bound + k.cut + k.ulp * abs(complex(val))))
-
-
-def _truncation(lam, eps):
-    """(R, tail(R)) of a series whose Im T has least eigenvalue lam."""
-    R = _radius(lam, eps)
-    return R, _tail(lam, R)
-
-
-def _first_order(tau, eps, hiprec):
-    """(run, tail): the one kernel run at tau/4 behind every first-order
-    constant at tau, over K = 2R + 1 for the radius R of eps.  High
-    precision must run under the working precision."""
-    R, tail = _truncation(tau.lam_min, eps)
-    return _run_kernel(tau, -2, 2 * R + 1, hiprec), tail
+    return ThetaValue(val, bound + k.cut + k.ulp * abs(complex(val)))
 
 
 def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
@@ -572,7 +551,7 @@ def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
     shift sign theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the
     series itself."""
     with value_prec(hiprec):
-        return _theta(*_first_order(tau, eps, hiprec), mprime, mdbl)
+        return _theta(_run_kernel(tau, -2, eps, hiprec), mprime, mdbl)
 
 
 def theta_constant(m, tau, eps=1e-12, hiprec=False):
@@ -603,19 +582,17 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False):
     """The four second-order constants in MPRIME_ORDER, from one kernel
     run at tau/2: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over
     k = 2n + m', the classes k = m' mod 2 of the run."""
-    # 2 lam_min is the least eigenvalue of Im 2 tau, exactly
-    R, tail = _truncation(2 * tau.lam_min, eps)
     with value_prec(hiprec):
-        k = _run_kernel(tau, -1, 2 * R + 1, hiprec)
-        return tuple(_theta(k, tail, mpv, (0, 0)) for mpv in MPRIME_ORDER)
+        k = _run_kernel(tau, -1, eps, hiprec)
+        return tuple(_theta(k, mpv, (0, 0)) for mpv in MPRIME_ORDER)
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False):
     """All ten even first-order constants, keyed by 4-bit index, from one
     kernel run."""
     with value_prec(hiprec):
-        k, tail = _first_order(tau, eps, hiprec)
-        return {m: _theta(k, tail, mprime_of(m), mdbl_of(m)) for m in EVEN_CHARS}
+        k = _run_kernel(tau, -2, eps, hiprec)
+        return {m: _theta(k, mprime_of(m), mdbl_of(m)) for m in EVEN_CHARS}
 
 
 def theta_gradient_vector(tau, eps, hiprec):
@@ -624,10 +601,9 @@ def theta_gradient_vector(tau, eps, hiprec):
     counting the symmetric entry once, from one kernel run with moments.
     Differentiating the terms e^{pi i k^T (tau/2) k} of Theta_{m'} gives
     the weights pi i/2 times k0^2, 2 k0 k1 and k1^2, the moments' integer
-    weights."""
-    R = _radius(2 * tau.lam_min, eps, poly=2, scale=4 * math.pi)
+    weights; the terms outside E change each entry by at most eps."""
     with value_prec(hiprec):
-        k = _run_kernel(tau, -1, 2 * R + 1, hiprec, moments=True)
+        k = _run_kernel(tau, -1, eps, hiprec, moments=True)
         half_pi_i = 1j * (k.pi / 2)
         return tuple(tuple(half_pi_i * k.round(_class_sum(
             k, [[cell[j] for cell in cells] for cells in k.mom], mpv, (0, 0)))

@@ -14,7 +14,7 @@ from azy5 import (J, act_tau, estimate_lambda, sample_taus,
                   theta_second_vector)
 from azy5.numeric import mobius
 from azy5.symplectic import _bfs_transversal
-from azy5.theta import _radius, _tail
+from azy5.theta import _chords, _grid, _run_kernel, _tail, _walk
 
 # Parameters that had only one value in use and became module constants,
 # the genus, which is always 2, and the precomputed characteristic images
@@ -22,12 +22,15 @@ from azy5.theta import _radius, _tail
 REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
            "cancellation_guard", "g", "images"}
 # Parameters removed from one callable, where other callables keep the name:
+# the kernels sum one ellipse, with no box of half-width K, and _tail
+# bounds one series of one genus,
 # phi_modularity_error covers all four generators at once,
 # phi_transversal multiplies over the canonical transversal only, and
 # rep_independence_error checks fixed generators, not a seeded draw.
 REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
                 (azy5.symmetrize_numeric, {"eps", "hiprec"}),
-                (_tail, {"g"}), (_radius, {"g"}),
+                (_tail, {"g", "poly", "scale"}),
+                (_run_kernel, {"K"}), (_grid, {"K"}), (_walk, {"K"}), (_chords, {"K"}),
                 (azy5.phi_modularity_error, {"gamma"}),
                 (azy5.phi_transversal, {"system", "reps"}),
                 (azy5.rep_independence_error, {"seed"}))

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from azy5.chars import EVEN_CHARS, chi_p, even_quadruples, even_triples
@@ -54,6 +55,25 @@ def test_product_err_survives_vanishing_factor():
     assert math.isfinite(e) and e > 0
     assert product_err([(0.0, 1e-10, 2)]) == pytest.approx(1e-20)
     assert product_err([(0.0, 0.0, 1), (3.0, 1e-12, 2)]) == 0.0
+
+
+@pytest.mark.parametrize("factors", [
+    [(1e298, 1e286, 30), (1e-304, 1e-310, 30)],
+    [(0.0, 1e-150, 2), (1e298, 1e286, 30), (1e-304, 1e-310, 29)]], ids=["nonzero", "zero"])
+def test_product_err_covers_large_log_sums(factors):
+    """Rows with sum |e_j log|v_j|| near 4e4 and nonzero errs, one with a
+    zero factor, are covered by the same formula evaluated at 50 digits:
+    prod(|v_j| + err_j)^e_j - prod |v_j|^e_j.  The rounding of their log
+    sums is charged in full; a flat relative allowance of 1e-12 would fall
+    short on the first by about 1.8e-12."""
+    assert sum(abs(e * math.log(v)) for v, _, e in factors if v) > 1000
+    with mp.workdps(50):
+        hi = lo = mp.mpf(1)
+        for v, err, e in factors:
+            hi *= (mp.mpf(v) + mp.mpf(err)) ** e
+            lo *= mp.mpf(v) ** e
+        exact = hi - lo
+    assert 0 < exact <= product_err(factors)
 
 
 def test_azy_terms_structure():

@@ -5,6 +5,7 @@ multiplier kappa."""
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -73,10 +74,12 @@ def test_second_order_is_doubled_theta(taus):
 
 
 def test_certified_error_bound(taus):
+    """eps 1e-6 leaves rho to the double resolution; eps 1e-20, below it,
+    sets a larger rho and a smaller err."""
     tau = taus[2]
     for m in EVEN_CHARS:
         coarse = theta_constant(m, tau, eps=1e-6)
-        fine = theta_constant(m, tau, eps=1e-15)
+        fine = theta_constant(m, tau, eps=1e-20)
         assert abs(coarse.value - fine.value) <= coarse.err + fine.err
         assert fine.err < coarse.err
 
@@ -103,32 +106,14 @@ def test_truncation_radius_monotone(taus):
         truncation_radius(tau, 0.0)
 
 
-def _radius_by_search(lam, eps, poly, scale):
-    """The least R >= 1 with _tail(lam, R) < eps, by a walk from below a
-    first guess, as an independent reference."""
-    guess = math.sqrt(max(1.0, math.log(max(8.0 * scale, 2.0) / eps)) / (math.pi * lam))
-    R = max(1, int(guess) - 2)
-    while _tail(lam, R, poly, scale) >= eps:
-        R += 1
-    while R > 1 and _tail(lam, R - 1, poly, scale) < eps:
-        R -= 1
-    return R
-
-
-@pytest.mark.parametrize("poly,scale", [(0, 1.0), (2, 4 * math.pi)])
-def test_radius_is_least_and_needs_two_tails(poly, scale, monkeypatch):
-    """_radius gives the least certified R, as a search does, for
-    lam_min in [0.01, 5] and eps down to 1e-60, and evaluates the tail
-    at most twice: at R and at R - 1."""
-    import azy5.theta as theta
-    calls = []
-    monkeypatch.setattr(theta, "_tail", lambda *a: calls.append(a) or _tail(*a))
+def test_truncation_radius_is_least():
+    """truncation_radius gives the least certified R, tail(R) < eps <=
+    tail(R - 1), for lam_min in [0.01, 5] and eps down to 1e-60."""
     for eps in (1e-12, 1e-30, 1e-60):
         for lam in np.geomspace(0.01, 5, 120):
-            calls.clear()
-            R = theta._radius(lam, eps, poly, scale)
-            assert len(calls) <= 2, (lam, eps)
-            assert R == _radius_by_search(lam, eps, poly, scale), (lam, eps)
+            R = truncation_radius(SimpleNamespace(lam_min=lam), eps)
+            assert _tail(lam, R) < eps, (lam, eps)
+            assert R == 1 or _tail(lam, R - 1) >= eps, (lam, eps)
 
 
 @pytest.mark.parametrize("hiprec", [False, True])

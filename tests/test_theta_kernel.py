@@ -1,6 +1,6 @@
 """Both series kernels against a direct lattice sum (one mp.expjpi per
-point, over a box three shells wider than the library's certified
-radius), and the constants that share a kernel run: the high-precision
+point, over the box whose certified tail is below the sum's own
+digits), and the constants that share a kernel run: the high-precision
 walk at eps 1e-30 against 70 digits, the double grid at eps 1e-12 against
 30 digits.  A high-precision case keeps the bare point name as its id."""
 
@@ -16,7 +16,7 @@ from azy5.numeric import value_prec
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
 from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _doubled, _ellipse,
-                        _radius, _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
+                        _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
                         theta_constant, theta_gradient, theta_raw, theta_second_order,
                         theta_second_vector, truncation_radius)
 
@@ -25,7 +25,12 @@ PRECISIONS = {
     "hiprec": (True, 1e-30, 70, 1e-45),
     "double": (False, 1e-12, 30, 0.0),
 }
-WIDER = 3
+
+
+def _reference_radius(tau, dps):
+    """The box ||n||_inf <= R of a direct sum at dps digits: the terms
+    beyond it are below 10^-dps in all."""
+    return truncation_radius(tau, 10.0 ** -dps)
 
 
 def _diff(a, b, dps):
@@ -56,8 +61,8 @@ def _worst_transformed():
 
 
 def _skewed():
-    # |Y12 / Y11| = 1.6 > 1, so the centres nint(-Y12 k1 / Y11) of the
-    # outer rows fall outside the box and are clipped to its edge
+    # |Y12 / Y11| = 1.6 > 1, so the centres nint(-Y12 k1 / Y11) of
+    # consecutive rows lie up to two steps apart
     return SiegelPoint([[0.2 + 0.5j, -0.1 + 0.8j], [-0.1 + 0.8j, 0.3 + 2.0j]])
 
 
@@ -89,23 +94,21 @@ def test_worst_transformed_point_is_ill_conditioned():
 def test_even_constants_against_direct_sum(name, prec, direct_mp):
     hiprec, eps, dps, slack = PRECISIONS[prec]
     tau = POINTS[name]()
-    R = truncation_radius(tau, eps) + WIDER
+    R = _reference_radius(tau, dps)
     for m in EVEN_CHARS:
         tv = theta_constant(m, tau, eps, hiprec=hiprec)
         ref = direct_mp(mprime_of(m), mdbl_of(m), _entries(tau, hiprec), R, dps)
         assert _diff(tv.value, ref, dps) <= tv.err + slack, (name, m)
 
 
-def test_skewed_point_clips_row_centres():
-    """Some row of the high-precision walk at the skewed point, cut to E,
-    has its centre nint(-Y12 k1 / Y11) outside the box."""
-    tau = _skewed()
-    K = 2 * truncation_radius(tau, PRECISIONS["hiprec"][1]) + 1
+def test_skewed_point_moves_row_centres():
+    """At the skewed point the high-precision walk moves its centre
+    nint(-Y12 k1 / Y11) by two steps between some consecutive rows, so
+    the direct-sum tests there check the horizontal steps of a row."""
     with mp.workdps(50):
-        t = _raw_entries(tau, -2)
-        y, (_, keep, _) = _ellipse_of(t, mp.mp.prec + GUARD_BITS)
-    assert any(abs(round(-y[1] / y[0] * k1)) > K
-               for k1, (lo, hi) in enumerate(_chords(y, keep, K)) if lo <= hi)
+        t = _raw_entries(_skewed(), -2)
+        centres = [c for _, c in _centres(t, mp.mp.prec + GUARD_BITS, PRECISIONS["hiprec"][1])]
+    assert max(abs(b - a) for a, b in zip(centres, centres[1:])) == 2
 
 
 UNREDUCED = [((0, 1), (2, 3)), ((1, 0), (3, 0)), ((2, 1), (1, 0)),
@@ -121,7 +124,7 @@ def test_unreduced_characteristics_against_direct_sum(chars, prec, direct_mp):
     hiprec, eps, dps, slack = PRECISIONS[prec]
     mprime, mdbl = chars
     tau = _generic()
-    R = truncation_radius(tau, eps) + WIDER
+    R = _reference_radius(tau, dps)
     tv = theta_raw(mprime, mdbl, tau, eps, hiprec=hiprec)
     ref = direct_mp(mprime, mdbl, _entries(tau, hiprec), R, dps)
     assert _diff(tv.value, ref, dps) <= tv.err + slack
@@ -144,7 +147,7 @@ def test_second_vector_matches_second_order(name, prec, direct_mp):
     tau = POINTS[name]()
     vec = theta_second_vector(tau, eps, hiprec=hiprec)
     doubled = _doubled(tau)
-    R = truncation_radius(doubled, eps) + WIDER
+    R = _reference_radius(doubled, dps)
     for k, mpv in enumerate(MPRIME_ORDER):
         single = theta_second_order(mpv, tau, eps, hiprec=hiprec)
         assert _diff(vec[k].value, single.value, dps) <= vec[k].err + single.err + slack
@@ -164,47 +167,52 @@ def test_second_vector_err_is_charged_its_own_class(name):
         assert vec[k].err <= theta_second_order(mpv, tau, 1e-12).err * (1 + 1e-9)
 
 
-def _ellipse_of(t, wp):
+def _ellipse_of(t, wp, eps, moments=False):
     """Im T as floats and the ellipse of the walk at T, t from _raw_entries."""
     y = tuple(to_float(z[1]) for z in t)
-    return y, _ellipse(y, wp)
+    return y, _ellipse(y, wp, eps, moments)
+
+
+# (eps, moments) of the walks of test_walk_bounds_count_each_class: the
+# resolution sets rho, eps sets rho, a moment run
+WALKS = ((1.0, False), (1e-40, False), (1e-12, True))
 
 
 def test_walk_bounds_count_each_class(monkeypatch):
-    """The walk visits the rows k1 >= 0 of the box [-K, K]^2 cut to E,
-    each row k1 the chord k0 in [c - down, c + up] around its centre c,
-    and credits each term of a row k1 > 0 to the classes of k and of -k.
-    With a unit charge per point, each point of the visited rows is
-    counted once, in its own class mod 4, for an odd and an even K; the
-    rows hold every point of the box in E and, at these K, fewer than the
-    box; and with moments the walk visits the whole box.  With the real
-    charges, each class's bound is the sum of _point_charge of its rows'
-    seeds at each point's own step count, and the mirrored classes r and
-    -r of the rows k1 > 0 receive equal charges, so the classes with r1 != 0, which row 0 does not
+    """The walk visits the rows k1 >= 0 of E, each row k1 the chord k0 in
+    [c - down, c + up] around its centre c, and credits each term of a
+    row k1 > 0 to the classes of k and of -k.  With a unit charge per
+    point, each point of the visited rows is counted once, in its own
+    class mod 4, whether the resolution or eps sets rho and with moments;
+    the rows hold every point of E and none whose form exceeds rho^2 by
+    more than a millionth.  With the real charges, each class's bound is
+    the sum of _point_charge of its rows' seeds at each point's own step
+    count, and the mirrored classes r and -r of the rows k1 > 0 receive
+    equal charges, so the classes with r1 != 0, which row 0 does not
     reach, have equal bounds in mirrored pairs.  The closed-form step
     sums of a ray, and of a row by class, equal the direct sums over
     their points."""
     import azy5.theta as theta
     wp = 53 + GUARD_BITS
     t = _raw_entries(_generic(), -2)
-    y, (rho2, _, _) = _ellipse_of(t, wp)
     charge, row_steps = theta._point_charge, theta._row_steps
-    for K in (9, 10):
-        box = [(k0, k1) for k0 in range(-K, K + 1) for k1 in range(-K, K + 1)]
+    for eps, moments in WALKS:
+        y, (rho2, _, _, extent) = _ellipse_of(t, wp, eps, moments)
+        square = [(k0, k1) for k0 in range(-extent, extent + 1)
+                  for k1 in range(-extent, extent + 1)]
         charges, rows = [], []
         with mp.workdps(16), monkeypatch.context() as patch:
             patch.setattr(theta, "_point_charge", lambda *a: charges.append(a) or charge(*a))
             patch.setattr(theta, "_row_steps",
                           lambda *a: rows.append((len(charges) // 2 - 1, *a)) or row_steps(*a))
-            _, _, bounds, _ = _walk(t, K, wp)
+            _, _, bounds, _ = _walk(t, wp, eps, moments)
             patch.setattr(theta, "_point_charge", lambda *args: (1, 0, 0))
-            _, _, unit, _ = _walk(t, K, wp)
-            _, _, whole, _ = _walk(t, K, wp, moments=True)
+            _, _, unit, _ = _walk(t, wp, eps, moments)
         # each row charges (up, down) seeds, then sums by class around its
         # centre c, of which _row_steps sees c mod 4
         direct = [[0] * 4 for _ in range(4)]
         kept = set()
-        for (i, _, up, down), (k1, c) in zip(rows, _centres(t, K, wp)):
+        for (i, _, up, down), (k1, c) in zip(rows, _centres(t, wp, eps, moments)):
             (a, bu, g), (_, bw, _) = charge(*charges[2 * i]), charge(*charges[2 * i + 1])
             for k0 in range(c - down, c + up + 1):
                 j = abs(k0 - c)
@@ -214,18 +222,17 @@ def test_walk_bounds_count_each_class(monkeypatch):
                 if k1:
                     direct[-k0 % 4][-k1 % 4] += q
                     kept.add((-k0, -k1))
-        assert bounds == [[q * 2.0 ** -wp for q in row] for row in direct], K
-        in_e = {k for k in box if math.pi * (y[0] * k[0] ** 2 + 2 * y[1] * k[0] * k[1]
-                                             + y[2] * k[1] ** 2) <= rho2}
-        assert in_e <= kept < set(box), K
+        assert bounds == [[q * 2.0 ** -wp for q in row] for row in direct], eps
+        form = {k: math.pi * (y[0] * k[0] ** 2 + 2 * y[1] * k[0] * k[1] + y[2] * k[1] ** 2)
+                for k in square}
+        in_e = {k for k in square if form[k] <= rho2}
+        assert in_e <= kept <= {k for k in square if form[k] <= rho2 * (1 + 1e-6)}, eps
         for r0 in range(4):
             for r1 in range(4):
                 count = sum(1 for k in kept if (k[0] % 4, k[1] % 4) == (r0, r1))
-                assert unit[r0][r1] == count * 2.0 ** -wp, (K, r0, r1)
-                count = sum(1 for k in box if (k[0] % 4, k[1] % 4) == (r0, r1))
-                assert whole[r0][r1] == count * 2.0 ** -wp, (K, r0, r1)
+                assert unit[r0][r1] == count * 2.0 ** -wp, (eps, r0, r1)
                 if r1:
-                    assert bounds[r0][r1] == bounds[-r0 % 4][-r1 % 4] > 0, (K, r0, r1)
+                    assert bounds[r0][r1] == bounds[-r0 % 4][-r1 % 4] > 0, (eps, r0, r1)
     for n in range(12):
         direct = [[0, 0, 0] for _ in range(4)]
         for j in range(1, n + 1):
@@ -244,50 +251,96 @@ def test_walk_bounds_count_each_class(monkeypatch):
                 assert theta._row_steps(c, up, down) == direct, (c, up, down)
 
 
-def _centres(t, K, wp):
+def _centres(t, wp, eps, moments=False):
     """(k1, centre) of each row the walk sums: the row centre
     nint(-Y12 k1 / Y11) clipped to the row's chord, rows left empty by E
     skipped."""
-    y, (_, keep, _) = _ellipse_of(t, wp)
+    y, (_, keep, _, _) = _ellipse_of(t, wp, eps, moments)
     return [(k1, min(hi, max(lo, round(-y[1] / y[0] * k1))))
-            for k1, (lo, hi) in enumerate(_chords(y, keep, K)) if lo <= hi]
+            for k1, (lo, hi) in enumerate(_chords(y, keep)) if lo <= hi]
 
 
 def _lam_012(near_point):
     return near_point(0.12, 0.5, 0.4, 0.3, -0.2, 0.25)
 
 
-@pytest.mark.parametrize("name,prec", _cases(["skewed", "lam_min 0.12"]))
-def test_omitted_terms_within_their_charge(name, prec, near_point):
-    """Each kernel run sums the box cut to E = {k : pi k^T Y k <= rho^2},
-    and charges P(rho) to every constant for the terms of its translate
+def _omitted(t, rho2, lam):
+    """For each translate k = m' mod 2, the sums of e^{-q(k)} and of
+    |k0^2|, |2 k0 k1| and |k1^2| times it over the k with q(k) > rho2,
+    q(k) = pi k^T Y k, Y = Im T (lam its least eigenvalue), at 70 digits
+    and out to where the terms fall below 10^-80."""
+    far = 80 * math.log(10)
+    K = math.ceil(math.sqrt(far / (math.pi * lam)))
+    yf = [to_float(z[1]) for z in t]
+    out = {mpv: [mp.mpf(0)] * 4 for mpv in MPRIME_ORDER}
+    with mp.workdps(70):
+        y = [mp.mpf(z[1]) for z in t]
+        for k0 in range(-K, K + 1):
+            for k1 in range(-K, K + 1):
+                if math.pi * (yf[0] * k0 * k0 + 2 * yf[1] * k0 * k1 + yf[2] * k1 * k1) > far + 5:
+                    continue
+                q = mp.pi * (y[0] * k0 * k0 + 2 * y[1] * k0 * k1 + y[2] * k1 * k1)
+                if q > rho2:
+                    term, cell = mp.exp(-q), out[k0 % 2, k1 % 2]
+                    for i, w in enumerate((1, k0 * k0, abs(2 * k0 * k1), k1 * k1)):
+                        cell[i] += w * term
+    return out
+
+
+def _omitted_point(name, near_point):
+    return _skewed() if name == "skewed" else _lam_012(near_point)
+
+
+@pytest.mark.parametrize("name,prec,low_eps", [
+    pytest.param(*case.values, None, id=case.id) for case in _cases(["skewed", "lam_min 0.12"])] + [
+    # eps below the double resolution target, so that eps sets rho
+    pytest.param("skewed", "double", 1e-20, id="double-skewed, eps 1e-20")])
+def test_omitted_terms_within_their_charge(name, prec, low_eps, near_point):
+    """Each kernel run sums E = {k : pi k^T Y k <= rho^2}, and charges
+    P(rho) <= eps to every constant for the terms of its translate
     k = m' mod 2 of 2Z^2 that E leaves out.  At the first- and the
-    second-order run, the moduli of exactly those terms, summed directly
-    at 70 digits, are nonzero and at most the charge: the err of the
-    constant, without tail, less its class rounding bounds and its final
-    rounding."""
+    second-order run, the moduli of exactly those terms, summed directly,
+    are nonzero and at most the charge: the err of the constant less its
+    class rounding bounds and its final rounding.  At double eps 1e-20,
+    eps and not the resolution sets rho."""
     hiprec, eps, _, _ = PRECISIONS[prec]
-    tau = _skewed() if name == "skewed" else _lam_012(near_point)
-    for shift, lam in ((-2, tau.lam_min), (-1, 2 * tau.lam_min)):
-        K = 2 * _radius(lam, eps) + 1
+    eps = low_eps or eps
+    tau = _omitted_point(name, near_point)
+    for shift, lam in ((-2, tau.lam_min / 4), (-1, tau.lam_min / 2)):
         with value_prec(hiprec):
-            run = _run_kernel(tau, shift, K, hiprec)
+            run = _run_kernel(tau, shift, eps, hiprec)
             t = _raw_entries(tau, shift)
             bits = mp.mp.prec + GUARD_BITS if hiprec else 53
-            rho2 = _ellipse_of(t, bits)[1][0]
-            thetas = [_theta(run, 0.0, mpv, (0, 0)) for mpv in MPRIME_ORDER]
-        with mp.workdps(70):
-            y = [mp.mpf(z[1]) for z in t]
-            omitted = dict.fromkeys(MPRIME_ORDER, mp.mpf(0))
-            for k0 in range(-K, K + 1):
-                for k1 in range(-K, K + 1):
-                    q = mp.pi * (y[0] * k0 * k0 + 2 * y[1] * k0 * k1 + y[2] * k1 * k1)
-                    if q > rho2:
-                        omitted[k0 % 2, k1 % 2] += mp.exp(-q)
+            y, (rho2, _, cut, _) = _ellipse_of(t, bits, eps)
+            thetas = [_theta(run, mpv, (0, 0)) for mpv in MPRIME_ORDER]
+        assert run.cut == cut <= eps
+        if low_eps:
+            assert _ellipse(y, bits, 1.0)[0] < rho2
+        omitted = _omitted(t, rho2, lam)
         for mpv, tv in zip(MPRIME_ORDER, thetas):
             rounding = (sum(run.bounds[r0][r1] for r0, r1 in _CLASSES[mpv])
                         + run.ulp * abs(complex(tv.value)))
-            assert 0 < omitted[mpv] <= tv.err - rounding, (shift, mpv)
+            assert 0 < omitted[mpv][0] <= tv.err - rounding, (shift, mpv)
+
+
+@pytest.mark.parametrize("name,prec", _cases(["skewed", "lam_min 0.12"]))
+def test_omitted_weighted_terms_within_their_bound(name, prec, near_point):
+    """A moment run takes rho from eps alone and bounds the terms of each
+    gradient entry outside E by W(rho) <= eps.  For each translate, the
+    weighted moduli pi/2 |w| e^{-q(k)} of those terms, w = k0^2, 2 k0 k1
+    and k1^2, summed directly, are nonzero and at most W(rho)."""
+    hiprec, eps, _, _ = PRECISIONS[prec]
+    tau = _omitted_point(name, near_point)
+    with value_prec(hiprec):
+        run = _run_kernel(tau, -1, eps, hiprec, moments=True)
+        t = _raw_entries(tau, -1)
+        bits = mp.mp.prec + GUARD_BITS if hiprec else 53
+        rho2 = _ellipse_of(t, bits, eps, moments=True)[1][0]
+    assert run.cut <= eps
+    omitted = _omitted(t, rho2, tau.lam_min / 2)
+    for mpv in MPRIME_ORDER:
+        for w in omitted[mpv][1:]:
+            assert 0 < mp.pi / 2 * w <= run.cut, mpv
 
 
 def _count_exponentials(monkeypatch):
@@ -307,10 +360,11 @@ def _count_exponentials(monkeypatch):
 def test_walk_makes_three_exponentials(radius, monkeypatch):
     """A run takes e^{pi i T11}, e^{pi i T12} and e^{pi i T22} from mpmath
     and derives every other factor by multiplication, whatever the size
-    of the box."""
+    of E: at eps = e^{-radius^2}, the resolution of 16 digits sets rho at
+    radius 3, and eps at radius 12."""
     calls = _count_exponentials(monkeypatch)
-    with mp.workdps(50):
-        _walk(_raw_entries(_generic(), -2), 2 * radius + 1, mp.mp.prec + GUARD_BITS)
+    with mp.workdps(16):
+        _walk(_raw_entries(_generic(), -2), mp.mp.prec + GUARD_BITS, math.exp(-radius ** 2))
     assert len(calls) == 3
 
 
@@ -323,18 +377,21 @@ def test_all_even_makes_three_exponentials(monkeypatch):
 
 
 def test_long_recurrence_against_direct_sum(near_point, direct_mp):
-    """At lam_min 0.03 the walk derives more than 40 rows of seeds from
-    its start row; the second-order constants and one even constant per
-    m' class still match the direct sum within their err."""
+    """At lam_min 0.03 the first-order walk derives the seeds of more
+    than 35 rows from its start row; the second-order constants and one
+    even constant per m' class still match the direct sum within their
+    err."""
     hiprec, eps, dps, slack = PRECISIONS["hiprec"]
     tau = near_point(0.03, 0.5, 0.4, 0.3, -0.2, 0.25)
-    assert 2 * _radius(2 * tau.lam_min, eps) + 1 > 40  # rows k1 in [1, 2R+1]
+    with value_prec(hiprec):
+        y, (_, keep, _, _) = _ellipse_of(_raw_entries(tau, -2), mp.mp.prec + GUARD_BITS, eps)
+    assert len(_chords(y, keep)) > 35  # rows k1 in [0, 35] and more
     doubled = _doubled(tau)
-    R = truncation_radius(doubled, eps) + WIDER
+    R = _reference_radius(doubled, dps)
     for mpv, tv in zip(MPRIME_ORDER, theta_second_vector(tau, eps, hiprec)):
         ref = direct_mp(mpv, (0, 0), _entries(doubled, hiprec), R, dps)
         assert _diff(tv.value, ref, dps) <= tv.err + slack, mpv
-    R = truncation_radius(tau, eps) + WIDER
+    R = _reference_radius(tau, dps)
     for mpv in MPRIME_ORDER:
         m = next(m for m in EVEN_CHARS if mprime_of(m) == mpv)
         tv = theta_constant(m, tau, eps, hiprec)
@@ -359,7 +416,7 @@ def test_gradient_against_direct_weighted_sum(name, prec, near_point):
         tau = near_point(0.05, 0.6, 0.7, 0.2, -0.3, 0.1)
     else:
         tau = POINTS[name]()
-    R = _radius(2 * tau.lam_min, eps, poly=2, scale=4 * math.pi) + WIDER
+    R = _reference_radius(_doubled(tau), dps)
     T = _entries(_doubled(tau), hiprec)
     for mpv in MPRIME_ORDER:
         grad = theta_gradient(mpv, tau, eps, hiprec=hiprec)
@@ -405,17 +462,35 @@ def test_one_kernel_run_per_concept(prec, monkeypatch):
 
 
 @pytest.mark.parametrize("prec", sorted(PRECISIONS))
-def test_all_even_sizes_its_box_once(prec, monkeypatch):
-    """The one kernel run of theta_all_even sizes its box by one
-    truncation radius, computed once."""
+def test_all_even_computes_its_ellipse_once(prec, monkeypatch):
+    """The one kernel run of theta_all_even sums one ellipse, computed
+    once."""
     import azy5.theta as theta
     hiprec, eps, _, _ = PRECISIONS[prec]
-    radius, calls = theta._radius, []
+    ellipse, calls = theta._ellipse, []
 
     def counted(*args):
         calls.append(args)
-        return radius(*args)
+        return ellipse(*args)
 
-    monkeypatch.setattr(theta, "_radius", counted)
+    monkeypatch.setattr(theta, "_ellipse", counted)
     theta_all_even(_generic(), eps, hiprec)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("prec", sorted(PRECISIONS))
+def test_near_singular_point_is_refused_before_any_work(prec, near_point, monkeypatch):
+    """At lam_min 1e-8 the square that holds E is far wider than the cap
+    of 8192 that _class_points' int16 entries hold: both the first- and
+    the second-order run raise before any point array, exponential or
+    row walk is made."""
+    import azy5.theta as theta
+    hiprec, eps, _, _ = PRECISIONS[prec]
+    calls = _count_exponentials(monkeypatch)
+    monkeypatch.setattr(theta, "_class_points", lambda *a: calls.append(a))
+    monkeypatch.setattr(theta, "_chords", lambda *a: calls.append(a))
+    tau = near_point(1e-8, 0.5, 0.4, 0.3, -0.2, 0.25)
+    for fn in (theta_all_even, theta_second_vector):
+        with pytest.raises(RuntimeError, match="too close to singular"):
+            fn(tau, eps, hiprec)
+    assert not calls

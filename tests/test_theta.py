@@ -116,6 +116,56 @@ def test_truncation_radius_is_least():
             assert R == 1 or _tail(lam, R - 1) >= eps, (lam, eps)
 
 
+def _log_bound(lam, x, moments):
+    """log P(rho), or log W(rho) with moments, at rho^2 = x for the least
+    eigenvalue lam of Im T, from the closed forms of the module docstring
+    at 40 digits, as an independent reference for _ellipse."""
+    with mp.workdps(40):
+        r, s = mp.sqrt(x), 2 * mp.sqrt(mp.pi * lam)
+        i = [mp.sqrt(mp.pi) * mp.erfc(r), mp.exp(-x)]
+        for j in range(2, 6):
+            i.append(r ** (j - 1) * mp.exp(-x) + mp.mpf(j - 1) / 2 * i[j - 2])
+        if moments:
+            return float(mp.log((i[3] + 4 / s * i[4] + 4 / s ** 2 * i[5]) / (2 * lam)))
+        return float(mp.log(i[1] + 4 / s * i[2] + 4 / s ** 2 * i[3]))
+
+
+@pytest.mark.parametrize("poly,scale", [(0, 1.0), (2, 4 * math.pi)])
+def test_radius_is_least_and_needs_two_tails(poly, scale, monkeypatch):
+    """A term on the shell ||n||_inf = r of a translate k = 2n + m' is
+    charged a weight of at most scale (r + 1/2)^poly: 1 in a constant,
+    from the run at tau/4, and (pi/2) |w| <= 4 pi (r + 1/2)^2,
+    w = k0^2, 2 k0 k1 or k1^2, in a gradient entry, from the moment run
+    at tau/2.  For lam_min in [0.01, 5] and eps down to 1e-60, _ellipse
+    takes the least rho^2, to within 1/10, whose bound (P, or W with
+    moments) meets its target; it evaluates that bound at most twice
+    past its three fixed-point steps; and the omitted terms of each
+    translate, at those weights, sum to at most its cut."""
+    import azy5.theta as theta
+    moments = poly > 0
+    calls = []
+    erfc = math.erfc
+    monkeypatch.setattr(math, "erfc", lambda z: calls.append(z) or erfc(z))
+    for eps in (1e-12, 1e-30, 1e-60):
+        for lam in np.geomspace(0.01, 5, 24):
+            run = lam / (2 if moments else 4)
+            calls.clear()
+            x, _, cut, _ = theta._ellipse((run, 0.0, run), 53, eps, moments)
+            assert len(calls) <= 5, (lam, eps)
+            # Y = run I, so q* = 2 pi run
+            target = math.log(eps) if moments else min(math.log(eps), -53 * math.log(2)
+                                                       - 2 * math.pi * run)
+            assert _log_bound(run, x, moments) <= target < _log_bound(run, x - 0.1, moments)
+            K = math.isqrt(int((x + 80) / (math.pi * run))) + 2
+            k0, k1 = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1), indexing="ij")
+            q = math.pi * run * (k0 ** 2 + k1 ** 2)
+            for m0, m1 in MPRIME_ORDER:
+                out = (k0 % 2 == m0) & (k1 % 2 == m1) & (q > x)
+                r = np.maximum(abs(k0 - m0) // 2, abs(k1 - m1) // 2)[out]
+                omitted = math.fsum(scale * (r + 0.5) ** poly * np.exp(-q[out]))
+                assert 0 < omitted <= cut, (lam, eps, m0, m1)
+
+
 @pytest.mark.parametrize("hiprec", [False, True])
 def test_eps_must_be_positive_and_finite(taus, hiprec):
     for eps in (math.nan, math.inf, -1.0, 0.0):

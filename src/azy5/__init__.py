@@ -10,47 +10,45 @@ that it is proportional to the classical signed theta-triple construction.
 
 from .chars import (EVEN_CHARS, M0, ODD_CHARS, act_char, act_set, chi_p,
                     classify_quadruple, classify_triple, even_quadruples,
-                    even_triples, format_char, pair_sign, parity, parse_char,
-                    psi_p)
+                    even_triples, format_char, pair_sign, parity, psi_p)
 from .construction import (AZY_NORMALIZATION, LambdaEstimate, estimate_lambda,
                            geometric_crosscheck, phi, phi_gamma,
                            phi_modularity_error, phi_transversal,
                            rep_independence_error)
 from .forms import (azy, azy_eval, chi5_determinant, chi5_product, chi10,
-                    chi12, mono_key, monomial_at, mu_ratio, p2, slash_unit,
-                    symmetrize_exact, symmetrize_numeric)
+                    chi12, mono_key, mu_ratio, p2, slash_unit, symmetrize_exact)
 from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residuals,
                        all_faces, all_tetrahedra, f_m, faces_from_vertices,
                        quadric_value, tetrahedron)
 from .reports import CheckResult, EvalReport
 from .siegel import SiegelPoint, sample_tau, sample_taus
-from .symplectic import (ETA0, GENERATORS, IDENTITY, J, PRINCIPAL2,
-                         THETA0_2, CosetSystem,
-                         SymplecticMatrix, act_tau, automorphy_factor,
-                         coset_reps, gl_rotation, in_subgroup,
+from .symplectic import (GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
+                         CosetSystem, SymplecticMatrix, act_tau,
+                         automorphy_factor, coset_reps, gl_rotation,
                          lower_translation, random_word, translation)
 from .theta import (ThetaValue, kappa4, kappa_numeric, kappa_probes,
-                    theta_all_even, theta_constant, theta_gradient,
-                    theta_second_order, theta_second_vector, transform_unit,
-                    truncation_radius, xi_chi, xi_numerator)
+                    theta_all_even, theta_constant, theta_second_order,
+                    theta_second_vector, transform_unit, truncation_radius,
+                    xi_numerator)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EVEN_CHARS", "ODD_CHARS", "M0", "act_char", "act_set", "chi_p",
     "pair_sign", "classify_triple", "classify_quadruple", "even_triples",
-    "even_quadruples", "format_char", "parse_char", "parity", "psi_p",
+    "even_quadruples", "format_char", "parity", "psi_p",
     "SiegelPoint", "sample_tau", "sample_taus",
     "SymplecticMatrix", "CosetSystem", "IDENTITY", "J",
-    "ETA0", "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
+    "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
     "lower_translation", "gl_rotation", "act_tau", "automorphy_factor",
-    "coset_reps", "in_subgroup", "random_word",
-    "ThetaValue", "theta_constant", "theta_second_order", "theta_second_vector", "theta_all_even",
-    "theta_gradient", "truncation_radius", "transform_unit", "xi_chi",
-    "xi_numerator", "kappa4", "kappa_numeric", "kappa_probes",
-    "mono_key", "monomial_at", "slash_unit", "symmetrize_exact",
-    "symmetrize_numeric", "chi5_product", "chi5_determinant", "chi10",
-    "chi12", "p2", "azy", "azy_eval", "mu_ratio",
+    "coset_reps", "random_word",
+    "ThetaValue", "theta_constant", "theta_second_order",
+    "theta_second_vector", "theta_all_even", "truncation_radius",
+    "transform_unit", "xi_numerator", "kappa4", "kappa_numeric",
+    "kappa_probes",
+    "mono_key", "slash_unit", "symmetrize_exact", "chi5_product",
+    "chi5_determinant", "chi10", "chi12", "p2", "azy", "azy_eval",
+    "mu_ratio",
     "ADDITION_TABLE", "Tetrahedron", "addition_residuals", "all_faces",
     "all_tetrahedra", "f_m", "faces_from_vertices", "quadric_value",
     "tetrahedron",

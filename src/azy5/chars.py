@@ -53,20 +53,6 @@ def format_char(idx):
     return f"[{b[0]}{b[1]};{b[2]}{b[3]}]"
 
 
-def parse_char(text):
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a characteristic: {text!r}")
-    body = s[1:-1].replace(" ", "")
-    parts = body.split(";")
-    if len(parts) != 2 or len(parts[0]) != 2 or len(parts[1]) != 2:
-        raise ValueError(f"not a genus-2 characteristic: {text!r}")
-    bits = [int(ch) for ch in parts[0] + parts[1]]
-    if any(bit not in (0, 1) for bit in bits):
-        raise ValueError(f"characteristic bits must be 0/1: {text!r}")
-    return char_index(bits[:2], bits[2:])
-
-
 def parity(idx):
     """e(m) = (-1)^{m'.m''}; +1 for even characteristics, -1 for odd."""
     b = _BITS[idx]
@@ -183,11 +169,6 @@ def perm_sign(p):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def compose_perm(p, q):
-    """(p o q)[i] = p[q[i]], matching the left action on characteristics."""
-    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def chi_p(gamma):

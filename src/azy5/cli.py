@@ -321,6 +321,8 @@ def main(argv=None):
             parser.error("--eps must be finite and at least 1e-30")
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be a non-negative integer")
     t0 = time.perf_counter()
     try:
         rep = args.fn(args)

@@ -154,7 +154,8 @@ def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
     while len(ratios) < samples:
         attempts += 1
         if attempts > 20 * samples:
-            raise RuntimeError("sampling keeps hitting azy cancellation; widen the guard")
+            raise RuntimeError("sampling keeps hitting azy cancellation below "
+                               "CANCELLATION_GUARD times the largest monomial")
         tau = sample_tau(rng)
         av, _, amax = azy_eval(tau, eps, hiprec)
         if abs(av) < CANCELLATION_GUARD * amax:

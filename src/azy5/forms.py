@@ -76,8 +76,7 @@ import numpy as np
 from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
 from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
                       fc_to_mpc, fsum_complex, value_prec)
-from .symplectic import (GENERATORS, PRINCIPAL2, act_tau, automorphy_factor,
-                         coset_reps, lower_translation, translation)
+from .symplectic import GENERATORS
 from .theta import (GUARD_BITS, ThetaValue, theta_all_even, theta_gradient_vector,
                     theta_second_vector, trace_btc, transform_unit)
 
@@ -107,9 +106,11 @@ def monomial_degree(key):
 
 def _product_errs(mods, errs, expo):
     """(err, log_abs): for each row i of the exponent matrix expo, the
-    product_err of the factors of moduli `mods` and certified errors
-    `errs` (float arrays) raised to expo[i], and the log of the product's
-    modulus (-inf when a factor is zero).
+    certified error prod(|v_j| + err_j)^e_j - prod |v_j|^e_j, e = expo[i],
+    of the product of the factors of moduli `mods` and certified errors
+    `errs` (float arrays), evaluated in log space so that errors far
+    below one ulp of the values still register, and the log of the
+    product's modulus (-inf when a factor is zero).
 
     In log space, with lo = sum e_j log|v_j| and
     delta = sum e_j log1p(err_j / |v_j|), the error is
@@ -158,15 +159,6 @@ def _exp(x):
     return math.inf if x > 709.0 else math.exp(x)
 
 
-def product_err(factors):
-    """Certified absolute error of a product from per-factor certified
-    errors: prod(|v_i| + err_i)^{e_i} - prod |v_i|^{e_i}, evaluated in log
-    space so that errors far below one ulp of the values still register.
-    `factors` iterates (value, err, exp)."""
-    rows = np.array([(float(abs(v)), err, e) for v, err, e in factors]).reshape(-1, 3)
-    return float(_product_errs(rows[:, 0], rows[:, 1], rows[None, :, 2])[0][0])
-
-
 # --- the certified product -----------------------------------------------
 
 # Unit roundoff of IEEE double.
@@ -197,11 +189,11 @@ def certified_product(vals, mods, errs, hiprec):
     """ThetaValue of the product of the factors `vals`, in their working
     form (complex in double, floating complex in high precision), of
     moduli `mods` (floats) and certified bounds `errs` on their distances
-    from the exact factors.  product_err bounds the effect of the errs by
-    prod(|v| + e) - prod |v|, from the arrays of _product_errs; the n - 1
-    multiplications form a pairwise tree.  In double each has relative
-    error at most sqrt(5) u, u = 2^-53 (Brent, Percival and Zimmermann,
-    Math. Comp. 76 (2007)), so the computed P is within
+    from the exact factors.  _product_errs bounds the effect of the errs
+    by prod(|v| + e) - prod |v|; the n - 1 multiplications form a
+    pairwise tree.  In double each has relative error at most sqrt(5) u,
+    u = 2^-53 (Brent, Percival and Zimmermann, Math. Comp. 76 (2007)),
+    so the computed P is within
     ((1 + sqrt(5) u)^(n-1) - 1) prod |v| <= 2 (n - 1) sqrt(5) u |P| of
     prod v, provided every partial product is normal: a product whose
     log moduli leave _LOG_TINY/_LOG_HUGE raises.  In high precision they
@@ -508,10 +500,10 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     """(value, certified error, largest monomial modulus) of the signed
     sum of monomials `terms`, all of one degree d, at tau.
 
-    Theta errors.  Each monomial v = prod theta_m^k carries product_err
-    of the certified errors of its constants: _product_errs over the rows
-    of _term_plan's exponent matrix, one array step for all monomials,
-    which also gives each log |v|.
+    Theta errors.  Each monomial v = prod theta_m^k carries the error
+    that the certified errors of its constants propagate to it:
+    _product_errs over the rows of _term_plan's exponent matrix, one
+    array step for all monomials, which also gives each log |v|.
 
     Rounding in double.  theta ** k (CPython's binary powering) and the
     products of the powers form v in a tree of multiplications; unshared,
@@ -587,40 +579,3 @@ def chi12(tau, eps=1e-12, hiprec=False):
     """Signed sum over the 15 six-term monomials at fourth powers."""
     v, err, _ = _signed_sum_eval(chi12_terms(), tau, eps, hiprec)
     return ThetaValue(v, err)
-
-
-# --- numeric symmetrization (slow independent cross-check) ---------------
-
-
-def monomial_at(key, tau, eps=1e-12, hiprec=False):
-    """The monomial `key` at tau, as a one-term signed sum."""
-    return _signed_sum_eval(((1, key),), tau, eps, hiprec)[0]
-
-
-def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):
-    """(f |_weight gamma)(tau) by direct evaluation at gamma tau."""
-    scale = automorphy_factor(gamma, tau, -weight, hiprec)
-    mv = monomial_at(key, act_tau(gamma, tau, hiprec), eps, hiprec)
-    with value_prec(hiprec):
-        return scale * mv
-
-
-def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1):
-    """Brute-force coset sum of character * (f |_weight gamma) over the
-    level-2 principal cosets, divided by the stated multiplicity.  First
-    checks that f is actually invariant under two sample level-2
-    elements (a non-invariant f would make the sum depend on the choice
-    of representatives)."""
-    key = mono_key(key)
-    if 2 * weight != monomial_degree(key):
-        raise ValueError("weight must be half the number of theta factors")
-    f0 = monomial_at(key, tau)
-    for eta in (translation(((2, 0), (0, 0))), lower_translation(((0, 2), (2, 0)))):
-        f1 = slash_numeric(key, weight, eta, tau)
-        if abs(f1 - f0) > 1e-6 * max(1.0, abs(f0)):
-            raise ValueError("monomial is not level-2 invariant; coset sum ill-defined")
-    total = 0
-    for g in coset_reps(PRINCIPAL2).reps:
-        t = slash_numeric(key, weight, g, tau)
-        total += t if character is None else t * character(g)
-    return total / multiplicity

@@ -1,8 +1,7 @@
 """Exact Sp(4,Z) algebra: block access, the three congruence subgroups
 used here (Sp(4,Z) itself, principal(2) and theta0(2), each named by its
-label string) with membership tests and random elements, the Moebius
-action on Siegel points, automorphy factors, and breadth-first coset
-enumeration.
+label string) with seeded random elements, the Moebius action on Siegel
+points, automorphy factors, and breadth-first coset enumeration.
 
 Matrices carry arbitrary-precision Python integers, so long generator words
 used in randomized tests cannot overflow.  Inverses use the symplectic
@@ -108,9 +107,6 @@ class SymplecticMatrix:
     def mod2_key(self):
         return bytes(x & 1 for row in self.rows for x in row)
 
-    def max_abs(self):
-        return max(abs(x) for row in self.rows for x in row)
-
     def to_rows(self):
         return [list(r) for r in self.rows]
 
@@ -161,17 +157,6 @@ ESYM = ((0, 1), (1, 0))
 # alphabet.
 GENERATORS = (J, translation(E11), translation(E22), translation(ESYM))
 
-# tau |-> tau + E11; flips the sign of the second-order product P2.
-ETA0 = translation(E11)
-
-
-def word_matrix(indices):
-    m = IDENTITY
-    for i in indices:
-        m = m @ GENERATORS[i]
-    return m
-
-
 # The congruence subgroups used here, named by their labels: the full
 # group, the principal level-2 subgroup (kernel of reduction mod 2), and
 # theta0(2), whose c block is even (the stabilizer of M0).
@@ -209,18 +194,6 @@ def random_word(spec, rng, length):
     for _ in range(length):
         m = m @ gens[rng.randrange(len(gens))]
     return m
-
-
-def in_subgroup(gamma, spec):
-    """Exact membership of gamma in the congruence subgroup."""
-    if spec == FULL:
-        return True
-    if spec == THETA0_2:
-        return all(x % 2 == 0 for row in gamma.c for x in row)
-    if spec == PRINCIPAL2:
-        return all((x - (i == j)) % 2 == 0
-                   for i, row in enumerate(gamma.rows) for j, x in enumerate(row))
-    raise ValueError(f"unknown subgroup {spec!r}")
 
 
 def act_tau(gamma, tau, hiprec=False):

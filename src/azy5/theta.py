@@ -138,7 +138,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -150,7 +149,7 @@ from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
                     mprime_of, parity, reduction_sign)
 from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
                       m2_det, mobius, sym2_eig_bounds, value_prec)
-from .siegel import TAU_I, SiegelPoint
+from .siegel import TAU_I
 from .symplectic import act_tau
 
 MPRIME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -562,22 +561,6 @@ def theta_constant(m, tau, eps=1e-12, hiprec=False):
     return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec)
 
 
-def _doubled(tau):
-    # mpmath rounds every operation, mpc construction included, to the
-    # ambient precision, so the payload is doubled at the working
-    # precision it was built with.
-    mp_ent = tau._mp
-    if mp_ent is not None:
-        with value_prec(True):
-            mp_ent = tuple(tuple(z + z for z in row) for row in mp_ent)
-    return SiegelPoint(2 * tau.mat, mp_entries=mp_ent)
-
-
-def theta_second_order(mprime, tau, eps=1e-12, hiprec=False):
-    """Second-order constant Theta_{m'}(tau) = theta_{[m';0]}(2 tau)."""
-    return theta_raw(mprime, (0, 0), _doubled(tau), eps, hiprec)
-
-
 def theta_second_vector(tau, eps=1e-12, hiprec=False):
     """The four second-order constants in MPRIME_ORDER, from one kernel
     run at tau/2: Theta_{m'}(tau) sums e^{pi i k^T (tau/2) k} over
@@ -585,6 +568,13 @@ def theta_second_vector(tau, eps=1e-12, hiprec=False):
     with value_prec(hiprec):
         k = _run_kernel(tau, -1, eps, hiprec)
         return tuple(_theta(k, mpv, (0, 0)) for mpv in MPRIME_ORDER)
+
+
+def theta_second_order(mprime, tau, eps=1e-12, hiprec=False):
+    """Second-order constant Theta_{m'}(tau) = theta_{[m';0]}(2 tau): the
+    entry of theta_second_vector at m' mod 2."""
+    return theta_second_vector(tau, eps, hiprec)[
+        MPRIME_ORDER.index((mprime[0] % 2, mprime[1] % 2))]
 
 
 def theta_all_even(tau, eps=1e-12, hiprec=False):
@@ -608,13 +598,6 @@ def theta_gradient_vector(tau, eps, hiprec):
         return tuple(tuple(half_pi_i * k.round(_class_sum(
             k, [[cell[j] for cell in cells] for cells in k.mom], mpv, (0, 0)))
             for j in range(3)) for mpv in MPRIME_ORDER)
-
-
-def theta_gradient(mprime, tau, eps=1e-12, hiprec=False):
-    """(d/dtau11, d/dtau12, d/dtau22) of Theta_{m'} at tau: its entry of
-    theta_gradient_vector."""
-    return theta_gradient_vector(tau, eps, hiprec)[
-        MPRIME_ORDER.index(tuple(x % 2 for x in mprime))]
 
 
 # --- exact transformation factors ---------------------------------------
@@ -645,13 +628,6 @@ def xi_numerator(m, gamma):
 _SQ2 = math.sqrt(0.5)
 _CHI8 = (1 + 0j, _SQ2 + 1j * _SQ2, 1j, -_SQ2 + 1j * _SQ2,
          -1 + 0j, -_SQ2 - 1j * _SQ2, -1j, _SQ2 - 1j * _SQ2)
-
-
-def xi_chi(m, gamma):
-    """(xi_m(gamma) as a Fraction mod 1, chi_m(gamma) = e^{2 pi i xi}).
-    chi is always an eighth root of unity."""
-    num = xi_numerator(m, gamma)
-    return Fraction(num % 8, 8), _CHI8[num % 8]
 
 
 def transform_unit(m, gamma):

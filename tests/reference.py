@@ -1,0 +1,82 @@
+"""Slow reference definitions that only the tests call: permutation
+composition, subgroup membership, generator words as matrices, the
+slash action by direct evaluation at gamma tau with the brute-force
+720-coset sum it gives (the cross-check of forms.symmetrize_exact), and
+the doubled point 2 tau of the direct second-order sums."""
+
+from azy5.forms import _signed_sum_eval, mono_key, monomial_degree
+from azy5.numeric import value_prec
+from azy5.siegel import SiegelPoint
+from azy5.symplectic import (FULL, GENERATORS, IDENTITY, PRINCIPAL2, THETA0_2,
+                             act_tau, automorphy_factor, coset_reps,
+                             lower_translation, translation)
+
+
+def compose_perm(p, q):
+    """(p o q)[i] = p[q[i]], matching the left action on characteristics."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def word_matrix(indices):
+    """The product of GENERATORS[i] over a word, left to right."""
+    m = IDENTITY
+    for i in indices:
+        m = m @ GENERATORS[i]
+    return m
+
+
+def in_subgroup(gamma, spec):
+    """Exact membership of gamma in the congruence subgroup."""
+    if spec == FULL:
+        return True
+    if spec == THETA0_2:
+        return all(x % 2 == 0 for row in gamma.c for x in row)
+    if spec == PRINCIPAL2:
+        return all((x - (i == j)) % 2 == 0
+                   for i, row in enumerate(gamma.rows) for j, x in enumerate(row))
+    raise ValueError(f"unknown subgroup {spec!r}")
+
+
+def monomial_at(key, tau, eps=1e-12, hiprec=False):
+    """The monomial `key` at tau, as a one-term signed sum."""
+    return _signed_sum_eval(((1, key),), tau, eps, hiprec)[0]
+
+
+def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):
+    """(f |_weight gamma)(tau) by direct evaluation at gamma tau."""
+    scale = automorphy_factor(gamma, tau, -weight, hiprec)
+    mv = monomial_at(key, act_tau(gamma, tau, hiprec), eps, hiprec)
+    with value_prec(hiprec):
+        return scale * mv
+
+
+def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1):
+    """Brute-force coset sum of character * (f |_weight gamma) over the
+    level-2 principal cosets, divided by the stated multiplicity.  First
+    checks that f is actually invariant under two sample level-2
+    elements (a non-invariant f would make the sum depend on the choice
+    of representatives)."""
+    key = mono_key(key)
+    if 2 * weight != monomial_degree(key):
+        raise ValueError("weight must be half the number of theta factors")
+    f0 = monomial_at(key, tau)
+    for eta in (translation(((2, 0), (0, 0))), lower_translation(((0, 2), (2, 0)))):
+        f1 = slash_numeric(key, weight, eta, tau)
+        if abs(f1 - f0) > 1e-6 * max(1.0, abs(f0)):
+            raise ValueError("monomial is not level-2 invariant; coset sum ill-defined")
+    total = 0
+    for g in coset_reps(PRINCIPAL2).reps:
+        t = slash_numeric(key, weight, g, tau)
+        total += t if character is None else t * character(g)
+    return total / multiplicity
+
+
+def doubled(tau):
+    """2 tau, keeping a high-precision payload.  mpmath rounds every
+    operation, mpc construction included, to the ambient precision, so
+    the payload is doubled at the working precision it was built with."""
+    mp_ent = tau._mp
+    if mp_ent is not None:
+        with value_prec(True):
+            mp_ent = tuple(tuple(z + z for z in row) for row in mp_ent)
+    return SiegelPoint(2 * tau.mat, mp_entries=mp_ent)

@@ -1,6 +1,7 @@
 """The shape of the public API: no per-call precision and no knob that
 has a single value in use, one module that sets the working precision,
-and no unused module-level import in the package."""
+no public name that only the tests use, and no unused module-level
+import in the package."""
 
 import ast
 import inspect
@@ -28,7 +29,6 @@ REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
 # phi_transversal multiplies over the canonical transversal only, and
 # rep_independence_error checks fixed generators, not a seeded draw.
 REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
-                (azy5.symmetrize_numeric, {"eps", "hiprec"}),
                 (_tail, {"g", "poly", "scale"}),
                 (_run_kernel, {"K"}), (_grid, {"K"}), (_walk, {"K"}), (_chords, {"K"}),
                 (azy5.phi_modularity_error, {"gamma"}),
@@ -95,6 +95,31 @@ def _bound_names(node):
     if isinstance(node, ast.ImportFrom) and node.module != "__future__":
         return [a.asname or a.name for a in node.names]
     return []
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names, attributes and imports."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            yield from (a.name.split(".")[-1] for a in n.names)
+
+
+def test_every_public_name_has_a_user():
+    """Each exported name is read by the package outside __init__, by the
+    benchmark or by a demo; a name only the tests read belongs in tests/."""
+    src = pathlib.Path(azy5.__file__).parent
+    root = src.parents[1]
+    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((root / "perfbench").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    read = set()
+    for path in paths:
+        read.update(_read_names(ast.parse(path.read_text())))
+    public = {n for n in azy5.__all__ if not n.startswith("__")}
+    assert not public - read, sorted(public - read)
 
 
 def test_no_unused_module_level_imports():

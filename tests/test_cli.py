@@ -164,6 +164,8 @@ def test_usage_errors_exit_2():
                  ["verify-addition", "--eps", "nan"],
                  ["verify-addition", "--eps", "inf"],
                  ["verify-addition", "--samples", "0"],
+                 ["verify", "--seed", "-1"],
+                 ["verify-transform", "--seed", "-1"],
                  ["forms-eval"],
                  # options and modes a subcommand does not serve
                  ["lambda", "--tau", "F"],

@@ -13,7 +13,7 @@ from azy5.construction import (AZY_NORMALIZATION, PHI_CONSTANT,
                                phi_transversal, rep_independence_error)
 from azy5.forms import p2
 from azy5.siegel import sample_taus
-from azy5.symplectic import (E11, ETA0, IDENTITY, THETA0_2, act_tau,
+from azy5.symplectic import (E11, IDENTITY, THETA0_2, act_tau,
                              coset_reps, gl_rotation, subgroup_generators,
                              translation)
 from azy5.theta import ThetaValue
@@ -32,7 +32,7 @@ def test_phi_gamma_at_identity(taus):
 
 def test_p2_sign_flip_under_eta0(taus):
     for tau in taus[:3]:
-        lhs = p2(act_tau(ETA0, tau)).value
+        lhs = p2(act_tau(translation(E11), tau)).value
         rhs = -p2(tau).value
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
@@ -111,7 +111,7 @@ def test_lambda_estimate_hiprec():
 def test_lambda_guard_raises(monkeypatch):
     import azy5.construction as construction
     monkeypatch.setattr(construction, "CANCELLATION_GUARD", 1e9)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="CANCELLATION_GUARD"):
         estimate_lambda(seed=0, samples=1)
 
 

@@ -6,20 +6,28 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from azy5.chars import EVEN_CHARS, chi_p, even_quadruples, even_triples
-from azy5.forms import (AZY_BASE_TRIPLE, AZY_EXPONENT, SIXPLET_BASE, azy,
-                        azy_eval, azy_terms, chi5_determinant, chi5_product,
-                        chi10, chi12, chi12_terms, mono_key, monomial_at,
-                        monomial_degree, mu_ratio, p2, product_err,
-                        slash_numeric, slash_unit, symmetrize_exact,
-                        symmetrize_numeric)
+from azy5.forms import (AZY_BASE_TRIPLE, AZY_EXPONENT, SIXPLET_BASE,
+                        _product_errs, azy, azy_eval, azy_terms,
+                        chi5_determinant, chi5_product, chi10, chi12,
+                        chi12_terms, mono_key, monomial_degree, mu_ratio, p2,
+                        slash_unit, symmetrize_exact)
 from azy5.siegel import SiegelPoint
 from azy5.symplectic import FULL, coset_reps, random_word
-from azy5.theta import _CHI8, theta_all_even
+from azy5.theta import _CHI8
+from reference import monomial_at, slash_numeric, symmetrize_numeric
 
 MU_EXACT = -32j / math.pi ** 3
+
+
+def product_err(factors):
+    """prod(|v| + err)^e - prod |v|^e over the (value, err, e) factors,
+    as _product_errs bounds it."""
+    rows = np.array([(float(abs(v)), err, e) for v, err, e in factors]).reshape(-1, 3)
+    return float(_product_errs(rows[:, 0], rows[:, 1], rows[None, :, 2])[0][0])
 
 
 def test_mono_key_canonicalization():

@@ -17,8 +17,9 @@ from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, act_tau,
                              random_word, translation)
 from azy5.theta import (_CHI8, MPRIME_ORDER, _tail, kappa4, kappa_numeric,
-                        kappa_probes, theta_constant, theta_gradient, theta_raw, theta_second_order,
-                        trace_btc, transform_unit, truncation_radius, xi_chi)
+                        kappa_probes, theta_constant, theta_gradient_vector, theta_raw,
+                        theta_second_order, trace_btc, transform_unit, truncation_radius,
+                        xi_numerator)
 
 # Reference values computed once by an independent one-dimensional product
 # formula (at tau = i*identity every lattice sum splits): e.g.
@@ -213,8 +214,7 @@ def test_gradient_against_finite_differences(taus):
     h = 1e-5
     basis = (np.array([[1, 0], [0, 0]]), np.array([[0, 1], [1, 0]]),
              np.array([[0, 0], [0, 1]]))
-    for mpv in MPRIME_ORDER:
-        grad = theta_gradient(mpv, tau)
+    for mpv, grad in zip(MPRIME_ORDER, theta_gradient_vector(tau, 1e-12, False)):
         for k, B in enumerate(basis):
             up = SiegelPoint(tau.mat + h * B)
             dn = SiegelPoint(tau.mat - h * B)
@@ -228,10 +228,9 @@ def test_xi_chi_is_eighth_root():
     for _ in range(20):
         g = random_word(FULL, rng, 4)
         for m in EVEN_CHARS:
-            frac, chi = xi_chi(m, g)
-            assert 0 <= frac < 1
-            assert frac.denominator in (1, 2, 4, 8)
-            assert abs(chi - cmath.exp(2j * math.pi * float(frac))) < 1e-12
+            num = xi_numerator(m, g)  # xi_m(g) = num/8, chi_m(g) = e^{2 pi i xi}
+            assert isinstance(num, int)
+            assert abs(_CHI8[num % 8] - cmath.exp(2j * math.pi * num / 8)) < 1e-12
 
 
 def test_transform_unit_pins_translation_law(taus):

@@ -15,10 +15,11 @@ from azy5.forms import chi5_determinant
 from azy5.numeric import value_prec
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
-from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _doubled, _ellipse,
+from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _ellipse,
                         _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
-                        theta_constant, theta_gradient, theta_raw, theta_second_order,
-                        theta_second_vector, truncation_radius)
+                        theta_constant, theta_gradient_vector, theta_raw,
+                        theta_second_order, theta_second_vector, truncation_radius)
+from reference import doubled
 
 # hiprec flag, eps, digits of the direct sum, allowance beyond err
 PRECISIONS = {
@@ -143,15 +144,18 @@ def test_all_even_equals_single_constants(name, prec):
 
 @pytest.mark.parametrize("name,prec", _cases(sorted(POINTS)))
 def test_second_vector_matches_second_order(name, prec, direct_mp):
+    """theta_second_order is the vector's entry at m' mod 2, value and
+    err, for unreduced m' too; the vector matches the direct sum at 2 tau."""
     hiprec, eps, dps, slack = PRECISIONS[prec]
     tau = POINTS[name]()
     vec = theta_second_vector(tau, eps, hiprec=hiprec)
-    doubled = _doubled(tau)
-    R = _reference_radius(doubled, dps)
+    tau2 = doubled(tau)
+    R = _reference_radius(tau2, dps)
     for k, mpv in enumerate(MPRIME_ORDER):
-        single = theta_second_order(mpv, tau, eps, hiprec=hiprec)
-        assert _diff(vec[k].value, single.value, dps) <= vec[k].err + single.err + slack
-        ref = direct_mp(mpv, (0, 0), _entries(doubled, hiprec), R, dps)
+        for shift in ((0, 0), (2, 0), (-2, 2)):
+            single = theta_second_order((mpv[0] + shift[0], mpv[1] + shift[1]), tau, eps, hiprec)
+            assert single == vec[k]
+        ref = direct_mp(mpv, (0, 0), _entries(tau2, hiprec), R, dps)
         assert _diff(vec[k].value, ref, dps) <= vec[k].err + slack
 
 
@@ -164,7 +168,7 @@ def test_second_vector_err_is_charged_its_own_class(name):
     tau = POINTS[name]()
     vec = theta_second_vector(tau, 1e-12)
     for k, mpv in enumerate(MPRIME_ORDER):
-        assert vec[k].err <= theta_second_order(mpv, tau, 1e-12).err * (1 + 1e-9)
+        assert vec[k].err <= theta_raw(mpv, (0, 0), doubled(tau), 1e-12).err * (1 + 1e-9)
 
 
 def _ellipse_of(t, wp, eps, moments=False):
@@ -386,10 +390,10 @@ def test_long_recurrence_against_direct_sum(near_point, direct_mp):
     with value_prec(hiprec):
         y, (_, keep, _, _) = _ellipse_of(_raw_entries(tau, -2), mp.mp.prec + GUARD_BITS, eps)
     assert len(_chords(y, keep)) > 35  # rows k1 in [0, 35] and more
-    doubled = _doubled(tau)
-    R = _reference_radius(doubled, dps)
+    tau2 = doubled(tau)
+    R = _reference_radius(tau2, dps)
     for mpv, tv in zip(MPRIME_ORDER, theta_second_vector(tau, eps, hiprec)):
-        ref = direct_mp(mpv, (0, 0), _entries(doubled, hiprec), R, dps)
+        ref = direct_mp(mpv, (0, 0), _entries(tau2, hiprec), R, dps)
         assert _diff(tv.value, ref, dps) <= tv.err + slack, mpv
     R = _reference_radius(tau, dps)
     for mpv in MPRIME_ORDER:
@@ -416,10 +420,9 @@ def test_gradient_against_direct_weighted_sum(name, prec, near_point):
         tau = near_point(0.05, 0.6, 0.7, 0.2, -0.3, 0.1)
     else:
         tau = POINTS[name]()
-    R = _reference_radius(_doubled(tau), dps)
-    T = _entries(_doubled(tau), hiprec)
-    for mpv in MPRIME_ORDER:
-        grad = theta_gradient(mpv, tau, eps, hiprec=hiprec)
+    R = _reference_radius(doubled(tau), dps)
+    T = _entries(doubled(tau), hiprec)
+    for mpv, grad in zip(MPRIME_ORDER, theta_gradient_vector(tau, eps, hiprec)):
         with mp.workdps(dps):
             a = [mp.mpf(x) / 2 for x in mpv]
             ref = [mp.mpc(0)] * 3
@@ -454,7 +457,7 @@ def test_one_kernel_run_per_concept(prec, monkeypatch):
     tau = _generic()
     for fn, runs in ((lambda: theta_all_even(tau, eps, hiprec), 1),
                      (lambda: theta_second_vector(tau, eps, hiprec), 1),
-                     (lambda: theta_gradient((1, 0), tau, eps, hiprec), 1),
+                     (lambda: theta_gradient_vector(tau, eps, hiprec), 1),
                      (lambda: chi5_determinant(tau, eps, hiprec), 2)):
         calls.clear()
         fn()

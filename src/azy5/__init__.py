@@ -10,7 +10,8 @@ that it is proportional to the classical signed theta-triple construction.
 
 from .chars import (EVEN_CHARS, M0, ODD_CHARS, act_char, act_set, chi_p,
                     classify_quadruple, classify_triple, even_quadruples,
-                    even_triples, format_char, pair_sign, parity, psi_p)
+                    even_triples, format_char, pair_sign, parity, psi_p,
+                    xi_numerator)
 from .construction import (AZY_NORMALIZATION, LambdaEstimate, estimate_lambda,
                            geometric_crosscheck, phi, phi_gamma,
                            phi_modularity_error, phi_transversal,
@@ -28,8 +29,7 @@ from .symplectic import (GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
                          lower_translation, random_word, translation)
 from .theta import (ThetaValue, kappa4, kappa_numeric, kappa_probes,
                     theta_all_even, theta_constant, theta_second_order,
-                    theta_second_vector, transform_unit, truncation_radius,
-                    xi_numerator)
+                    theta_second_vector, transform_unit, truncation_radius)
 
 __version__ = "0.1.0"
 

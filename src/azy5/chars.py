@@ -16,6 +16,13 @@ which factors through Sp(4,Z/2).  The induced permutation action on the
 six odd characteristics identifies Sp(4,Z/2) with S_6; its sign is the
 quadratic character chi_P used throughout this package.
 
+Each matrix's action is one exact table, built once and cached by the
+matrix's rows (char_action): for each of the 16 characteristics, its
+image and the Z/8 unit of the theta transformation law
+(theta.transform_unit), from the formulas act_char_vectors, xi_numerator
+and reduction_sign.  act_char, psi_p, chi_p, pair_sign,
+theta.transform_unit and forms.slash_unit read the table.
+
 Triples of distinct even characteristics are classified by the parity of
 their sum (xor): 60 are "minus" (odd sum) and 60 "plus".  Quadruples are
 classified by their four sub-triples: 15 have all sub-triples minus, 15
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 _BITS = tuple(((i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1) for i in range(16))
 
@@ -94,16 +102,69 @@ def reduction_sign(mprime, mdbl):
     return -1 if s % 2 else 1
 
 
+def xi_numerator(m, gamma):
+    """Integer num with xi_m(gamma) = num/8, from
+    xi = -(1/8)(m'^T b^T d m' + m''^T a^T c m'' - 2 m'^T b^T c m'')
+        + (1/4) diag(a b^T)^T (d m' - c m'').
+    The sign of the diag term is pinned by theta_{[10;00]}(tau + E11)
+    = e^{pi i/4} theta_{[10;00]}(tau) together with probe agreement
+    across all even characteristics."""
+    mp1, mp2 = mprime_of(m)
+    md1, md2 = mdbl_of(m)
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+
+    def mul(M, w1, w2):
+        return (M[0][0] * w1 + M[0][1] * w2, M[1][0] * w1 + M[1][1] * w2)
+
+    # m'^T b^T d m' = (b m').(d m'), and likewise for the other two forms
+    bm, dm, am, cm = mul(b, mp1, mp2), mul(d, mp1, mp2), mul(a, md1, md2), mul(c, md1, md2)
+    q = (bm[0] * dm[0] + bm[1] * dm[1] + am[0] * cm[0] + am[1] * cm[1]
+         - 2 * (bm[0] * cm[0] + bm[1] * cm[1]))
+    dab = (a[0][0] * b[0][0] + a[0][1] * b[0][1], a[1][0] * b[1][0] + a[1][1] * b[1][1])
+    return -q + 2 * (dab[0] * (dm[0] - cm[0]) + dab[1] * (dm[1] - cm[1]))
+
+
+class CharAction(NamedTuple):
+    """A matrix's exact action on the 16 characteristics, by index:
+    image[m] is the mod-2 reduction of gamma.m, and unit[m] in Z/8 the k
+    of theta.transform_unit (chi_m folded with the sign of that
+    reduction)."""
+    image: tuple
+    unit: tuple
+
+
+class _Blocks(NamedTuple):
+    a: tuple
+    b: tuple
+    c: tuple
+    d: tuple
+
+
+@lru_cache(maxsize=1024)
+def char_action(gamma):
+    """The CharAction of gamma, built once from the formulas
+    act_char_vectors, xi_numerator and reduction_sign and cached by
+    gamma.rows, on which a SymplecticMatrix hashes and compares (at most
+    1024 matrices)."""
+    blocks = _Blocks(gamma.a, gamma.b, gamma.c, gamma.d)  # read once, not per formula
+    image, unit = [], []
+    for m in range(16):
+        mpv, mdv = act_char_vectors(blocks, m)
+        image.append(char_index((mpv[0] % 2, mpv[1] % 2), (mdv[0] % 2, mdv[1] % 2)))
+        unit.append((xi_numerator(m, blocks) + 4 * (reduction_sign(mpv, mdv) < 0)) % 8)
+    return CharAction(tuple(image), tuple(unit))
+
+
 def act_char(gamma, idx):
-    """Image of characteristic `idx` under gamma (any object with integer
-    2x2 blocks .a/.b/.c/.d); depends only on gamma mod 2."""
-    (np1, np2), (nd1, nd2) = act_char_vectors(gamma, idx)
-    return char_index((np1 % 2, np2 % 2), (nd1 % 2, nd2 % 2))
+    """Image of characteristic `idx` under gamma; depends only on gamma
+    mod 2."""
+    return char_action(gamma).image[idx]
 
 
 def act_set(gamma, chars):
     """Image of a set of characteristics, as a frozenset."""
-    return frozenset(act_char(gamma, c) for c in chars)
+    image = char_action(gamma).image
+    return frozenset(image[c] for c in chars)
 
 
 def classify_triple(triple):
@@ -138,18 +199,24 @@ def even_triples(tag=None):
 
 
 @lru_cache(maxsize=None)
+def _tagged_quadruples():
+    """(quadruple, tag) for all 210 quadruples, classified once."""
+    return tuple((q, classify_quadruple(q)) for q in combinations(EVEN_CHARS, 4))
+
+
+@lru_cache(maxsize=None)
 def even_quadruples(tag=None):
     """All 210 quadruples of even characteristics, optionally filtered by
     tag, each sorted ascending.  Cached like even_triples."""
-    return tuple(q for q in combinations(EVEN_CHARS, 4)
-                 if tag is None or classify_quadruple(q) == tag)
+    return tuple(q for q, t in _tagged_quadruples() if tag is None or t == tag)
 
 
 def psi_p(gamma):
     """Permutation induced on the odd characteristics, as a tuple p with
     p[k] = position of gamma.(k-th odd characteristic).  The fixed ordering
     of ODD_CHARS (index order 5,7,10,11,13,14) pins the S_6 identification."""
-    return tuple(_ODD_POS[act_char(gamma, c)] for c in ODD_CHARS)
+    image = char_action(gamma).image
+    return tuple(_ODD_POS[image[c]] for c in ODD_CHARS)
 
 
 def perm_sign(p):

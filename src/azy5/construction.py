@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import median
 
-import mpmath as mp
 import numpy as np
 
 from .chars import M0, act_set, chi_p, pair_sign
@@ -200,9 +199,9 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False):
 
 
 def _median_spread(rs):
-    """The componentwise median of the ratios, and their largest pairwise
-    distance over its modulus as a float; mpc ratios are compared at the
-    ambient precision."""
+    """The componentwise median of the ratios, of their own complex type
+    (complex, or mpc formed at the ambient precision), and their largest
+    pairwise distance over its modulus as a float."""
     re, im = median([r.real for r in rs]), median([r.imag for r in rs])
-    med = mp.mpc(re, im) if isinstance(re, mp.mpf) else complex(re, im)
+    med = type(rs[0])(re, im)
     return med, float(max(abs(a - b) for a in rs for b in rs) / abs(med))

@@ -70,15 +70,14 @@ import math
 import operator
 from functools import lru_cache, partial, reduce
 
-import mpmath as mp
 import numpy as np
 
-from .chars import EVEN_CHARS, M0, act_char, chi_p, parity
+from .chars import EVEN_CHARS, M0, char_action, chi_p, parity
 from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
                       fc_to_mpc, fsum_complex, value_prec)
 from .symplectic import GENERATORS
 from .theta import (GUARD_BITS, ThetaValue, theta_all_even, theta_gradient_vector,
-                    theta_second_vector, trace_btc, transform_unit)
+                    theta_second_vector, trace_btc)
 
 AZY_BASE_TRIPLE = (0, 1, 4)
 AZY_EXPONENT = 20
@@ -206,6 +205,7 @@ def certified_product(vals, mods, errs, hiprec):
     mods = np.asarray(mods, float)
     with value_prec(hiprec):
         if hiprec:
+            import mpmath as mp
             wp = mp.mp.prec + GUARD_BITS
             P = _pairwise_product(vals, partial(fc_mul, wp=wp))
             value = fc_to_mpc(P)
@@ -383,20 +383,18 @@ def slash_unit(key, gamma):
     valid when the total degree is divisible by 4 (so the kappa power is
     the exact sign kappa^4 = e^{pi i Tr(b^T c)} raised to deg/4).  Each
     factor theta_n of f comes from theta_m with m = gamma^{-1}.n, the
-    characteristic that gamma sends to n."""
+    characteristic that gamma sends to n: its preimage in the image
+    permutation of gamma's action table, whose unit at m is the phase."""
     deg = monomial_degree(key)
     if deg % 4:
         raise ValueError("total degree must be divisible by 4 to eliminate kappa")
-    inverse = gamma.inverse()
+    image, unit = char_action(gamma)
     K = (deg * trace_btc(gamma)) % 8
     img = []
     for n, e in key:
-        m = act_char(inverse, n)
-        n_back, k = transform_unit(m, gamma)
-        if n_back != n:
-            raise AssertionError("characteristic action failed to invert")
+        m = image.index(n)
         img.append((m, e))
-        K = (K + k * e) % 8
+        K = (K + unit[m] * e) % 8
     return mono_key(img), K
 
 
@@ -532,6 +530,7 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     thetas = [th[m] for m in EVEN_CHARS]
     with value_prec(hiprec):
         if hiprec:
+            import mpmath as mp
             wp = mp.mp.prec + GUARD_BITS
             fcs = [fc_from_mpc(t.value) for t in thetas]
             mods = [fc_abs(z) for z in fcs]

@@ -6,6 +6,11 @@ and of the products and signed sums formed from its results.
 numpy scalars and mpmath mpc entries.  All Siegel-point transforms in this
 package are genus 2, where explicit 2x2 formulas beat general solvers and
 behave identically in both precisions.
+
+mpmath serves the high-precision path only, so this module and every
+other one import it inside the functions of that path (value_prec,
+to_mpc, fc_to_mpc, the hiprec branches of the theta kernel and of the
+products): a process that evaluates in double never loads it.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
 
 # Working decimal precision for all high-precision code paths.
 HIPREC_DPS = 50
@@ -29,6 +32,7 @@ def value_prec(hiprec):
     read here at call time.  Every multiplication or division of mpc
     values outside such a block rounds at the ambient mpmath precision."""
     if hiprec:
+        import mpmath as mp
         return mp.workdps(HIPREC_DPS)
     return contextlib.nullcontext()
 
@@ -93,6 +97,7 @@ def sym2_eig_bounds(y):
 
 
 def to_mpc(z):
+    import mpmath as mp
     z = complex(z)
     return mp.mpc(z.real, z.imag)
 
@@ -190,9 +195,10 @@ def fc_to_mpc(a):
     """(x + i y) 2^e of a floating complex (or of fc_sum's (x, y, e)) as an
     mpc, each part rounded once to nearest at the ambient precision: off
     by at most 2^-prec times its modulus."""
-    prec = mp.mp.prec
-    return mp.make_mpc((from_man_exp(a[0], a[2], prec, round_nearest),
-                        from_man_exp(a[1], a[2], prec, round_nearest)))
+    import mpmath as mp
+    prec, lib = mp.mp.prec, mp.libmp
+    return mp.make_mpc((lib.from_man_exp(a[0], a[2], prec, lib.round_nearest),
+                        lib.from_man_exp(a[1], a[2], prec, lib.round_nearest)))
 
 
 def fc_abs(a):

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chars import M0, act_set
 from .numeric import m2_cond, m2_det, mobius, value_prec
 from .siegel import SiegelPoint
 
@@ -247,6 +246,18 @@ _COLUMN_OPS = (
 _MAX_BFS_LEVEL = 40  # depth at which a coset search gives up on GENERATORS
 
 
+def _theta0_key(m):
+    """The right coset theta0(2) m, as the row space mod 2 of m's lower
+    half (c d).  An h in theta0(2) has c even, so the lower half of h m
+    is d_h (c d) mod 2 with d_h invertible mod 2; conversely, for m' with
+    the same row space, (c' d') = G (c d) mod 2, and the c block of
+    m' m^{-1}, c' d^T - d' c^T = G (c d^T - d c^T) mod 2, is even since
+    c d^T is symmetric.  The same partition as keying by m^{-1}.M0, the
+    quadruple the coset stands for, without acting on characteristics."""
+    r2, r3 = (sum((x & 1) << j for j, x in enumerate(m.rows[i])) for i in (2, 3))
+    return frozenset((0, r2, r3, r2 ^ r3))
+
+
 def _bfs_transversal(key_fn, expected):
     reps = [IDENTITY]
     words = [()]
@@ -284,13 +295,14 @@ def coset_reps(spec):
     broken lexicographically; identity represents the trivial coset).
     Cached: the returned CosetSystem is immutable.
 
-    Subgroups: theta0(2), keyed by gamma^{-1}.M0 (15 cosets, one per plus
-    quadruple, since theta0(2) is the stabilizer of M0), with gamma^{-1}
-    from the closed form; principal(2), keyed by gamma mod 2 (720
-    cosets).  Each step right-multiplies a representative by a generator
-    through its column operation on the integer rows."""
+    Subgroups: theta0(2), keyed by the row space mod 2 of the lower half
+    of gamma (15 cosets, one per plus quadruple gamma^{-1}.M0, since
+    theta0(2) is the stabilizer of M0; _theta0_key); principal(2), keyed
+    by gamma mod 2 (720 cosets).  Each step right-multiplies a
+    representative by a generator through its column operation on the
+    integer rows."""
     if spec == THETA0_2:
-        reps, words = _bfs_transversal(lambda m: act_set(m.inverse(), M0), 15)
+        reps, words = _bfs_transversal(_theta0_key, 15)
     elif spec == PRINCIPAL2:
         reps, words = _bfs_transversal(SymplecticMatrix.mod2_key, 720)
     else:

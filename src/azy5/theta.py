@@ -126,11 +126,12 @@ The transformation factors under gamma in Sp(4,Z) are
                                  det(c tau + d)^{1/2} theta_m(tau),
 
 where chi_m(gamma) = e^{2 pi i xi_m(gamma)} is an eighth root of unity
-computed exactly from integer data, and kappa(gamma) is independent of m
-with kappa^4 = e^{pi i Tr(b^T c)}.  kappa is never produced by a closed
-formula here: kappa_numeric measures it against the principal branch of
-det(c tau0 + d)^{1/2} at a probe point, and every downstream identity is
-checked at fourth-power or modulus level where the branch cancels.
+computed exactly from integer data (chars.xi_numerator), and kappa(gamma)
+is independent of m with kappa^4 = e^{pi i Tr(b^T c)}.  kappa is never
+produced by a closed formula here: kappa_numeric measures it against the
+principal branch of det(c tau0 + d)^{1/2} at a probe point, and every
+downstream identity is checked at fourth-power or modulus level where
+the branch cancels.
 """
 
 from __future__ import annotations
@@ -139,14 +140,12 @@ import cmath
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpc_expjpi, mpf_shift, to_float
 
-from .chars import (EVEN_CHARS, act_char_vectors, char_index, mdbl_of,
-                    mprime_of, parity, reduction_sign)
+from .chars import EVEN_CHARS, char_action, mdbl_of, mprime_of, parity
 from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
                       m2_det, mobius, sym2_eig_bounds, value_prec)
 from .siegel import TAU_I
@@ -331,10 +330,18 @@ GUARD_BITS = 32
 
 def _raw_entries(tau, shift=0):
     """(tau11, tau12, tau22) of 2^shift tau as raw mpmath (re, im) pairs,
-    scaled exactly."""
-    T = tau.entries_mp()
-    return tuple(tuple(mpf_shift(x, shift) for x in z._mpc_)
-                 for z in (T[0][0], T[0][1], T[1][1]))
+    scaled exactly: from the carried high-precision entries when present,
+    otherwise straight from the double entries, which convert exactly."""
+    import mpmath as mp
+    lib = mp.libmp
+    if tau._mp is None:
+        T = tau.entries()
+        parts = [(lib.from_float(z.real), lib.from_float(z.imag))
+                 for z in (T[0][0], T[0][1], T[1][1])]
+    else:
+        T = tau._mp
+        parts = [z._mpc_ for z in (T[0][0], T[0][1], T[1][1])]
+    return tuple(tuple(lib.mpf_shift(x, shift) for x in z) for z in parts)
 
 
 def _ray(xr, xi, ur, ui, er, ei, count, wp):
@@ -422,12 +429,15 @@ def _walk(t, wp, eps, moments=False):
     None); bounds is the rounding bound of sums; cut is P(rho), or W(rho)
     with moments.  Rows, seeds and charges as in the module docstring.
     """
+    import mpmath as mp
+    lib = mp.libmp
+
     def mul(a, b):
         return fc_mul(a, b, wp)
 
-    y = tuple(to_float(z[1]) for z in t)
+    y = tuple(lib.to_float(z[1]) for z in t)
     _, keep, cut, _ = _ellipse(y, wp, eps, moments)
-    A, B, C = (fc_cut(*fc_from_mpc(mpc_expjpi(z, wp), _EXP_ERR), wp) for z in t)
+    A, B, C = (fc_cut(*fc_from_mpc(lib.mpc_expjpi(z, wp), _EXP_ERR), wp) for z in t)
     E, F, G = (mul(z, z) for z in (A, B, C))
     Einv, Finv = fc_inv(E, wp), fc_inv(F, wp)
     er, ei = fc_fixed(E, wp)
@@ -485,14 +495,16 @@ def _walk(t, wp, eps, moments=False):
 
 
 class _Sums(NamedTuple):
-    """One kernel run, and the arithmetic of its precision: `cut`
-    bounds the terms of each translate of 2Z^2 that E leaves out
-    (weighted, with moments), `add`
-    combines class sums (exactly for the walk's integers, exactly rounded
-    for the grid's floats), `round` turns a combined (re, im) pair into a
-    value, rounded once, `ulp` = 2^(1-prec) bounds that rounding
-    relative to the value, and `pi` is pi at the working precision."""
-    sums: list
+    """One kernel run, and the arithmetic of its precision: `parts` holds
+    the class sums as signed parts (_signed), `mom` the three moment sums
+    likewise (or None), `bounds` the rounding bound of each class by
+    [r0][r1], `cut` bounds the terms of each translate of 2Z^2 that E
+    leaves out (weighted, with moments), `add` combines class sums
+    (exactly for the walk's integers, exactly rounded for the grid's
+    floats), `round` turns a combined (re, im) pair into a value, rounded
+    once, `ulp` = 2^(1-prec) bounds that rounding relative to the value,
+    and `pi` is pi at the working precision."""
+    parts: list
     mom: list
     bounds: list
     cut: float
@@ -508,12 +520,26 @@ def _run_kernel(tau, shift, eps, hiprec, moments=False):
     value_prec provides."""
     _check_eps(eps)
     if hiprec:
+        import mpmath as mp
         wp = mp.mp.prec + GUARD_BITS
         run = _walk(_raw_entries(tau, shift), wp, eps, moments)
-        return _Sums(*run, sum, lambda z: fc_to_mpc((*z, -wp)), 2.0 ** (1 - mp.mp.prec), mp.pi)
-    T = tau.entries()
-    t = [z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])]
-    return _Sums(*_grid(t, eps, moments), math.fsum, lambda z: complex(*z), 2 * _U, math.pi)
+        arith = sum, lambda z: fc_to_mpc((*z, -wp)), 2.0 ** (1 - mp.mp.prec), mp.pi
+    else:
+        T = tau.entries()
+        run = _grid([z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])], eps, moments)
+        arith = math.fsum, lambda z: complex(*z), 2 * _U, math.pi
+    sums, mom, bounds, cut = run
+    if mom is not None:
+        mom = [_signed([[cell[j] for cell in cells] for cells in mom]) for j in range(3)]
+    return _Sums(_signed(sums), mom, bounds, cut, *arith)
+
+
+def _signed(cells):
+    """The (re, im) pairs (x, y) of a 4 x 4 list of class cells as one
+    flat list of signed parts: x, y, -x, -y of class 4 r0 + r1 at
+    4 (4 r0 + r1), so that i^p (x + i y) = (part -p mod 4,
+    part 1 - p mod 4) is a pick, with no arithmetic."""
+    return [v for row in cells for x, y in row for v in (x, y, -x, -y)]
 
 
 # The classes r = k mod 4 of the lattice points k = m' mod 2, by m'.
@@ -521,25 +547,30 @@ _CLASSES = {a: [(a[0] + 2 * p, a[1] + 2 * q) for p in (0, 1) for q in (0, 1)]
             for a in MPRIME_ORDER}
 
 
-def _class_sum(k, cells, mprime, mdbl):
-    """sum over the classes r = m' mod 2 of i^{r.m''} cells[r], cells a 4 x 4
-    list of (re, im) pairs of kernel run k, each component combined by
-    k.add."""
-    parts = []
-    for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2]:
-        z = cells[r0][r1]
-        for _ in range((r0 * mdbl[0] + r1 * mdbl[1]) % 4):
-            z = (-z[1], z[0])
-        parts.append(z)
-    return k.add(z[0] for z in parts), k.add(z[1] for z in parts)
+@lru_cache(maxsize=256)
+def _plan(mprime, mdbl):
+    """(re, im, classes) of theta[m'; m'']: its classes r, those of
+    m' mod 2, and two picks of the real and of the imaginary parts of
+    i^{r.m''} S_r over them, in class order, from _signed parts."""
+    classes = _CLASSES[mprime[0] % 2, mprime[1] % 2]
+    cells = [(4 * (4 * r0 + r1), (r0 * mdbl[0] + r1 * mdbl[1]) % 4) for r0, r1 in classes]
+    return (itemgetter(*[c + (-p) % 4 for c, p in cells]),
+            itemgetter(*[c + (1 - p) % 4 for c, p in cells]), classes)
+
+
+def _class_sum(k, parts, plan):
+    """sum over the classes r of `plan` of i^{r.m''} S_r, the S_r given as
+    _signed parts of kernel run k, each component combined by k.add."""
+    return k.add(plan[0](parts)), k.add(plan[1](parts))
 
 
 def _theta(k, mprime, mdbl):
     """ThetaValue of theta[m'; m''] from kernel run k over its k = 2n + m'
     (module docstring): the rounding bounds of its four classes, the
     terms outside E of its translate of 2Z^2, and the final rounding."""
-    val = k.round(_class_sum(k, k.sums, mprime, mdbl))
-    bound = sum(k.bounds[r0][r1] for r0, r1 in _CLASSES[mprime[0] % 2, mprime[1] % 2])
+    plan = _plan(mprime, mdbl)
+    val = k.round(_class_sum(k, k.parts, plan))
+    bound = sum(k.bounds[r0][r1] for r0, r1 in plan[2])
     return ThetaValue(val, bound + k.cut + k.ulp * abs(complex(val)))
 
 
@@ -557,7 +588,10 @@ def theta_constant(m, tau, eps=1e-12, hiprec=False):
     """First-order theta constant for the reduced characteristic with 4-bit
     index m; exactly zero (with zero error) for odd m."""
     if parity(m) == -1:
-        return ThetaValue(mp.mpc(0) if hiprec else 0j, 0.0)
+        if not hiprec:
+            return ThetaValue(0j, 0.0)
+        import mpmath as mp
+        return ThetaValue(mp.mpc(0), 0.0)
     return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec)
 
 
@@ -595,34 +629,12 @@ def theta_gradient_vector(tau, eps, hiprec):
     with value_prec(hiprec):
         k = _run_kernel(tau, -1, eps, hiprec, moments=True)
         half_pi_i = 1j * (k.pi / 2)
-        return tuple(tuple(half_pi_i * k.round(_class_sum(
-            k, [[cell[j] for cell in cells] for cells in k.mom], mpv, (0, 0)))
-            for j in range(3)) for mpv in MPRIME_ORDER)
+        plans = [_plan(mpv, (0, 0)) for mpv in MPRIME_ORDER]
+        return tuple(tuple(half_pi_i * k.round(_class_sum(k, mom, plan)) for mom in k.mom)
+                     for plan in plans)
 
 
 # --- exact transformation factors ---------------------------------------
-
-
-def xi_numerator(m, gamma):
-    """Integer num with xi_m(gamma) = num/8, from
-    xi = -(1/8)(m'^T b^T d m' + m''^T a^T c m'' - 2 m'^T b^T c m'')
-        + (1/4) diag(a b^T)^T (d m' - c m'').
-    The sign of the diag term is pinned by theta_{[10;00]}(tau + E11)
-    = e^{pi i/4} theta_{[10;00]}(tau) together with probe agreement
-    across all even characteristics."""
-    mp1, mp2 = mprime_of(m)
-    md1, md2 = mdbl_of(m)
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-
-    def mul(M, w1, w2):
-        return (M[0][0] * w1 + M[0][1] * w2, M[1][0] * w1 + M[1][1] * w2)
-
-    # m'^T b^T d m' = (b m').(d m'), and likewise for the other two forms
-    bm, dm, am, cm = mul(b, mp1, mp2), mul(d, mp1, mp2), mul(a, md1, md2), mul(c, md1, md2)
-    q = (bm[0] * dm[0] + bm[1] * dm[1] + am[0] * cm[0] + am[1] * cm[1]
-         - 2 * (bm[0] * cm[0] + bm[1] * cm[1]))
-    dab = (a[0][0] * b[0][0] + a[0][1] * b[0][1], a[1][0] * b[1][0] + a[1][1] * b[1][1])
-    return -q + 2 * (dab[0] * (dm[0] - cm[0]) + dab[1] * (dm[1] - cm[1]))
 
 
 _SQ2 = math.sqrt(0.5)
@@ -633,14 +645,11 @@ _CHI8 = (1 + 0j, _SQ2 + 1j * _SQ2, 1j, -_SQ2 + 1j * _SQ2,
 def transform_unit(m, gamma):
     """(n, k) with theta_n(gamma tau) = kappa(gamma) e^{pi i k/4}
     det(c tau + d)^{1/2} theta_m(tau), n the mod-2 reduction of the image
-    characteristic and k in Z/8 folding chi_m together with the sign of
-    that reduction.  Everything here is exact integer arithmetic."""
-    mpv, mdv = act_char_vectors(gamma, m)
-    k = xi_numerator(m, gamma) % 8
-    if reduction_sign(mpv, mdv) < 0:
-        k = (k + 4) % 8
-    n = char_index((mpv[0] % 2, mpv[1] % 2), (mdv[0] % 2, mdv[1] % 2))
-    return n, k
+    characteristic and k in Z/8 folding chi_m = e^{2 pi i xi_m} together
+    with the sign of that reduction: the entry of m in gamma's exact
+    action table (chars.char_action)."""
+    act = char_action(gamma)
+    return act.image[m], act.unit[m]
 
 
 def trace_btc(gamma):

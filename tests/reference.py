@@ -1,15 +1,19 @@
 """Slow reference definitions that only the tests call: permutation
 composition, subgroup membership, generator words as matrices, the
-slash action by direct evaluation at gamma tau with the brute-force
-720-coset sum it gives (the cross-check of forms.symmetrize_exact), and
-the doubled point 2 tau of the direct second-order sums."""
+characteristic action and slash_unit straight from the formulas that
+chars.char_action tabulates, the slash action by direct evaluation at
+gamma tau with the brute-force 720-coset sum it gives (the cross-check
+of forms.symmetrize_exact), and the doubled point 2 tau of the direct
+second-order sums."""
 
+from azy5.chars import act_char_vectors, char_index, reduction_sign, xi_numerator
 from azy5.forms import _signed_sum_eval, mono_key, monomial_degree
 from azy5.numeric import value_prec
 from azy5.siegel import SiegelPoint
 from azy5.symplectic import (FULL, GENERATORS, IDENTITY, PRINCIPAL2, THETA0_2,
                              act_tau, automorphy_factor, coset_reps,
                              lower_translation, translation)
+from azy5.theta import trace_btc
 
 
 def compose_perm(p, q):
@@ -35,6 +39,34 @@ def in_subgroup(gamma, spec):
         return all((x - (i == j)) % 2 == 0
                    for i, row in enumerate(gamma.rows) for j, x in enumerate(row))
     raise ValueError(f"unknown subgroup {spec!r}")
+
+
+def image_and_unit(m, gamma):
+    """(n, k) of theta.transform_unit from the formulas: the mod-2
+    reduction n of act_char_vectors, and k = xi_numerator mod 8, plus 4
+    when the reduction costs a sign."""
+    mpv, mdv = act_char_vectors(gamma, m)
+    k = xi_numerator(m, gamma) % 8
+    if reduction_sign(mpv, mdv) < 0:
+        k = (k + 4) % 8
+    return char_index((mpv[0] % 2, mpv[1] % 2), (mdv[0] % 2, mdv[1] % 2)), k
+
+
+def slash_unit_by_inverse(key, gamma):
+    """forms.slash_unit by acting with gamma^{-1}: each factor theta_n
+    comes from theta_m, m = gamma^{-1}.n, whose image under gamma must
+    be n again, with the unit of m under gamma."""
+    deg = monomial_degree(key)
+    inverse = gamma.inverse()
+    K = (deg * trace_btc(gamma)) % 8
+    img = []
+    for n, e in key:
+        m = image_and_unit(n, inverse)[0]
+        n_back, k = image_and_unit(m, gamma)
+        assert n_back == n, "characteristic action failed to invert"
+        img.append((m, e))
+        K = (K + k * e) % 8
+    return mono_key(img), K
 
 
 def monomial_at(key, tau, eps=1e-12, hiprec=False):

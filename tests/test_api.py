@@ -1,11 +1,15 @@
 """The shape of the public API: no per-call precision and no knob that
 has a single value in use, one module that sets the working precision,
-no public name that only the tests use, and no unused module-level
-import in the package."""
+no public name that only the tests use, no unused module-level import in
+the package, and no mpmath in a process that evaluates in double."""
 
 import ast
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 
@@ -134,3 +138,40 @@ def test_no_unused_module_level_imports():
             unused += [f"{path.name}: {name}" for name in _bound_names(node)
                        if name not in used]
     assert not unused, unused
+
+
+# The double commands, each run by azy5.cli.main in one process; TAU is
+# replaced by the path of a --tau file.
+DOUBLE_COMMANDS = (["verify", "--tau", "TAU"], ["verify"], ["forms", "--form", "azy"],
+                   ["lambda"], ["verify-addition"], ["verify-transform"], ["orbits"],
+                   ["geometry"], ["cosets"])
+
+_UNLOADED = """
+import contextlib, io, json, sys
+import azy5
+import azy5.cli
+assert "mpmath" not in sys.modules, "import"
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert azy5.cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert azy5.cli.main(["forms", "--form", "p2", "--hiprec"]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_double_commands_leave_mpmath_unloaded(tmp_path):
+    """mpmath belongs to the high-precision path: importing azy5 and
+    azy5.cli, and running each double command, leaves it unloaded, while
+    a --hiprec command loads it and passes.  In a fresh interpreter,
+    since the test session has loaded it."""
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps(
+        {"g": 2, "entries": [[[0.13, 1.0], [-0.21, 0.3]], [[-0.21, 0.3], [0.37, 0.8]]]}))
+    argvs = [[str(tau) if a == "TAU" else a for a in argv] for argv in DOUBLE_COMMANDS]
+    src = pathlib.Path(azy5.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _UNLOADED, json.dumps(argvs)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

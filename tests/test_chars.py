@@ -6,14 +6,15 @@ import random
 import pytest
 
 from azy5.chars import (EVEN_CHARS, M0, ODD_CHARS, ODD_PAIRING, act_char,
-                        act_char_vectors, act_set, char_index, chi_p,
+                        act_char_vectors, act_set, char_action, char_index, chi_p,
                         classify_quadruple, classify_triple, even_quadruples,
                         even_triples, format_char, mdbl_of, mprime_of,
                         pair_sign, parity, perm_sign, psi_p, reduction_sign)
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, PRINCIPAL2,
-                             THETA0_2, gl_rotation, lower_translation,
+                             THETA0_2, coset_reps, gl_rotation, lower_translation,
                              random_word, translation)
-from reference import compose_perm
+from azy5.theta import transform_unit
+from reference import compose_perm, image_and_unit
 
 
 def test_index_roundtrip():
@@ -87,6 +88,34 @@ def test_action_preserves_parity_and_tags():
         for q in even_quadruples("plus")[::4]:
             img = tuple(act_char(g, m) for m in q)
             assert classify_quadruple(img) == "plus"
+
+
+def test_action_table_matches_the_formulas():
+    """For the 720 representatives of the principal level-2 cosets and 50
+    random words, each matrix's action table holds, for every
+    characteristic, the mod-2 reduction of act_char_vectors and the unit
+    of xi_numerator with reduction_sign; act_char and transform_unit read
+    it, psi_p is the permutation it induces on the odd characteristics
+    and chi_p that permutation's sign."""
+    rng = random.Random(23)
+    mats = list(coset_reps(PRINCIPAL2).reps) + [random_word(FULL, rng, 6) for _ in range(50)]
+    for g in mats:
+        direct = [image_and_unit(m, g) for m in range(16)]
+        assert char_action(g) == tuple(zip(*direct))
+        assert [(act_char(g, m), transform_unit(m, g)[1]) for m in range(16)] == direct
+        perm = tuple(ODD_CHARS.index(direct[c][0]) for c in ODD_CHARS)
+        assert psi_p(g) == perm
+        assert chi_p(g) == perm_sign(perm)
+
+
+def test_action_table_is_built_once_per_matrix():
+    """An equal matrix built anew finds the table of the first."""
+    rng = random.Random(24)
+    g = random_word(FULL, rng, 6)
+    table = char_action(g)
+    again = g @ IDENTITY
+    assert again is not g
+    assert char_action(again) is table
 
 
 def test_unreduced_vectors_reduce_to_action():

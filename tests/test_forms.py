@@ -16,9 +16,10 @@ from azy5.forms import (AZY_BASE_TRIPLE, AZY_EXPONENT, SIXPLET_BASE,
                         chi12_terms, mono_key, monomial_degree, mu_ratio, p2,
                         slash_unit, symmetrize_exact)
 from azy5.siegel import SiegelPoint
-from azy5.symplectic import FULL, coset_reps, random_word
+from azy5.symplectic import FULL, GENERATORS, coset_reps, random_word
 from azy5.theta import _CHI8
-from reference import monomial_at, slash_numeric, symmetrize_numeric
+from reference import (monomial_at, slash_numeric, slash_unit_by_inverse,
+                       symmetrize_numeric)
 
 MU_EXACT = -32j / math.pi ** 3
 
@@ -156,6 +157,15 @@ def test_slash_unit_against_numeric(taus):
         lhs = slash_numeric(key, 2, g, tau)
         rhs = _CHI8[K] * monomial_at(img, tau)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+
+
+def test_slash_unit_matches_the_inverse_formula():
+    """Inverting the image permutation of gamma's action table gives what
+    acting with gamma^{-1} gives, for every monomial of the weight-30 and
+    weight-12 signed sums under each generator."""
+    for _, key in azy_terms() + chi12_terms():
+        for g in GENERATORS:
+            assert slash_unit(key, g) == slash_unit_by_inverse(key, g)
 
 
 def test_slash_unit_identity_and_degree_guard():

@@ -11,15 +11,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from azy5.chars import EVEN_CHARS, ODD_CHARS, mdbl_of, mprime_of
+from azy5.chars import EVEN_CHARS, ODD_CHARS, mdbl_of, mprime_of, xi_numerator
 from azy5.numeric import m2_det, mobius
 from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, act_tau,
                              random_word, translation)
 from azy5.theta import (_CHI8, MPRIME_ORDER, _tail, kappa4, kappa_numeric,
                         kappa_probes, theta_constant, theta_gradient_vector, theta_raw,
-                        theta_second_order, trace_btc, transform_unit, truncation_radius,
-                        xi_numerator)
+                        theta_second_order, trace_btc, transform_unit, truncation_radius)
 
 # Reference values computed once by an independent one-dimensional product
 # formula (at tau = i*identity every lattice sum splits): e.g.

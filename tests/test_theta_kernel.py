@@ -348,15 +348,15 @@ def test_omitted_weighted_terms_within_their_bound(name, prec, near_point):
 
 
 def _count_exponentials(monkeypatch):
-    """Record each mpmath exponential the walk takes."""
-    import azy5.theta as theta
+    """Record each mpmath exponential the walk takes: it reads
+    mpmath.libmp.mpc_expjpi at call time."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return mpc_expjpi(*args, **kwargs)
 
-    monkeypatch.setattr(theta, "mpc_expjpi", counted)
+    monkeypatch.setattr(mp.libmp, "mpc_expjpi", counted)
     return calls
 
 

@@ -24,9 +24,9 @@ from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residuals,
 from .reports import CheckResult, EvalReport
 from .siegel import SiegelPoint, sample_tau, sample_taus
 from .symplectic import (GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
-                         CosetSystem, SymplecticMatrix, act_tau,
-                         automorphy_factor, coset_reps, gl_rotation,
-                         lower_translation, random_word, translation)
+                         CosetSystem, SymplecticMatrix, act_tau, coset_reps,
+                         gl_rotation, lower_translation, random_word, transform,
+                         translation)
 from .theta import (ThetaValue, kappa4, kappa_numeric, kappa_probes,
                     theta_all_even, theta_constant, theta_second_order,
                     theta_second_vector, transform_unit, truncation_radius)
@@ -40,7 +40,7 @@ __all__ = [
     "SiegelPoint", "sample_tau", "sample_taus",
     "SymplecticMatrix", "CosetSystem", "IDENTITY", "J",
     "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
-    "lower_translation", "gl_rotation", "act_tau", "automorphy_factor",
+    "lower_translation", "gl_rotation", "act_tau", "transform",
     "coset_reps", "random_word",
     "ThetaValue", "theta_constant", "theta_second_order",
     "theta_second_vector", "theta_all_even", "truncation_radius",

@@ -32,12 +32,14 @@ the 60 faces is a constant multiple of phi_transversal: PHI_CONSTANT =
 precision and pinned by the tests.  The checks therefore read each
 quantity once: geometric_crosscheck is the only one that evaluates the
 fifteen canonical factors, and it compares PHI_CONSTANT times the
-product of the fifteen F with their product; rep_independence_error
-compares P2 at the nine generator images with one P2(tau), and
-phi_modularity_error compares phi at the four generator images with one
-phi(tau).  estimate_lambda compares phi with the 60-monomial signed sum,
-which is computed from the first-order constants and so independently
-of Theta.
+product of the fifteen F with their product, each gamma^{-1} M0 the
+preimage of M0 in gamma's action table.  One loop, _law_errors, checks
+both laws: rep_independence_error compares P2 at the nine generator
+images with one P2(tau), phi_modularity_error phi at the four generator
+images with one phi(tau), each image and its det(c tau + d) from one
+symplectic.transform.  estimate_lambda compares phi with the 60-monomial
+signed sum, which is computed from the first-order constants and so
+independently of Theta.
 
 Every product here is the certified product of azy5.forms: phi, P2 and
 each F are forms.face_product at Theta, and phi_transversal multiplies
@@ -52,13 +54,13 @@ from statistics import median
 
 import numpy as np
 
-from .chars import M0, act_set, chi_p, pair_sign
+from .chars import M0, char_action, chi_p, pair_sign
 from .forms import azy_eval, face_product, p2, value_product
 from .geometry import all_faces, tetrahedron
 from .numeric import value_prec
 from .siegel import sample_tau
-from .symplectic import (GENERATORS, THETA0_2, act_tau, automorphy_factor,
-                         coset_reps, subgroup_generators)
+from .symplectic import (GENERATORS, THETA0_2, coset_reps, subgroup_generators,
+                         transform)
 from .theta import ThetaValue, theta_second_vector
 
 AZY_NORMALIZATION = (
@@ -87,9 +89,10 @@ def phi(tau, eps=1e-12, hiprec=False):
 
 def phi_gamma(gamma, tau, eps=1e-12, hiprec=False):
     """One coset factor chi_P(gamma) det(c tau+d)^{-2} P2(gamma tau)."""
-    scale = automorphy_factor(gamma, tau, -2, hiprec)
-    pv = p2(act_tau(gamma, tau, hiprec), eps, hiprec)
+    point, det = transform(gamma, tau, hiprec)
+    pv = p2(point, eps, hiprec)
     with value_prec(hiprec):
+        scale = det ** -2
         v = chi_p(gamma) * scale * pv.value
     return ThetaValue(v, float(abs(scale)) * pv.err)
 
@@ -101,35 +104,36 @@ def phi_transversal(tau, eps=1e-12, hiprec=False):
     return value_product([phi_gamma(g, tau, eps, hiprec) for g in reps], hiprec)
 
 
+def _law_errors(form, weight, unit, letters, tau, eps, hiprec):
+    """|form(g tau) / (unit(g) det(c tau+d)^weight form(tau)) - 1| for each
+    g in letters, in order: one evaluation of form(tau), and one transform
+    and one evaluation of form per letter."""
+    base = form(tau, eps, hiprec).value
+    errs = []
+    for g in letters:
+        point, det = transform(g, tau, hiprec)
+        lhs = form(point, eps, hiprec).value
+        with value_prec(hiprec):
+            errs.append(float(abs(lhs / (unit(g) * det**weight * base) - 1)))
+    return errs
+
+
 def rep_independence_error(tau, eps=1e-12, hiprec=False):
     """max |P2(eta tau) / (chi_P(eta) pair_sign(eta) det(c tau+d)^2 P2(tau))
-    - 1| over eta in subgroup_generators(THETA0_2), from one evaluation
-    of P2(tau).  The factor phi_gamma(eta gamma) is pair_sign(eta)
-    phi_gamma(gamma) exactly when P2 has this multiplier at eta, and the
-    multiplier law passes from the letters to every word in them."""
-    base = p2(tau, eps, hiprec).value
-    errs = []
-    for eta in subgroup_generators(THETA0_2):
-        det2 = automorphy_factor(eta, tau, 2, hiprec)
-        lhs = p2(act_tau(eta, tau, hiprec), eps, hiprec).value
-        with value_prec(hiprec):
-            errs.append(float(abs(lhs / (chi_p(eta) * pair_sign(eta) * det2 * base) - 1)))
-    return max(errs)
+    - 1| over eta in subgroup_generators(THETA0_2).  The factor
+    phi_gamma(eta gamma) is pair_sign(eta) phi_gamma(gamma) exactly when
+    P2 has this multiplier at eta, and the multiplier law passes from the
+    letters to every word in them."""
+    return max(_law_errors(p2, 2, lambda eta: chi_p(eta) * pair_sign(eta),
+                           subgroup_generators(THETA0_2), tau, eps, hiprec))
 
 
 def phi_modularity_error(tau, eps=1e-12, hiprec=False):
     """|phi(g tau) / (chi_P(g) det(c tau+d)^30 phi(tau)) - 1| for each g
-    in GENERATORS, in that order, from one evaluation of phi(tau).
-    Modularity on the generators gives it on the whole group, since the
-    slash action composes and chi_P is a character."""
-    base = phi(tau, eps, hiprec).value
-    errs = []
-    for g in GENERATORS:
-        det30 = automorphy_factor(g, tau, 30, hiprec)
-        lhs = phi(act_tau(g, tau, hiprec), eps, hiprec).value
-        with value_prec(hiprec):
-            errs.append(float(abs(lhs / (chi_p(g) * det30 * base) - 1)))
-    return tuple(errs)
+    in GENERATORS, in that order.  Modularity on the generators gives it
+    on the whole group, since the slash action composes and chi_P is a
+    character."""
+    return tuple(_law_errors(phi, 30, chi_p, GENERATORS, tau, eps, hiprec))
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,8 @@ def geometric_crosscheck(taus, eps=1e-12, hiprec=False):
     precision.  Returns (per_rep, product_error) where per_rep maps each
     representative index to (sorted quadruple, relative spread)."""
     reps = coset_reps(THETA0_2).reps
-    quads = [frozenset(act_set(g.inverse(), M0)) for g in reps]
+    quads = [frozenset(m for m, n in enumerate(char_action(g).image) if n in M0)
+             for g in reps]
     if len(set(quads)) != 15:
         raise RuntimeError("transversal does not hit all fifteen quadruples")
     tets = [tetrahedron(q) for q in quads]

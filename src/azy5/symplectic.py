@@ -1,7 +1,8 @@
 """Exact Sp(4,Z) algebra: block access, the three congruence subgroups
 used here (Sp(4,Z) itself, principal(2) and theta0(2), each named by its
 label string) with seeded random elements, the Moebius action on Siegel
-points, automorphy factors, and breadth-first coset enumeration.
+points together with det(c tau + d) (transform), and breadth-first coset
+enumeration.
 
 Matrices carry arbitrary-precision Python integers, so long generator words
 used in randomized tests cannot overflow.  Inverses use the symplectic
@@ -195,30 +196,26 @@ def random_word(spec, rng, length):
     return m
 
 
-def act_tau(gamma, tau, hiprec=False):
-    """gamma . tau = (a tau + b)(c tau + d)^{-1} as a new SiegelPoint.
-    With hiprec the transform is carried out in mpmath and the result keeps
-    the full-precision entries alongside the double ones."""
+def transform(gamma, tau, hiprec=False):
+    """(gamma . tau, det(c tau + d)) from one Moebius transform: the image
+    (a tau + b)(c tau + d)^{-1} as a new SiegelPoint, and the determinant
+    at the working precision, for the caller to raise to its weight.  With
+    hiprec both are formed in mpmath, and the point keeps its
+    full-precision entries alongside the double ones.  Every point that
+    the package transforms is transformed here."""
+    with value_prec(hiprec):
+        t, den = mobius(gamma, tau.entries_mp() if hiprec else tau.entries())
+        det = m2_det(den)
     if hiprec:
-        with value_prec(True):
-            tmp, _ = mobius(gamma, tau.entries_mp())
-            t = tuple(tuple(complex(z) for z in row) for row in tmp)
-            return SiegelPoint(t, mp_entries=tmp)
-    t, den = mobius(gamma, tau.entries())
+        return SiegelPoint(tuple(tuple(complex(z) for z in row) for row in t), mp_entries=t), det
     if m2_cond(den) > 1e12:
         warnings.warn("c*tau + d is badly conditioned; transformed point is inaccurate")
-    return SiegelPoint(t)
+    return SiegelPoint(t), det
 
 
-def automorphy_factor(gamma, tau, k, hiprec=False):
-    """det(c tau + d)^k for integer k, in mpmath with hiprec; half-integer
-    powers are taken explicitly at call sites to keep branch choices
-    local."""
-    if int(k) != k:
-        raise ValueError("integer weights only; take square roots at the call site")
-    with value_prec(hiprec):
-        _, den = mobius(gamma, tau.entries_mp() if hiprec else tau.entries())
-        return m2_det(den) ** int(k)
+def act_tau(gamma, tau, hiprec=False):
+    """gamma . tau, the point of transform."""
+    return transform(gamma, tau, hiprec)[0]
 
 
 @dataclass(frozen=True)

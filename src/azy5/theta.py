@@ -63,20 +63,20 @@ outside E, with the factor |pi i/2| of the derivative, by
 
     W(rho) = (1/(2 lam)) (I_3 + (4/s) I_4 + (4/s^2) I_5) <= eps.
 
-The term at -k equals the term at k, so both kernels visit only the rows
-k1 >= 0.  Row k1 = 0 is counted once; each term of a row k1 > 0 is also
-credited to the class of -k, and charged in the bound of both classes.
-Double precision runs _grid: numpy terms over the points of E's half
-square that lie in E, each class's contributions summed by one
-math.fsum, so each S_r is exactly rounded whatever the order; _grid's
-docstring derives its bound.
+Double precision runs _grid: numpy terms over the points of E's
+bounding square that lie in E, each point once, each class's terms
+summed by one math.fsum, so each S_r is exactly rounded whatever the
+order; _grid's docstring derives its bound.
 
-High precision runs _walk, a row recurrence in Python integers.  Each
-row k1 = 0, 1, ... up to E's last row is walked over its chord of E
-(_chords), from its largest term, at k0 = nint(-Y12 k1 / Y11) clipped
-to the chord, by unit steps out to the chord's ends.  A step costs two
-multiplications, t <- t u and u <- u E with E = e^{2 pi i T11}, where t
-is the term and u the ratio of neighbouring terms,
+High precision runs _walk, a row recurrence in Python integers.  The
+term at -k equals the term at k, so the walk visits only the rows
+k1 >= 0: row k1 = 0 is counted once, and each term of a row k1 > 0 is
+also credited to the class of -k and charged in the bound of both
+classes.  Each row k1 = 0, 1, ... up to E's last row is walked over its
+chord of E (_chords), from its largest term, at k0 = nint(-Y12 k1 / Y11)
+clipped to the chord, by unit steps out to the chord's ends.  A step
+costs two multiplications, t <- t u and u <- u E with E = e^{2 pi i T11},
+where t is the term and u the ratio of neighbouring terms,
 u = e^{pi i ((2 k0 + 1) T11 + 2 k1 T12)} (the downward walk has its own
 ratio w = e^{pi i ((1 - 2 k0) T11 - 2 k1 T12)}).
 Every quantity of a walk has modulus at most 1, since it moves away from
@@ -147,9 +147,9 @@ import numpy as np
 
 from .chars import EVEN_CHARS, char_action, mdbl_of, mprime_of, parity
 from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
-                      m2_det, mobius, sym2_eig_bounds, value_prec)
+                      sym2_eig_bounds, value_prec)
 from .siegel import TAU_I
-from .symplectic import act_tau
+from .symplectic import transform
 
 MPRIME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -263,28 +263,24 @@ def _ellipse(y, b, eps, moments=False):
 
 @lru_cache(maxsize=64)
 def _class_points(K):
-    """(k0, k1, cls): the points of the half square k0 in [-K, K],
-    k1 in [0, K], each with k1 > 0 listed twice, once for its own class
-    c = 4 r0 + r1 and once for that of -k, sorted by class; cls[i] is the
-    class entry i counts in.  Cached per size, at most 64 sizes, as int16
-    (K <= _MAX_EXTENT, _ellipse's cap) and int8: 5 bytes an entry."""
-    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1),
+    """(k0, k1, cls): the points of the square [-K, K]^2, each listed
+    once and sorted by its class cls = 4 r0 + r1, r = k mod 4.  Cached
+    per size, at most 64 sizes, as int16 (K <= _MAX_EXTENT, _ellipse's
+    cap) and int8: 5 bytes a point."""
+    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1),
                                              indexing="ij"))
-    pos = np.flatnonzero(k1)
-    cls = np.concatenate((4 * (k0 % 4) + k1 % 4, 4 * (-k0[pos] % 4) + -k1[pos] % 4))
-    idx = np.concatenate((np.arange(k0.size), pos))
+    cls = 4 * (k0 % 4) + k1 % 4
     perm = np.argsort(cls, kind="stable")
-    idx = idx[perm]
-    return k0[idx].astype(np.int16), k1[idx].astype(np.int16), cls[perm].astype(np.int8)
+    return k0[perm].astype(np.int16), k1[perm].astype(np.int16), cls[perm].astype(np.int8)
 
 
 def _grid(t, eps, moments=False):
     """The numpy kernel behind every double-precision series, with the
     contract of _walk: t = (T11, T12, T22) as Python complex, b = 53.
     sums[r0][r1] and the moment sums are (re, im) pairs, each component
-    one exactly rounded math.fsum over the contributions of its class
-    that lie in E (the points of _class_points over E's bounding square;
-    E's test comes before any exponential), bounds[r0][r1] is the
+    one exactly rounded math.fsum over the terms of its class that lie
+    in E (the points of _class_points over E's bounding square, each
+    once; E's test comes before any exponential), bounds[r0][r1] is the
     rounding bound of S_r, and cut is P(rho), or W(rho) with moments.
 
     The lattice values k and k_i k_j are exact, so forming q = k^T T k
@@ -679,13 +675,12 @@ def kappa_probes(gamma, tau0=None, eps=1e-12):
     a given gamma must agree; the spread is a correctness check on chi.
     One theta_all_even at gamma tau0, one at tau0 (once per eps at i*I)."""
     th0 = _probe_thetas(eps) if tau0 is None else theta_all_even(tau0, eps)
-    tau0 = tau0 or TAU_I
-    _, den = mobius(gamma, tau0.entries())
-    sqrt_det = cmath.sqrt(m2_det(den))
+    point, det = transform(gamma, tau0 or TAU_I)
+    sqrt_det = cmath.sqrt(det)
     probes = [m for m in EVEN_CHARS if abs(th0[m].value) > _PROBE_MIN_ABS]
     if not probes:
         raise RuntimeError("all probe thetas too small at tau0; pick another probe point")
-    th_g = theta_all_even(act_tau(gamma, tau0), eps)
+    th_g = theta_all_even(point, eps)
     out = {}
     for m in probes:
         n, k = transform_unit(m, gamma)

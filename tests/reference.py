@@ -11,8 +11,8 @@ from azy5.forms import _signed_sum_eval, mono_key, monomial_degree
 from azy5.numeric import value_prec
 from azy5.siegel import SiegelPoint
 from azy5.symplectic import (FULL, GENERATORS, IDENTITY, PRINCIPAL2, THETA0_2,
-                             act_tau, automorphy_factor, coset_reps,
-                             lower_translation, translation)
+                             coset_reps, lower_translation, transform,
+                             translation)
 from azy5.theta import trace_btc
 
 
@@ -76,10 +76,10 @@ def monomial_at(key, tau, eps=1e-12, hiprec=False):
 
 def slash_numeric(key, weight, gamma, tau, eps=1e-12, hiprec=False):
     """(f |_weight gamma)(tau) by direct evaluation at gamma tau."""
-    scale = automorphy_factor(gamma, tau, -weight, hiprec)
-    mv = monomial_at(key, act_tau(gamma, tau, hiprec), eps, hiprec)
+    point, det = transform(gamma, tau, hiprec)
+    mv = monomial_at(key, point, eps, hiprec)
     with value_prec(hiprec):
-        return scale * mv
+        return det ** -weight * mv
 
 
 def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1):

@@ -3,6 +3,10 @@ loading, and determinism."""
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -263,3 +267,45 @@ def test_hiprec_reports_are_byte_identical(tmp_path):
     assert run(["lambda", "--hiprec", "--samples", "2", "--out", str(a)]) == 0
     assert run(["lambda", "--hiprec", "--samples", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_COUNT_TRANSFORMS = """
+import contextlib, importlib.util, io, json, sys
+import azy5.cli
+import azy5.numeric
+from azy5.chars import char_action
+spec = importlib.util.spec_from_file_location("points", sys.argv[1])
+points = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(points)
+with open(sys.argv[2], "w") as fh:
+    json.dump([points.to_json(m) for m in points.point_set(0, 5, points.GENERIC)], fh)
+real = azy5.numeric.mobius
+calls = [0]
+
+def counted(*a):
+    calls[0] += 1
+    return real(*a)
+
+for mod in [m for name, m in sys.modules.items() if name.startswith("azy5")]:
+    for attr, val in list(vars(mod).items()):
+        if val is real:
+            setattr(mod, attr, counted)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert azy5.cli.main(["verify", "--tau", sys.argv[2], "--seed", "0"]) == 0
+print(json.dumps([calls[0], char_action.cache_info().misses]))
+"""
+
+
+def test_verify_transforms_each_point_once(tmp_path):
+    """One `verify --tau` at the five generic points of the benchmark's
+    seed-0 verify-double set, in a fresh interpreter: 150 transformed
+    points (9 + 4 generator images and 15 coset factors per point, and
+    10 kappa words), each from one Moebius transform, and 34 action
+    tables, none of them for an inverse."""
+    root = pathlib.Path(cli.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", _COUNT_TRANSFORMS,
+                          str(root / "perfbench" / "points.py"), str(tmp_path / "tau.json")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [150, 34]

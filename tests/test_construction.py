@@ -6,16 +6,16 @@ cross-check."""
 import mpmath as mp
 import pytest
 
-from azy5.chars import pair_sign
+from azy5.chars import M0, chi_p, pair_sign
 from azy5.construction import (AZY_NORMALIZATION, PHI_CONSTANT,
                                estimate_lambda, geometric_crosscheck, phi,
                                phi_gamma, phi_modularity_error,
                                phi_transversal, rep_independence_error)
 from azy5.forms import p2
 from azy5.siegel import sample_taus
-from azy5.symplectic import (E11, IDENTITY, THETA0_2, act_tau,
-                             coset_reps, gl_rotation, subgroup_generators,
-                             translation)
+from azy5.symplectic import (E11, GENERATORS, IDENTITY, THETA0_2,
+                             SymplecticMatrix, act_tau, coset_reps,
+                             gl_rotation, subgroup_generators, translation)
 from azy5.theta import ThetaValue
 
 # phi / (signed triple sum) under the +1 base-monomial normalization
@@ -69,6 +69,38 @@ def test_rep_independence_catches_a_pair_blind_multiplier(taus, monkeypatch):
     import azy5.construction as construction
     monkeypatch.setattr(construction, "pair_sign", lambda gamma: 1)
     assert rep_independence_error(taus[0]) >= 1
+
+
+def test_phi_modularity_catches_a_wrong_multiplier(taus, monkeypatch):
+    """With chi_P taken as 1, phi(g tau) has the opposite sign to the
+    claimed law on A, B and C, where chi_P = -1: residuals about 2.  And
+    the same loop at weight 28 fails on J, where det(c tau + d) = det(-tau)
+    is not a root of unity."""
+    import azy5.construction as construction
+    tau = taus[0]
+    assert [chi_p(g) for g in GENERATORS] == [1, -1, -1, -1]
+    errs = construction._law_errors(phi, 28, chi_p, GENERATORS, tau, 1e-12, False)
+    assert errs[0] >= 1e-1
+    assert max(errs[1:]) < 1e-6
+    monkeypatch.setattr(construction, "chi_p", lambda gamma: 1)
+    errs = phi_modularity_error(tau)
+    assert errs[0] < 1e-6
+    assert min(errs[1:]) >= 1
+
+
+def test_crosscheck_reads_no_inverse(monkeypatch):
+    """geometric_crosscheck takes each gamma^{-1}.M0 from gamma's own
+    action table, so no inverse matrix is formed."""
+    def refuse(self):
+        raise AssertionError("inverse called")
+
+    monkeypatch.setattr(SymplecticMatrix, "inverse", refuse)
+    per_rep, product_error = geometric_crosscheck(sample_taus(seed=11, count=2))
+    assert product_error < 1e-5
+    assert max(s for _, s in per_rep.values()) < 1e-5
+    quads = [q for q, _ in per_rep.values()]
+    assert len(set(quads)) == 15
+    assert quads[0] == tuple(sorted(M0))
 
 
 def test_generator_rotations_give_the_order_three_rotation():
@@ -203,6 +235,6 @@ def test_phi_evaluates_theta_at_tau_only(taus, monkeypatch):
 
     monkeypatch.setattr(construction, "theta_second_vector", spy)
     monkeypatch.setattr(construction, "p2", None)
-    monkeypatch.setattr(construction, "act_tau", None)
+    monkeypatch.setattr(construction, "transform", None)
     phi(taus[0])
     assert seen == [taus[0]]

@@ -3,15 +3,17 @@ the action on the upper half-space."""
 
 import hashlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from azy5.chars import M0, act_set, even_quadruples
+from azy5.numeric import m2_det, value_prec
 from azy5.symplectic import (_COLUMN_OPS, E11, ESYM, FULL, GENERATORS,
                              IDENTITY, J, PRINCIPAL2, THETA0_2,
-                             SymplecticMatrix, act_tau, automorphy_factor,
-                             coset_reps, gl_rotation, lower_translation,
-                             random_word, translation)
+                             SymplecticMatrix, act_tau, coset_reps,
+                             gl_rotation, lower_translation, random_word,
+                             transform, translation)
 from reference import in_subgroup, word_matrix
 
 
@@ -201,13 +203,28 @@ def test_act_tau_hiprec_payload(taus):
             assert abs(complex(ent[i][j]) - dbl[i][j]) < 1e-14
 
 
-def test_automorphy_factor(taus):
+def _den(gamma, t):
+    """c t + d, in the order of numeric.mobius."""
+    c, d = gamma.c, gamma.d
+    return tuple(tuple(c[i][0] * t[0][j] + c[i][1] * t[1][j] + d[i][j] for j in range(2))
+                 for i in range(2))
+
+
+def test_transform_det(taus, full_words):
+    """transform gives act_tau's point and det(c tau + d), formed at the
+    working precision: at J, where det(c tau + d) = det(-tau), and at a
+    random word, in both precisions."""
     tau = taus[2]
-    f = automorphy_factor(J, tau, 2)
-    det = np.linalg.det(-tau.mat)
-    assert abs(f - det ** 2) < 1e-12 * abs(det) ** 2
-    with pytest.raises(ValueError):
-        automorphy_factor(J, tau, 0.5)
+    want_j = np.linalg.det(-tau.mat)
+    for hiprec in (False, True):
+        for g in (J, full_words(1, 6)[0]):
+            point, det = transform(g, tau, hiprec)
+            assert np.array_equal(point.mat, act_tau(g, tau, hiprec).mat)
+            assert isinstance(det, mp.mpc if hiprec else complex)
+            with value_prec(hiprec):
+                assert det == m2_det(_den(g, tau.entries_mp() if hiprec else tau.entries()))
+            if g == J:
+                assert abs(complex(det ** 2) - want_j ** 2) < 1e-12 * abs(want_j) ** 2
 
 
 def test_gl_rotation_requires_unimodular():

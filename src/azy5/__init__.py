@@ -29,7 +29,7 @@ from .symplectic import (GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
                          translation)
 from .theta import (ThetaValue, kappa4, kappa_numeric, kappa_probes,
                     theta_all_even, theta_constant, theta_second_order,
-                    theta_second_vector, transform_unit, truncation_radius)
+                    theta_second_vector, truncation_radius)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "coset_reps", "random_word",
     "ThetaValue", "theta_constant", "theta_second_order",
     "theta_second_vector", "theta_all_even", "truncation_radius",
-    "transform_unit", "xi_numerator", "kappa4", "kappa_numeric",
+    "xi_numerator", "kappa4", "kappa_numeric",
     "kappa_probes",
     "mono_key", "slash_unit", "symmetrize_exact", "chi5_product",
     "chi5_determinant", "chi10", "chi12", "p2", "azy", "azy_eval",

@@ -18,10 +18,10 @@ quadratic character chi_P used throughout this package.
 
 Each matrix's action is one exact table, built once and cached by the
 matrix's rows (char_action): for each of the 16 characteristics, its
-image and the Z/8 unit of the theta transformation law
-(theta.transform_unit), from the formulas act_char_vectors, xi_numerator
-and reduction_sign.  act_char, psi_p, chi_p, pair_sign,
-theta.transform_unit and forms.slash_unit read the table.
+image and the Z/8 unit of the theta transformation law, from the
+formulas act_char_vectors, xi_numerator and reduction_sign.  act_char,
+psi_p, chi_p, pair_sign, theta.kappa_probes and forms.slash_unit read
+the table.
 
 Triples of distinct even characteristics are classified by the parity of
 their sum (xor): 60 are "minus" (odd sum) and 60 "plus".  Quadruples are
@@ -127,7 +127,7 @@ def xi_numerator(m, gamma):
 class CharAction(NamedTuple):
     """A matrix's exact action on the 16 characteristics, by index:
     image[m] is the mod-2 reduction of gamma.m, and unit[m] in Z/8 the k
-    of theta.transform_unit (chi_m folded with the sign of that
+    of the transformation law (chi_m folded with the sign of that
     reduction)."""
     image: tuple
     unit: tuple

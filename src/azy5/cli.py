@@ -222,6 +222,9 @@ def cmd_azy_verify(args):
     rep = EvalReport("azy-verify", _config_echo(args, "azy-verify"))
     eps, hiprec = args.eps, args.hiprec
     taus = _load_taus(args)
+    if len(taus) < 2:
+        raise ValueError("the geometric crosscheck per-representative and chi5 determinant "
+                         "ratio constancy checks compare points: --tau needs at least two")
 
     rep.add_check("even/odd cardinalities",
                   abs(len(EVEN_CHARS) - 10) + abs(len(ODD_CHARS) - 6), 0)
@@ -319,8 +322,8 @@ def main(argv=None):
             args.eps = 1e-30 if getattr(args, "hiprec", False) else 1e-12
         if not 1e-30 <= args.eps < math.inf:
             parser.error("--eps must be finite and at least 1e-30")
-    if getattr(args, "samples", 1) < 1:
-        parser.error("--samples must be at least 1")
+    if getattr(args, "samples", 2) < 2:
+        parser.error("--samples must be at least 2")
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be a non-negative integer")
     t0 = time.perf_counter()

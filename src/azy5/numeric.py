@@ -9,8 +9,9 @@ behave identically in both precisions.
 
 mpmath serves the high-precision path only, so this module and every
 other one import it inside the functions of that path (value_prec,
-to_mpc, fc_to_mpc, the hiprec branches of the theta kernel and of the
-products): a process that evaluates in double never loads it.
+fc_to_mpc, SiegelPoint.entries_mp, the hiprec branches of the theta
+kernel and of the products): a process that evaluates in double never
+loads it.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ def sym2_eig_bounds(y):
     return tr / 2 - root, tr / 2 + root
 
 
-def to_mpc(z):
-    import mpmath as mp
-    z = complex(z)
-    return mp.mpc(z.real, z.imag)
-
-
 # --- floating complex ---------------------------------------------------
 # A Python-integer floating complex is a tuple (x, y, e, count): the value
 # (x + i y) 2^e with its mantissa pair cut to wp bits, the larger part
@@ -141,9 +136,7 @@ def fc_inv(a, wp):
 
 
 def fc_pow(a, n, wp):
-    """a^n for any integer n, by squaring."""
-    if n < 0:
-        a, n = fc_inv(a, wp), -n
+    """a^n for an integer n >= 0, by squaring."""
     out = None
     while True:
         if n & 1:

@@ -41,8 +41,6 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, frozenset):
-        return [jsonable(v) for v in sorted(x)]
     if hasattr(x, "item") and not isinstance(x, (str, bytes)):
         # numpy scalar
         return jsonable(x.item())

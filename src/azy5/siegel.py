@@ -12,7 +12,7 @@ import cmath
 
 import numpy as np
 
-from .numeric import sym2_eig_bounds, to_mpc
+from .numeric import sym2_eig_bounds
 
 SAMPLE_SCALE = 0.1  # weight of the real part B of sample_tau's points
 
@@ -60,10 +60,14 @@ class SiegelPoint:
 
     def entries_mp(self):
         """Entries as nested tuples of mpc: the carried high-precision data
-        when present, otherwise the (exactly representable) double entries."""
+        (read nowhere else), or the distinct double entries converted exactly."""
         if self._mp is not None:
             return self._mp
-        return tuple(tuple(to_mpc(z) for z in row) for row in self.mat)
+        import mpmath as mp
+        exact = mp.libmp.from_float
+        a, b, d = (mp.make_mpc((exact(z.real), exact(z.imag)))
+                   for z in self.mat.take([0, 1, 3]).tolist())
+        return ((a, b), (b, d))
 
     def to_json(self):
         return {"g": 2,

@@ -1,14 +1,13 @@
 """Exact Sp(4,Z) algebra: block access, the three congruence subgroups
 used here (Sp(4,Z) itself, principal(2) and theta0(2), each named by its
-label string) with seeded random elements, the Moebius action on Siegel
-points together with det(c tau + d) (transform), and breadth-first coset
-enumeration.
+label string) with seeded random elements of the first and last, the
+Moebius action on Siegel points together with det(c tau + d)
+(transform), and breadth-first coset enumeration.
 
 Matrices carry arbitrary-precision Python integers, so long generator words
-used in randomized tests cannot overflow.  Inverses use the symplectic
-closed form gamma^{-1} = [[d^T, -b^T], [-c^T, a^T]].  The coset search
-never multiplies two generic matrices: extending a word by a generator is
-a column operation on the rows of its matrix (_COLUMN_OPS).
+used in randomized tests cannot overflow.  The coset search never
+multiplies two generic matrices: extending a word by a generator is a
+column operation on the rows of its matrix (_COLUMN_OPS).
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class SymplecticMatrix:
 
     @classmethod
     def _trusted(cls, rows):
-        # rows of a product or inverse of symplectic matrices: no re-validation
+        # rows of a product of symplectic matrices: no re-validation
         out = object.__new__(cls)
         object.__setattr__(out, "rows", rows)
         return out
@@ -96,13 +95,6 @@ class SymplecticMatrix:
         return SymplecticMatrix._trusted(
             tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
                   for i in range(4)))
-
-    def inverse(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return SymplecticMatrix._trusted(((d[0][0], d[1][0], -b[0][0], -b[1][0]),
-                                          (d[0][1], d[1][1], -b[0][1], -b[1][1]),
-                                          (-c[0][0], -c[1][0], a[0][0], a[1][0]),
-                                          (-c[0][1], -c[1][1], a[0][1], a[1][1])))
 
     def mod2_key(self):
         return bytes(x & 1 for row in self.rows for x in row)
@@ -174,16 +166,13 @@ def subgroup_generators(spec):
     relies on that.  It is not claimed to generate the whole subgroup."""
     if spec == FULL:
         return GENERATORS
-    doubled = [tuple(tuple(2 * x for x in row) for row in S) for S in (E11, E22, ESYM)]
-    lowers = [lower_translation(S) for S in doubled]
-    if spec == PRINCIPAL2:
-        return tuple([translation(S) for S in doubled] + lowers)
-    if spec == THETA0_2:
-        uppers = [translation(B) for B in (E11, E22, ESYM)]
-        rots = [gl_rotation(((0, 1), (1, 0))), gl_rotation(((1, 1), (0, 1))),
-                gl_rotation(((-1, 0), (0, 1)))]
-        return tuple(uppers + lowers + rots)
-    raise ValueError(f"unknown subgroup {spec!r}")
+    if spec != THETA0_2:
+        raise ValueError(f"no alphabet for subgroup {spec!r}")
+    uppers = [translation(B) for B in (E11, E22, ESYM)]
+    lowers = [lower_translation(tuple(tuple(2 * x for x in row) for row in S))
+              for S in (E11, E22, ESYM)]
+    rots = [gl_rotation(u) for u in (((0, 1), (1, 0)), ((1, 1), (0, 1)), ((-1, 0), (0, 1)))]
+    return tuple(uppers + lowers + rots)
 
 
 def random_word(spec, rng, length):
@@ -222,7 +211,6 @@ def act_tau(gamma, tau, hiprec=False):
 class CosetSystem:
     """Right-coset transversal {H gamma_i} with the BFS word of each
     representative (tuples of GENERATORS indices, identity first)."""
-    subgroup: str
     reps: tuple
     words: tuple
 
@@ -304,4 +292,4 @@ def coset_reps(spec):
         reps, words = _bfs_transversal(SymplecticMatrix.mod2_key, 720)
     else:
         raise ValueError(f"no coset enumeration for subgroup {spec!r}")
-    return CosetSystem(spec, reps, words)
+    return CosetSystem(reps, words)

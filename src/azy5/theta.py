@@ -126,7 +126,7 @@ The transformation factors under gamma in Sp(4,Z) are
                                  det(c tau + d)^{1/2} theta_m(tau),
 
 where chi_m(gamma) = e^{2 pi i xi_m(gamma)} is an eighth root of unity
-computed exactly from integer data (chars.xi_numerator), and kappa(gamma)
+computed exactly from integer data (chars.char_action), and kappa(gamma)
 is independent of m with kappa^4 = e^{pi i Tr(b^T c)}.  kappa is never
 produced by a closed formula here: kappa_numeric measures it against the
 principal branch of det(c tau0 + d)^{1/2} at a probe point, and every
@@ -324,20 +324,11 @@ def _grid(t, eps, moments=False):
 GUARD_BITS = 32
 
 
-def _raw_entries(tau, shift=0):
-    """(tau11, tau12, tau22) of 2^shift tau as raw mpmath (re, im) pairs,
-    scaled exactly: from the carried high-precision entries when present,
-    otherwise straight from the double entries, which convert exactly."""
+def _raw_entries(tau, shift):
+    """(tau11, tau12, tau22) of 2^shift tau as raw mpmath (re, im) pairs, exactly."""
     import mpmath as mp
-    lib = mp.libmp
-    if tau._mp is None:
-        T = tau.entries()
-        parts = [(lib.from_float(z.real), lib.from_float(z.imag))
-                 for z in (T[0][0], T[0][1], T[1][1])]
-    else:
-        T = tau._mp
-        parts = [z._mpc_ for z in (T[0][0], T[0][1], T[1][1])]
-    return tuple(tuple(lib.mpf_shift(x, shift) for x in z) for z in parts)
+    T = tau.entries_mp()
+    return tuple(tuple(mp.libmp.mpf_shift(x, shift) for x in z._mpc_) for z in (*T[0], T[1][1]))
 
 
 def _ray(xr, xi, ur, ui, er, ei, count, wp):
@@ -570,25 +561,17 @@ def _theta(k, mprime, mdbl):
     return ThetaValue(val, bound + k.cut + k.ulp * abs(complex(val)))
 
 
-def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
-    """Theta constant for integer (possibly unreduced) characteristic
-    vectors.  The lattice points k = 2n + m' depend on m' mod 2 only, and
-    m'' is kept as given in the exact factor i^{k.m''}, so the classical
-    shift sign theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the
-    series itself."""
-    with value_prec(hiprec):
-        return _theta(_run_kernel(tau, -2, eps, hiprec), mprime, mdbl)
-
-
 def theta_constant(m, tau, eps=1e-12, hiprec=False):
     """First-order theta constant for the reduced characteristic with 4-bit
-    index m; exactly zero (with zero error) for odd m."""
+    index m, from one kernel run at tau/4; exactly zero (with zero error)
+    for odd m."""
     if parity(m) == -1:
         if not hiprec:
             return ThetaValue(0j, 0.0)
         import mpmath as mp
         return ThetaValue(mp.mpc(0), 0.0)
-    return theta_raw(mprime_of(m), mdbl_of(m), tau, eps, hiprec)
+    with value_prec(hiprec):
+        return _theta(_run_kernel(tau, -2, eps, hiprec), mprime_of(m), mdbl_of(m))
 
 
 def theta_second_vector(tau, eps=1e-12, hiprec=False):
@@ -638,16 +621,6 @@ _CHI8 = (1 + 0j, _SQ2 + 1j * _SQ2, 1j, -_SQ2 + 1j * _SQ2,
          -1 + 0j, -_SQ2 - 1j * _SQ2, -1j, _SQ2 - 1j * _SQ2)
 
 
-def transform_unit(m, gamma):
-    """(n, k) with theta_n(gamma tau) = kappa(gamma) e^{pi i k/4}
-    det(c tau + d)^{1/2} theta_m(tau), n the mod-2 reduction of the image
-    characteristic and k in Z/8 folding chi_m = e^{2 pi i xi_m} together
-    with the sign of that reduction: the entry of m in gamma's exact
-    action table (chars.char_action)."""
-    act = char_action(gamma)
-    return act.image[m], act.unit[m]
-
-
 def trace_btc(gamma):
     """Tr(b^T c) = entrywise contraction of the b and c blocks."""
     b, c = gamma.b, gamma.c
@@ -681,11 +654,9 @@ def kappa_probes(gamma, tau0=None, eps=1e-12):
     if not probes:
         raise RuntimeError("all probe thetas too small at tau0; pick another probe point")
     th_g = theta_all_even(point, eps)
-    out = {}
-    for m in probes:
-        n, k = transform_unit(m, gamma)
-        out[m] = th_g[n].value / (_CHI8[k] * sqrt_det * th0[m].value)
-    return out
+    image, unit = char_action(gamma)
+    return {m: th_g[image[m]].value / (_CHI8[unit[m]] * sqrt_det * th0[m].value)
+            for m in probes}
 
 
 def kappa_numeric(gamma, tau0=None):

@@ -1,19 +1,22 @@
-"""Slow reference definitions that only the tests call: permutation
-composition, subgroup membership, generator words as matrices, the
+"""Slow reference definitions and capabilities that only the tests call:
+permutation composition, subgroup membership, generator words as
+matrices, the symplectic inverse, random principal(2) words, the
 characteristic action and slash_unit straight from the formulas that
-chars.char_action tabulates, the slash action by direct evaluation at
-gamma tau with the brute-force 720-coset sum it gives (the cross-check
-of forms.symmetrize_exact), and the doubled point 2 tau of the direct
-second-order sums."""
+chars.char_action tabulates, the table's entry for one characteristic,
+the slash action by direct evaluation at gamma tau with the brute-force
+720-coset sum it gives (the cross-check of forms.symmetrize_exact), a
+theta constant at an unreduced characteristic, and the doubled point
+2 tau of the direct second-order sums."""
 
-from azy5.chars import act_char_vectors, char_index, reduction_sign, xi_numerator
+from azy5.chars import (act_char_vectors, char_action, char_index, reduction_sign,
+                        xi_numerator)
 from azy5.forms import _signed_sum_eval, mono_key, monomial_degree
 from azy5.numeric import value_prec
 from azy5.siegel import SiegelPoint
-from azy5.symplectic import (FULL, GENERATORS, IDENTITY, PRINCIPAL2, THETA0_2,
-                             coset_reps, lower_translation, transform,
-                             translation)
-from azy5.theta import trace_btc
+from azy5.symplectic import (E11, E22, ESYM, FULL, GENERATORS, IDENTITY,
+                             PRINCIPAL2, THETA0_2, SymplecticMatrix, coset_reps,
+                             lower_translation, transform, translation)
+from azy5.theta import _run_kernel, _theta, trace_btc
 
 
 def compose_perm(p, q):
@@ -29,6 +32,29 @@ def word_matrix(indices):
     return m
 
 
+def inverse(gamma):
+    """gamma^{-1} by the symplectic closed form [[d^T, -b^T], [-c^T, a^T]]."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    return SymplecticMatrix(((d[0][0], d[1][0], -b[0][0], -b[1][0]),
+                             (d[0][1], d[1][1], -b[0][1], -b[1][1]),
+                             (-c[0][0], -c[1][0], a[0][0], a[1][0]),
+                             (-c[0][1], -c[1][1], a[0][1], a[1][1])))
+
+
+# Letters of principal(2): the doubled upper and lower elementary translations.
+_PRINCIPAL2_LETTERS = tuple(f(tuple(tuple(2 * x for x in row) for row in S))
+                            for f in (translation, lower_translation) for S in (E11, E22, ESYM))
+
+
+def principal2_word(rng, length):
+    """Seeded random element of principal(2): a word of the given length
+    in its six letters."""
+    m = IDENTITY
+    for _ in range(length):
+        m = m @ _PRINCIPAL2_LETTERS[rng.randrange(len(_PRINCIPAL2_LETTERS))]
+    return m
+
+
 def in_subgroup(gamma, spec):
     """Exact membership of gamma in the congruence subgroup."""
     if spec == FULL:
@@ -41,8 +67,18 @@ def in_subgroup(gamma, spec):
     raise ValueError(f"unknown subgroup {spec!r}")
 
 
+def transform_unit(m, gamma):
+    """(n, k) with theta_n(gamma tau) = kappa(gamma) e^{pi i k/4}
+    det(c tau + d)^{1/2} theta_m(tau), n the mod-2 reduction of the image
+    characteristic and k in Z/8 folding chi_m = e^{2 pi i xi_m} together
+    with the sign of that reduction: the entry of m in gamma's exact
+    action table (chars.char_action)."""
+    image, unit = char_action(gamma)
+    return image[m], unit[m]
+
+
 def image_and_unit(m, gamma):
-    """(n, k) of theta.transform_unit from the formulas: the mod-2
+    """(n, k) of transform_unit from the formulas: the mod-2
     reduction n of act_char_vectors, and k = xi_numerator mod 8, plus 4
     when the reduction costs a sign."""
     mpv, mdv = act_char_vectors(gamma, m)
@@ -57,11 +93,11 @@ def slash_unit_by_inverse(key, gamma):
     comes from theta_m, m = gamma^{-1}.n, whose image under gamma must
     be n again, with the unit of m under gamma."""
     deg = monomial_degree(key)
-    inverse = gamma.inverse()
+    gamma_inv = inverse(gamma)
     K = (deg * trace_btc(gamma)) % 8
     img = []
     for n, e in key:
-        m = image_and_unit(n, inverse)[0]
+        m = image_and_unit(n, gamma_inv)[0]
         n_back, k = image_and_unit(m, gamma)
         assert n_back == n, "characteristic action failed to invert"
         img.append((m, e))
@@ -101,6 +137,16 @@ def symmetrize_numeric(key, weight, tau, character=None, multiplicity=1):
         t = slash_numeric(key, weight, g, tau)
         total += t if character is None else t * character(g)
     return total / multiplicity
+
+
+def theta_raw(mprime, mdbl, tau, eps=1e-12, hiprec=False):
+    """Theta constant for integer (possibly unreduced) characteristic
+    vectors, from the kernel run of theta.theta_constant.  The lattice
+    points k = 2n + m' depend on m' mod 2 only, and m'' is kept as given
+    in the exact factor i^{k.m''}, so the classical shift sign
+    theta_{m+2n} = (-1)^{m'.n''} theta_m comes out of the series itself."""
+    with value_prec(hiprec):
+        return _theta(_run_kernel(tau, -2, eps, hiprec), mprime, mdbl)
 
 
 def doubled(tau):

@@ -1,7 +1,8 @@
 """The shape of the public API: no per-call precision and no knob that
 has a single value in use, one module that sets the working precision,
-no public name that only the tests use, no unused module-level import in
-the package, and no mpmath in a process that evaluates in double."""
+no public name or method that only the tests use, no unused module-level
+import in the package, and no mpmath in a process that evaluates in
+double."""
 
 import ast
 import inspect
@@ -126,6 +127,28 @@ def test_every_public_name_has_a_user():
     assert not public - read, sorted(public - read)
 
 
+def _read_attributes(paths):
+    return {n.attr for path in paths for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute)}
+
+
+def test_every_public_method_has_a_reader():
+    """Each public method or property of a class in the package is read as
+    an attribute by the package, the benchmark or a demo; one that only
+    the tests read belongs in tests/reference.py."""
+    src = pathlib.Path(azy5.__file__).parent
+    root = src.parents[1]
+    paths = sorted(src.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    paths += sorted((root / "demos").glob("*.py"))
+    read = _read_attributes(paths)
+    unread = [f"{path.name}: {cls.name}.{fn.name}"
+              for path in sorted(src.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              if not fn.name.startswith("_") and fn.name not in read]
+    assert not unread, unread
+
+
 def test_no_unused_module_level_imports():
     src = pathlib.Path(azy5.__file__).parent
     unused = []
@@ -168,7 +191,8 @@ def test_double_commands_leave_mpmath_unloaded(tmp_path):
     since the test session has loaded it."""
     tau = tmp_path / "tau.json"
     tau.write_text(json.dumps(
-        {"g": 2, "entries": [[[0.13, 1.0], [-0.21, 0.3]], [[-0.21, 0.3], [0.37, 0.8]]]}))
+        [{"g": 2, "entries": [[[0.13, 1.0], [-0.21, 0.3]], [[-0.21, 0.3], [0.37, 0.8]]]},
+         {"g": 2, "entries": [[[0.13, 2.0], [-0.21, 0.6]], [[-0.21, 0.6], [0.37, 1.6]]]}]))
     argvs = [[str(tau) if a == "TAU" else a for a in argv] for argv in DOUBLE_COMMANDS]
     src = pathlib.Path(azy5.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -168,6 +168,11 @@ def test_usage_errors_exit_2():
                  ["verify-addition", "--eps", "nan"],
                  ["verify-addition", "--eps", "inf"],
                  ["verify-addition", "--samples", "0"],
+                 # one sample makes every spread over the samples read 0
+                 ["verify-addition", "--samples", "1"],
+                 ["verify", "--samples", "1"],
+                 ["lambda", "--samples", "1"],
+                 ["lambda", "--hiprec", "--samples", "1"],
                  ["verify", "--seed", "-1"],
                  ["verify-transform", "--seed", "-1"],
                  ["forms-eval"],
@@ -197,6 +202,19 @@ def test_empty_tau_file_exits_1(tmp_path, capsys, argv):
     assert run(argv + ["--tau", str(empty)]) == 1
     err = capsys.readouterr().err
     assert f"error: --tau file {empty} holds no points" in err
+
+
+def test_verify_one_tau_point_exits_1(tmp_path, capsys):
+    """Two checks of verify compare the --tau points with each other, so
+    at one point they would pass with residual 0 whatever the values;
+    verify refuses it and names both."""
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(TAU_I.to_json()))
+    assert run(["verify", "--tau", str(one)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "geometric crosscheck per-representative" in err
+    assert "chi5 determinant ratio constancy" in err
 
 
 def test_verify_evaluates_each_quantity_once(monkeypatch, capsys):

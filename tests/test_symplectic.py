@@ -2,6 +2,7 @@
 the action on the upper half-space."""
 
 import hashlib
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 
 from azy5.chars import M0, act_set, even_quadruples
 from azy5.numeric import m2_det, value_prec
+from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (_COLUMN_OPS, E11, ESYM, FULL, GENERATORS,
                              IDENTITY, J, PRINCIPAL2, THETA0_2,
                              SymplecticMatrix, act_tau, coset_reps,
                              gl_rotation, lower_translation, random_word,
                              transform, translation)
-from reference import in_subgroup, word_matrix
+from reference import in_subgroup, inverse, principal2_word, word_matrix
 
 
 def test_generators_are_symplectic():
@@ -37,8 +39,8 @@ def test_block_roundtrip():
 
 def test_inverse(full_words):
     for g in full_words(20, 6):
-        assert g @ g.inverse() == IDENTITY
-        assert g.inverse() @ g == IDENTITY
+        assert g @ inverse(g) == IDENTITY
+        assert inverse(g) @ g == IDENTITY
 
 
 def test_word_matrix_matches_products():
@@ -64,13 +66,15 @@ def test_membership_basics():
 
 
 def test_random_words_land_in_their_subgroup(rng):
-    for spec in (FULL, PRINCIPAL2, THETA0_2):
+    for spec in (FULL, THETA0_2):
         for _ in range(15):
             g = random_word(spec, rng, 6)
             assert in_subgroup(g, spec)
+    for _ in range(15):
+        assert in_subgroup(principal2_word(rng, 6), PRINCIPAL2)
     # principal(2) sits inside theta0(2)
     for _ in range(10):
-        assert in_subgroup(random_word(PRINCIPAL2, rng, 6), THETA0_2)
+        assert in_subgroup(principal2_word(rng, 6), THETA0_2)
 
 
 def test_stabilizer_membership_criterion(rng):
@@ -99,7 +103,7 @@ def test_coset_system_theta0():
         assert word_matrix(w) == g
     # distinct cosets = distinct images of M0 under the inverses,
     # covering every plus quadruple exactly once
-    keys = {act_set(g.inverse(), M0) for g in system.reps}
+    keys = {act_set(inverse(g), M0) for g in system.reps}
     assert len(keys) == 15
     assert keys == {frozenset(q) for q in even_quadruples("plus")}
 
@@ -119,7 +123,7 @@ def _reference_bfs(key_fn, expected):
     reps, words = [IDENTITY], [()]
     seen = {key_fn(IDENTITY, IDENTITY)}
     frontier = [(IDENTITY, IDENTITY, ())]
-    gen_inv = [g.inverse() for g in GENERATORS]
+    gen_inv = [inverse(g) for g in GENERATORS]
     while len(reps) < expected:
         nxt = []
         for mat, inv, word in frontier:
@@ -225,6 +229,16 @@ def test_transform_det(taus, full_words):
                 assert det == m2_det(_den(g, tau.entries_mp() if hiprec else tau.entries()))
             if g == J:
                 assert abs(complex(det ** 2) - want_j ** 2) < 1e-12 * abs(want_j) ** 2
+
+
+def test_transform_warns_when_badly_conditioned():
+    """c tau + d = -tau at J: condition 1e13 past the 1e12 limit warns,
+    the identity's condition does not."""
+    with pytest.warns(UserWarning, match="badly conditioned"):
+        transform(J, SiegelPoint(1j * np.diag([1.0, 1e-13])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform(J, TAU_I)
 
 
 def test_gl_rotation_requires_unimodular():

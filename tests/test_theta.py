@@ -17,8 +17,9 @@ from azy5.siegel import TAU_I, SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, IDENTITY, J, act_tau,
                              random_word, translation)
 from azy5.theta import (_CHI8, MPRIME_ORDER, _tail, kappa4, kappa_numeric,
-                        kappa_probes, theta_constant, theta_gradient_vector, theta_raw,
-                        theta_second_order, trace_btc, transform_unit, truncation_radius)
+                        kappa_probes, theta_constant, theta_gradient_vector,
+                        theta_second_order, trace_btc, truncation_radius)
+from reference import theta_raw, transform_unit
 
 # Reference values computed once by an independent one-dimensional product
 # formula (at tau = i*identity every lattice sum splits): e.g.

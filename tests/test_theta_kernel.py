@@ -17,9 +17,9 @@ from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
 from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _ellipse,
                         _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
-                        theta_constant, theta_gradient_vector, theta_raw,
-                        theta_second_order, theta_second_vector, truncation_radius)
-from reference import doubled
+                        theta_constant, theta_gradient_vector, theta_second_order,
+                        theta_second_vector, truncation_radius)
+from reference import doubled, theta_raw
 
 # hiprec flag, eps, digits of the direct sum, allowance beyond err
 PRECISIONS = {

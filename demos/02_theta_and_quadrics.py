@@ -19,7 +19,7 @@ from azy5.symplectic import FULL
 def main():
     tau = sample_taus(seed=0, count=1)[0]
     print("sample point tau =")
-    for row in tau.entries():
+    for row in tau.mat:
         print("   ", "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row))
 
     print("\neven theta constants with certified absolute error:")

@@ -22,7 +22,7 @@ from .geometry import (ADDITION_TABLE, Tetrahedron, addition_residuals,
                        all_faces, all_tetrahedra, f_m, faces_from_vertices,
                        quadric_value, tetrahedron)
 from .reports import CheckResult, EvalReport
-from .siegel import SiegelPoint, sample_tau, sample_taus
+from .siegel import SiegelPoint, sample_stream, sample_taus
 from .symplectic import (GENERATORS, IDENTITY, J, PRINCIPAL2, THETA0_2,
                          CosetSystem, SymplecticMatrix, act_tau, coset_reps,
                          gl_rotation, lower_translation, random_word, transform,
@@ -37,7 +37,7 @@ __all__ = [
     "EVEN_CHARS", "ODD_CHARS", "M0", "act_char", "act_set", "chi_p",
     "pair_sign", "classify_triple", "classify_quadruple", "even_triples",
     "even_quadruples", "format_char", "parity", "psi_p",
-    "SiegelPoint", "sample_tau", "sample_taus",
+    "SiegelPoint", "sample_stream", "sample_taus",
     "SymplecticMatrix", "CosetSystem", "IDENTITY", "J",
     "GENERATORS", "PRINCIPAL2", "THETA0_2", "translation",
     "lower_translation", "gl_rotation", "act_tau", "transform",

@@ -38,8 +38,8 @@ both laws: rep_independence_error compares P2 at the nine generator
 images with one P2(tau), phi_modularity_error phi at the four generator
 images with one phi(tau), each image and its det(c tau + d) from one
 symplectic.transform.  estimate_lambda compares phi with the 60-monomial
-signed sum, which is computed from the first-order constants and so
-independently of Theta.
+signed sum at the seeded points of siegel.sample_stream; the sum comes
+from the first-order constants and so independently of Theta.
 
 Every product here is the certified product of azy5.forms: phi, P2 and
 each F are forms.face_product at Theta, and phi_transversal multiplies
@@ -50,15 +50,14 @@ and the rounding of its own multiplications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from statistics import median
-
-import numpy as np
 
 from .chars import M0, char_action, chi_p, pair_sign
 from .forms import azy_eval, face_product, p2, value_product
 from .geometry import all_faces, tetrahedron
 from .numeric import value_prec
-from .siegel import sample_tau
+from .siegel import sample_stream
 from .symplectic import (GENERATORS, THETA0_2, coset_reps, subgroup_generators,
                          transform)
 from .theta import ThetaValue, theta_second_vector
@@ -148,24 +147,22 @@ class LambdaEstimate:
 
 
 def estimate_lambda(seed=0, samples=5, eps=1e-12, hiprec=False):
-    """Measure lambda = phi/azy at seeded sample points.  Points where the
-    signed sum suffers catastrophic cancellation (|value| below
-    CANCELLATION_GUARD times the largest monomial) are redrawn."""
-    rng = np.random.default_rng(seed)
+    """Measure lambda = phi/azy at the points of sample_stream(seed).  A
+    point where the signed sum cancels below CANCELLATION_GUARD times its
+    largest monomial is skipped; 20 * samples draws at most."""
     ratios = []
-    attempts = 0
-    while len(ratios) < samples:
-        attempts += 1
-        if attempts > 20 * samples:
-            raise RuntimeError("sampling keeps hitting azy cancellation below "
-                               "CANCELLATION_GUARD times the largest monomial")
-        tau = sample_tau(rng)
+    for tau in islice(sample_stream(seed), 20 * samples):
         av, _, amax = azy_eval(tau, eps, hiprec)
         if abs(av) < CANCELLATION_GUARD * amax:
             continue
         pv = phi(tau, eps, hiprec)
         with value_prec(hiprec):
             ratios.append(pv.value / av)
+        if len(ratios) == samples:
+            break
+    else:
+        raise RuntimeError("sampling keeps hitting azy cancellation below "
+                           "CANCELLATION_GUARD times the largest monomial")
     with value_prec(hiprec):
         med, spread = _median_spread(ratios)
     return LambdaEstimate(med, tuple(ratios), spread)

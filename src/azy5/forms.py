@@ -364,9 +364,13 @@ def chi5_determinant(tau, eps=1e-12, hiprec=False):
 
 def mu_ratio(tau, eps=1e-12, hiprec=False):
     """chi5_product / chi5_determinant at tau; constant on the upper
-    half-space."""
+    half-space.  Raises ArithmeticError where the determinant comes out
+    exactly 0, as it does deep in the cusp at either precision."""
     num = chi5_product(tau, eps, hiprec).value
     den = chi5_determinant(tau, eps, hiprec)
+    if den == 0:
+        raise ArithmeticError("the chi5 determinant is 0 at the working precision, "
+                              "so mu = chi5 / det is undefined")
     with value_prec(hiprec):
         return num / den
 

@@ -2,10 +2,10 @@
 and the Python-integer floating complex of the high-precision theta walk
 and of the products and signed sums formed from its results.
 
-2x2 matrices are nested tuples so the same code runs on Python complex,
-numpy scalars and mpmath mpc entries.  All Siegel-point transforms in this
-package are genus 2, where explicit 2x2 formulas beat general solvers and
-behave identically in both precisions.
+2x2 matrices are nested tuples so the same code runs on Python complex
+and mpmath mpc entries.  All Siegel-point transforms in this package are
+genus 2, where explicit 2x2 formulas beat general solvers and behave
+identically in both precisions.
 
 mpmath serves the high-precision path only, so this module and every
 other one import it inside the functions of that path (value_prec,
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-
-import numpy as np
 
 # Working decimal precision for all high-precision code paths.
 HIPREC_DPS = 50
@@ -39,9 +37,8 @@ def value_prec(hiprec):
 
 
 def fsum_complex(values):
-    """Exactly rounded sum of an iterable of complex numbers."""
-    vals = np.asarray(values, dtype=complex)
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    """Exactly rounded sum of a sequence of complex numbers, part by part."""
+    return complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
 
 
 def m2_add(A, B):

@@ -1,5 +1,5 @@
-"""Points of the genus-2 Siegel upper half-space: complex symmetric 2 x 2
-matrices with positive definite imaginary part.
+"""Points of the genus-2 Siegel upper half-space, complex symmetric 2 x 2
+matrices with positive definite imaginary part, and their seeded sampler.
 
 The JSON interchange format is
     {"g": 2, "entries": [[[re, im], [re, im]], [[re, im], [re, im]]]}
@@ -9,6 +9,7 @@ with entries listed row-major.
 from __future__ import annotations
 
 import cmath
+from itertools import islice
 
 import numpy as np
 
@@ -18,9 +19,9 @@ SAMPLE_SCALE = 0.1  # weight of the real part B of sample_tau's points
 
 
 class SiegelPoint:
-    """Immutable Siegel upper half-space point.  Entries are stored as a
-    numpy complex matrix, symmetrized on construction; lam_min is the
-    smallest eigenvalue of the imaginary part and is required positive.
+    """Immutable Siegel upper half-space point: mat is ((a, b), (b, d)) in
+    Python complex, symmetrized on construction from any 2 x 2 iterable;
+    lam_min is the least eigenvalue of Im tau, required positive.
 
     A point may additionally carry high-precision entries (nested mpc
     tuples, already symmetric) so that transformed points keep full
@@ -29,23 +30,21 @@ class SiegelPoint:
     __slots__ = ("mat", "lam_min", "_mp")
 
     def __init__(self, entries, mp_entries=None):
-        m = np.asarray(entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        z = m.ravel().tolist()
-        if not all(map(cmath.isfinite, z)):
+        try:
+            (a, b), (c, d) = [[complex(z) for z in row] for row in entries]
+        except (TypeError, ValueError):
+            raise ValueError("expected a 2x2 matrix") from None
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError("tau must be finite")
-        if not abs(z[1] - z[2]) <= 1e-12 * (1 + max(map(abs, z))):
+        if not abs(b - c) <= 1e-12 * (1 + max(map(abs, (a, b, c, d)))):
             raise ValueError("tau must be symmetric")
-        m = (m + m.T) / 2
-        y = m.imag
-        lam, _ = sym2_eig_bounds(((y[0, 0], y[0, 1]), (y[1, 0], y[1, 1])))
+        a, b, d = (a + a) / 2, (b + c) / 2, (d + d) / 2  # (tau + tau^T) / 2
+        lam, _ = sym2_eig_bounds(((a.imag, b.imag), (b.imag, d.imag)))
         if not lam > 0:
             raise ValueError("Im tau must be positive definite")
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "lam_min", float(lam))
+        object.__setattr__(self, "mat", ((a, b), (b, d)))
+        object.__setattr__(self, "lam_min", lam)
         object.__setattr__(self, "_mp", mp_entries)
-        self.mat.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("SiegelPoint is immutable")
@@ -54,10 +53,6 @@ class SiegelPoint:
         rows = "; ".join(" ".join(f"{z:.6g}" for z in row) for row in self.mat)
         return f"SiegelPoint[{rows}]"
 
-    def entries(self):
-        """Entries as nested tuples of Python complex."""
-        return tuple(tuple(complex(z) for z in row) for row in self.mat)
-
     def entries_mp(self):
         """Entries as nested tuples of mpc: the carried high-precision data
         (read nowhere else), or the distinct double entries converted exactly."""
@@ -65,8 +60,8 @@ class SiegelPoint:
             return self._mp
         import mpmath as mp
         exact = mp.libmp.from_float
-        a, b, d = (mp.make_mpc((exact(z.real), exact(z.imag)))
-                   for z in self.mat.take([0, 1, 3]).tolist())
+        (a, b), (_, d) = self.mat
+        a, b, d = (mp.make_mpc((exact(z.real), exact(z.imag))) for z in (a, b, d))
         return ((a, b), (b, d))
 
     def to_json(self):
@@ -75,14 +70,18 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, data):
-        rows = data["entries"]
-        if int(data["g"]) != 2 or len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError('expected a genus-2 point: "g": 2 and 2x2 entries')
-        return cls([[complex(e[0], e[1]) for e in row] for row in rows])
+        try:
+            if int(data["g"]) != 2:
+                raise ValueError
+            entries = [[complex(re, im) for re, im in row] for row in data["entries"]]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError('expected a genus-2 point: "g": 2 and 2x2 entries, '
+                             'each a [re, im] pair of numbers') from None
+        return cls(entries)
 
 
 # i times the identity, where every lattice sum splits into one-dimensional ones.
-TAU_I = SiegelPoint(1j * np.eye(2))
+TAU_I = SiegelPoint(((1j, 0j), (0j, 1j)))
 
 
 def sample_tau(rng):
@@ -99,6 +98,12 @@ def sample_tau(rng):
     return SiegelPoint(1j * (np.eye(2) + S) + SAMPLE_SCALE * B)
 
 
-def sample_taus(seed, count):
+def sample_stream(seed):
+    """sample_tau's points from one generator of seed, without end."""
     rng = np.random.default_rng(seed)
-    return [sample_tau(rng) for _ in range(count)]
+    while True:
+        yield sample_tau(rng)
+
+
+def sample_taus(seed, count):
+    return list(islice(sample_stream(seed), count))

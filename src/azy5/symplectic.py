@@ -193,10 +193,10 @@ def transform(gamma, tau, hiprec=False):
     full-precision entries alongside the double ones.  Every point that
     the package transforms is transformed here."""
     with value_prec(hiprec):
-        t, den = mobius(gamma, tau.entries_mp() if hiprec else tau.entries())
+        t, den = mobius(gamma, tau.entries_mp() if hiprec else tau.mat)
         det = m2_det(den)
     if hiprec:
-        return SiegelPoint(tuple(tuple(complex(z) for z in row) for row in t), mp_entries=t), det
+        return SiegelPoint(t, mp_entries=t), det
     if m2_cond(den) > 1e12:
         warnings.warn("c*tau + d is badly conditioned; transformed point is inaccurate")
     return SiegelPoint(t), det

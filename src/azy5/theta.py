@@ -512,7 +512,7 @@ def _run_kernel(tau, shift, eps, hiprec, moments=False):
         run = _walk(_raw_entries(tau, shift), wp, eps, moments)
         arith = sum, lambda z: fc_to_mpc((*z, -wp)), 2.0 ** (1 - mp.mp.prec), mp.pi
     else:
-        T = tau.entries()
+        T = tau.mat
         run = _grid([z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])], eps, moments)
         arith = math.fsum, lambda z: complex(*z), 2 * _U, math.pi
     sums, mom, bounds, cut = run
@@ -642,26 +642,24 @@ def _probe_thetas(eps):
     return theta_all_even(TAU_I, eps)
 
 
-def kappa_probes(gamma, tau0=None, eps=1e-12):
-    """kappa measured from every even probe characteristic with
-    |theta_m(tau0)| > _PROBE_MIN_ABS, as a dict m -> kappa.  All probes of
+def kappa_probes(gamma, eps=1e-12):
+    """kappa measured at i*I from every even probe characteristic with
+    |theta_m(i*I)| > _PROBE_MIN_ABS, as a dict m -> kappa.  All probes of
     a given gamma must agree; the spread is a correctness check on chi.
-    One theta_all_even at gamma tau0, one at tau0 (once per eps at i*I)."""
-    th0 = _probe_thetas(eps) if tau0 is None else theta_all_even(tau0, eps)
-    point, det = transform(gamma, tau0 or TAU_I)
+    One theta_all_even at gamma (i*I); the constants at i*I once per eps."""
+    th0 = _probe_thetas(eps)
+    point, det = transform(gamma, TAU_I)
     sqrt_det = cmath.sqrt(det)
     probes = [m for m in EVEN_CHARS if abs(th0[m].value) > _PROBE_MIN_ABS]
-    if not probes:
-        raise RuntimeError("all probe thetas too small at tau0; pick another probe point")
     th_g = theta_all_even(point, eps)
     image, unit = char_action(gamma)
     return {m: th_g[image[m]].value / (_CHI8[unit[m]] * sqrt_det * th0[m].value)
             for m in probes}
 
 
-def kappa_numeric(gamma, tau0=None):
-    """Theta multiplier kappa(gamma) measured numerically against the
-    principal branch of det(c tau0 + d)^{1/2}.  Unimodular, and
+def kappa_numeric(gamma):
+    """Theta multiplier kappa(gamma) measured numerically at i*I against
+    the principal branch of det(c i + d)^{1/2}.  Unimodular, and
     kappa^4 = e^{pi i Tr(b^T c)}; only branch-insensitive powers of the
     result are meaningful."""
-    return next(iter(kappa_probes(gamma, tau0).values()))
+    return next(iter(kappa_probes(gamma).values()))

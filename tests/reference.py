@@ -4,9 +4,12 @@ matrices, the symplectic inverse, random principal(2) words, the
 characteristic action and slash_unit straight from the formulas that
 chars.char_action tabulates, the table's entry for one characteristic,
 the slash action by direct evaluation at gamma tau with the brute-force
-720-coset sum it gives (the cross-check of forms.symmetrize_exact), a
-theta constant at an unreduced characteristic, and the doubled point
-2 tau of the direct second-order sums."""
+720-coset sum it gives (the cross-check of forms.symmetrize_exact), the
+theta multiplier measured at a general point, a theta constant at an
+unreduced characteristic, and the doubled point 2 tau of the direct
+second-order sums."""
+
+import cmath
 
 from azy5.chars import (act_char_vectors, char_action, char_index, reduction_sign,
                         xi_numerator)
@@ -16,7 +19,8 @@ from azy5.siegel import SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, GENERATORS, IDENTITY,
                              PRINCIPAL2, THETA0_2, SymplecticMatrix, coset_reps,
                              lower_translation, transform, translation)
-from azy5.theta import _run_kernel, _theta, trace_btc
+from azy5.theta import (_CHI8, _PROBE_MIN_ABS, _run_kernel, _theta, theta_all_even,
+                        trace_btc)
 
 
 def compose_perm(p, q):
@@ -75,6 +79,18 @@ def transform_unit(m, gamma):
     action table (chars.char_action)."""
     image, unit = char_action(gamma)
     return image[m], unit[m]
+
+
+def kappa_at(gamma, tau, eps=1e-12):
+    """theta.kappa_numeric measured at tau instead of i*I: the first even
+    characteristic m with |theta_m(tau)| > _PROBE_MIN_ABS gives
+    theta_n(gamma tau) / (e^{pi i k/4} det(c tau + d)^{1/2} theta_m(tau)),
+    (n, k) from gamma's action table."""
+    th0 = theta_all_even(tau, eps)
+    point, det = transform(gamma, tau)
+    m = next(m for m in sorted(th0) if abs(th0[m].value) > _PROBE_MIN_ABS)
+    n, k = transform_unit(m, gamma)
+    return theta_all_even(point, eps)[n].value / (_CHI8[k] * cmath.sqrt(det) * th0[m].value)
 
 
 def image_and_unit(m, gamma):
@@ -157,4 +173,4 @@ def doubled(tau):
     if mp_ent is not None:
         with value_prec(True):
             mp_ent = tuple(tuple(z + z for z in row) for row in mp_ent)
-    return SiegelPoint(2 * tau.mat, mp_entries=mp_ent)
+    return SiegelPoint([[2 * z for z in row] for row in tau.mat], mp_entries=mp_ent)

@@ -185,8 +185,8 @@ def test_criterion_11_numerical_hygiene(brute_g1):
     grad_err = 0.0
     for mpv, grad in zip(MPRIME_ORDER, theta_gradient_vector(tau, 1e-12, False)):
         for k, B in enumerate(basis):
-            fd = (theta_second_order(mpv, SiegelPoint(tau.mat + h * B), eps=1e-14).value
-                  - theta_second_order(mpv, SiegelPoint(tau.mat - h * B), eps=1e-14).value) / (2 * h)
+            fd = (theta_second_order(mpv, SiegelPoint(np.array(tau.mat) + h * B), eps=1e-14).value
+                  - theta_second_order(mpv, SiegelPoint(np.array(tau.mat) - h * B), eps=1e-14).value) / (2 * h)
             grad_err = max(grad_err, abs(grad[k] - fd) / max(1.0, abs(fd)))
     t1, t2 = 1.7j, 0.4 + 1.2j
     diag = SiegelPoint([[t1, 0], [0, t2]])

@@ -1,8 +1,8 @@
 """The shape of the public API: no per-call precision and no knob that
 has a single value in use, one module that sets the working precision,
 no public name or method that only the tests use, no unused module-level
-import in the package, and no mpmath in a process that evaluates in
-double."""
+import in the package, numpy only where arrays pay, and no mpmath in a
+process that evaluates in double."""
 
 import ast
 import inspect
@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 
 import azy5
 import azy5.numeric as numeric
@@ -33,7 +34,9 @@ REMOVED = {"dps", "scale", "word_length", "min_abs", "pretest", "max_level",
 # phi_modularity_error covers all four generators at once,
 # phi_transversal multiplies over the canonical transversal only, and
 # rep_independence_error checks fixed generators, not a seeded draw.
-REMOVED_FROM = ((azy5.kappa_numeric, {"eps"}),
+# kappa_probes and kappa_numeric measure at i*I; the general-point kappa
+# of the full transformation law is tests/reference.py's.
+REMOVED_FROM = ((azy5.kappa_numeric, {"eps", "tau0"}), (azy5.kappa_probes, {"tau0"}),
                 (_tail, {"g", "poly", "scale"}),
                 (_run_kernel, {"K"}), (_grid, {"K"}), (_walk, {"K"}), (_chords, {"K"}),
                 (azy5.phi_modularity_error, {"gamma"}),
@@ -161,6 +164,31 @@ def test_no_unused_module_level_imports():
             unused += [f"{path.name}: {name}" for name in _bound_names(node)
                        if name not in used]
     assert not unused, unused
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_numpy_only_in_the_array_kernels_and_the_sampler():
+    """numpy is imported by forms (the error bookkeeping), theta (the
+    double grid) and siegel, where only the seeded sampler reads it; a
+    point stores nested tuples of Python complex, even when built from a
+    numpy array."""
+    src = pathlib.Path(azy5.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    users = {name for name, tree in trees.items() if any(map(_imports_numpy, ast.walk(tree)))}
+    assert users == {"forms.py", "siegel.py", "theta.py"}
+    # the top-level statements of siegel.py that read np, by name
+    readers = {getattr(node, "name", type(node).__name__) for node in trees["siegel.py"].body
+               for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "np"}
+    assert readers == {"sample_tau", "sample_stream"}
+    tau = azy5.SiegelPoint(np.array([[0.1 + 1j, 0.2j], [0.2j, -0.3 + 2j]]))
+    assert type(tau.mat) is tuple and all(type(row) is tuple for row in tau.mat)
+    assert all(type(z) is complex for row in tau.mat for z in row)
+    assert not hasattr(azy5.SiegelPoint, "entries")
 
 
 # The double commands, each run by azy5.cli.main in one process; TAU is

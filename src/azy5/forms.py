@@ -434,14 +434,12 @@ def symmetrize_exact(key, character=None):
     return {img: (count, K) for img, K in units.items()}
 
 
-def _signed_terms(base_key, character, expect_count, expect_classes):
+def _signed_terms(base_key, character, expect_classes):
     coll = symmetrize_exact(base_key, character)
     if len(coll) != expect_classes:
         raise ArithmeticError(f"expected {expect_classes} monomials, got {len(coll)}")
     terms = []
-    for img, (count, K) in sorted(coll.items()):
-        if count != expect_count:
-            raise ArithmeticError(f"multiplicity {count} != {expect_count} on {img}")
+    for img, (_, K) in sorted(coll.items()):
         if K == 0:
             s = 1
         elif K == 4:
@@ -463,7 +461,7 @@ def azy_terms():
     dividing out the multiplicity 12; normalized so the base triple has
     coefficient +1."""
     base = mono_key((m, AZY_EXPONENT) for m in AZY_BASE_TRIPLE)
-    return _signed_terms(base, chi_p, 720 // 60, 60)
+    return _signed_terms(base, chi_p, 60)
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +470,7 @@ def chi12_terms():
     symmetrizing the complement of the coordinate quadruple with trivial
     character, multiplicity 48; base six-plet normalized to +1."""
     base = mono_key((m, 4) for m in SIXPLET_BASE)
-    return _signed_terms(base, None, 720 // 15, 15)
+    return _signed_terms(base, None, 15)
 
 
 # Bound on the absolute error a double complex multiplication can add

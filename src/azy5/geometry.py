@@ -22,9 +22,9 @@ quadrics in exact arithmetic, each from its four nonzero +-1 entries;
 exactly four survive for each of the fifteen plus-quadruples.  The face
 through three vertices has the signed 3 x 3 minors of their coordinates
 as coefficients; scaled so that its first nonzero coefficient is 1, every
-coefficient is again in {0, +-1, +-i}.  The 60 faces are pairwise
-distinct, and all_faces lists them for the product formula of
-construction.phi.
+coefficient is again in {0, +-1, +-i}.  all_faces lists the 60 faces
+for the product formula of construction.phi; `azy5 geometry` and
+`azy5 verify` check that they are pairwise distinct.
 
 Gaussian integers are held as Python complex numbers with integer parts.
 Their sums and products here stay far below 2^53 in modulus, so float
@@ -129,14 +129,12 @@ def faces_from_vertices(vertices):
 
 @dataclass(frozen=True)
 class Tetrahedron:
-    """Intersection tetrahedron of the six quadrics avoiding a
-    plus-quadruple: vertices, face forms, and the worst quadric residual
-    of the vertices (0: they are exact)."""
+    """The tetrahedron over a plus-quadruple: the vertices where its six
+    complement quadrics vanish exactly, and its face forms."""
     quad: frozenset
     complement: tuple
     vertices: tuple
     faces: tuple
-    residual: float
 
 
 # The projective points of {0, +-1, +-i}^4 with first nonzero coordinate 1.
@@ -155,14 +153,13 @@ def tetrahedron(quad):
     pts = tuple(p for p in _CANDIDATES if all(quadric_value(n, p) == 0 for n in comp))
     if len(pts) != 4:
         raise ArithmeticError(f"expected 4 intersection points, found {len(pts)}")
-    worst = max(abs(quadric_value(n, p)) for n in comp for p in pts)
-    return Tetrahedron(M, comp, pts, faces_from_vertices(pts), worst)
+    return Tetrahedron(M, comp, pts, faces_from_vertices(pts))
 
 
 def all_tetrahedra(seed=0):
     """Tetrahedra for all fifteen plus-quadruples, keyed by frozenset.
-    `seed` is ignored, since the search is exact; it is kept so that
-    callers that pass it keep working."""
+    `seed` is ignored, since the search is exact; it stays because
+    perfbench/worker.py passes it."""
     return {frozenset(q): tetrahedron(frozenset(q)) for q in even_quadruples("plus")}
 
 

@@ -228,7 +228,6 @@ _COLUMN_OPS = (
     lambda r: (r[0], r[1], r[2], r[3] + r[1]),
     lambda r: (r[0], r[1], r[2] + r[1], r[3] + r[0]),
 )
-_MAX_BFS_LEVEL = 40  # depth at which a coset search gives up on GENERATORS
 
 
 def _theta0_key(m):
@@ -243,17 +242,14 @@ def _theta0_key(m):
     return frozenset((0, r2, r3, r2 ^ r3))
 
 
-def _bfs_transversal(key_fn, expected):
+def _bfs_transversal(key_fn):
+    """Breadth-first from the identity until a level adds no new key:
+    key_fn takes finitely many values, so the search ends."""
     reps = [IDENTITY]
     words = [()]
     seen = {key_fn(IDENTITY)}
     frontier = [(IDENTITY, ())]
-    level = 0
-    while len(reps) < expected:
-        level += 1
-        if not frontier or level > _MAX_BFS_LEVEL:
-            raise RuntimeError(
-                f"coset search exhausted at {len(reps)}/{expected}; wrong generator set")
+    while frontier:
         nxt = []
         for mat, word in frontier:
             for gi, op in enumerate(_COLUMN_OPS):
@@ -265,10 +261,6 @@ def _bfs_transversal(key_fn, expected):
                     reps.append(nm)
                     words.append(nw)
                     nxt.append((nm, nw))
-                    if len(reps) == expected:
-                        break
-            if len(reps) == expected:
-                break
         frontier = nxt
     return tuple(reps), tuple(words)
 
@@ -281,15 +273,14 @@ def coset_reps(spec):
     Cached: the returned CosetSystem is immutable.
 
     Subgroups: theta0(2), keyed by the row space mod 2 of the lower half
-    of gamma (15 cosets, one per plus quadruple gamma^{-1}.M0, since
-    theta0(2) is the stabilizer of M0; _theta0_key); principal(2), keyed
-    by gamma mod 2 (720 cosets).  Each step right-multiplies a
-    representative by a generator through its column operation on the
-    integer rows."""
+    of gamma (_theta0_key); principal(2), keyed by gamma mod 2 (at most
+    2^16 keys).  The search is not told the index, so its claims, 15 (one
+    coset per plus quadruple gamma^{-1}.M0) and 720, can fail on it.  Each
+    step right-multiplies by a generator as a column operation on rows."""
     if spec == THETA0_2:
-        reps, words = _bfs_transversal(_theta0_key, 15)
+        reps, words = _bfs_transversal(_theta0_key)
     elif spec == PRINCIPAL2:
-        reps, words = _bfs_transversal(SymplecticMatrix.mod2_key, 720)
+        reps, words = _bfs_transversal(SymplecticMatrix.mod2_key)
     else:
         raise ValueError(f"no coset enumeration for subgroup {spec!r}")
     return CosetSystem(reps, words)

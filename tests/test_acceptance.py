@@ -13,7 +13,8 @@ import azy5.construction as construction
 from azy5.chars import (EVEN_CHARS, M0, ODD_CHARS, act_set, even_quadruples,
                         even_triples, psi_p)
 from azy5.forms import face_product, mu_ratio, p2
-from azy5.geometry import addition_residuals, all_tetrahedra, tetrahedron
+from azy5.geometry import (addition_residuals, all_tetrahedra, quadric_value,
+                            tetrahedron)
 from azy5.siegel import SiegelPoint, sample_taus
 from azy5.symplectic import (E11, FULL, GENERATORS, PRINCIPAL2, THETA0_2,
                              act_tau, coset_reps, random_word, translation)
@@ -86,14 +87,15 @@ def test_criterion_03_addition_formulas():
 def test_criterion_04_tetrahedra():
     t0 = time.perf_counter()
     tets = all_tetrahedra()
-    worst = max(t.residual for t in tets.values())
+    worst = max(abs(quadric_value(n, v)) for t in tets.values()
+                for n in t.complement for v in t.vertices)
     counts_ok = all(len(t.vertices) == 4 for t in tets.values())
     T0 = tetrahedron(M0)
     standard = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
     vert_ok = set(T0.vertices) == standard
     face_ok = set(T0.faces) == standard
     dt = time.perf_counter() - t0
-    ok = (len(tets) == 15 and counts_ok and worst < 1e-8
+    ok = (len(tets) == 15 and counts_ok and worst == 0
           and vert_ok and face_ok and dt < 30)
     _record(4, "15 tetrahedra, standard vertices",
             ok, f"worst quadric residual {worst:.2e}, standard vertices "

@@ -2,6 +2,7 @@
 loading, and determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import sys
 
 import pytest
 
-from azy5 import cli
+from azy5 import cli, symplectic
 from azy5.forms import azy_terms, chi12_terms
+from azy5.geometry import all_tetrahedra
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import coset_reps
 
@@ -48,6 +50,27 @@ def test_cosets_both_subgroups(tmp_path):
     assert json.loads(out2.read_text())["payload"]["index"] == 720
 
 
+@pytest.fixture
+def fresh_cosets():
+    coset_reps.cache_clear()
+    yield
+    coset_reps.cache_clear()
+
+
+@pytest.mark.parametrize("subgroup,name,residual", [
+    ("theta0-2", "index of theta0(2)", 9), ("principal-2", "index of principal(2)", 708)])
+def test_cosets_fails_on_the_index_it_finds(monkeypatch, capsys, fresh_cosets,
+                                            subgroup, name, residual):
+    """With the alphabet cut to J and T(E11), the search closes on the 6
+    and 12 cosets those two reach, and the index check fails on that."""
+    monkeypatch.setattr(symplectic, "_COLUMN_OPS", symplectic._COLUMN_OPS[:2])
+    assert run(["cosets", "--subgroup", subgroup]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(name))
+    assert f"residual {residual:.3e}" in line
+    assert line.endswith("FAIL")
+
+
 def test_cosets_generators_flag(tmp_path):
     out = tmp_path / "g.json"
     assert run(["cosets", "--generators", "--out", str(out)]) == 0
@@ -71,7 +94,26 @@ def test_geometry_report(tmp_path):
     out = tmp_path / "t.json"
     assert run(["geometry", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
+    assert rep["checks"] == [{"name": "tetrahedra faces pairwise distinct",
+                              "residual": 0.0, "tolerance": 0.0, "verdict": "PASS"}]
     assert len(rep["payload"]["tetrahedra"]) == 15
+    assert all("residual" not in t for t in rep["payload"]["tetrahedra"])
+
+
+@pytest.mark.parametrize("argv", [["geometry"], ["verify"]])
+def test_a_repeated_face_fails_by_name(monkeypatch, capsys, argv):
+    """One face of one tetrahedron replaced by a face of another: the
+    distinct-faces check, the only one that reads the faces, fails."""
+    tets = dict(all_tetrahedra())
+    first, second = sorted(tets, key=sorted)[:2]
+    t = tets[second]
+    tets[second] = dataclasses.replace(t, faces=tets[first].faces[:1] + t.faces[1:])
+    monkeypatch.setattr(cli, "all_tetrahedra", lambda: tets)
+    assert run(argv) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert len(fails) == 2 and fails[1] == "overall: FAIL"
+    assert fails[0].startswith("tetrahedra faces pairwise distinct")
+    assert "residual 1.000e+00" in fails[0]
 
 
 @pytest.mark.parametrize("form", ["chi5", "chi10", "p2", "chi12", "azy", "chi5det"])

@@ -80,7 +80,7 @@ def test_standard_tetrahedron_is_coordinate_simplex():
     T = tetrahedron(M0)
     assert T.quad == M0
     assert T.complement == tuple(sorted(set(EVEN_CHARS) - M0))
-    assert T.residual == 0
+    assert all(quadric_value(n, v) == 0 for n in T.complement for v in T.vertices)
     assert set(T.vertices) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
     # faces are exactly the coordinate forms, so F_M0 = X0 X1 X2 X3 exactly
     assert set(T.faces) == set(T.vertices)
@@ -146,7 +146,6 @@ def test_all_fifteen_tetrahedra():
     assert len(tets) == 15
     for quad, T in tets.items():
         assert len(T.vertices) == 4
-        assert T.residual == 0
         for v in T.vertices:
             assert set(v) <= UNITS
             assert next(z for z in v if z) == 1

@@ -104,12 +104,12 @@ def monomial_degree(key):
 
 
 def _product_errs(mods, errs, expo):
-    """(err, log_abs): for each row i of the exponent matrix expo, the
+    """(err, log_abs, logs): for each row i of the exponent matrix expo, the
     certified error prod(|v_j| + err_j)^e_j - prod |v_j|^e_j, e = expo[i],
     of the product of the factors of moduli `mods` and certified errors
     `errs` (float arrays), evaluated in log space so that errors far
-    below one ulp of the values still register, and the log of the
-    product's modulus (-inf when a factor is zero).
+    below one ulp of the values still register, the log of the product's
+    modulus (-inf when a factor is zero), and log |v_j| (0 where v_j = 0).
 
     In log space, with lo = sum e_j log|v_j| and
     delta = sum e_j log1p(err_j / |v_j|), the error is
@@ -150,7 +150,7 @@ def _product_errs(mods, errs, expo):
         err += 2.0 ** -1072
         if np.count_nonzero(zero):
             err[expo[:, mods + errs == 0.0].any(axis=1)] = 0.0
-    return err, lo
+    return err, lo, logs
 
 
 def _exp(x):
@@ -202,7 +202,8 @@ def certified_product(vals, mods, errs, hiprec):
 
     The products stay CPython complex (or integer) arithmetic on Python
     lists: numpy's complex multiply rounds differently in the last bit."""
-    mods = np.asarray(mods, float)
+    err, _, logs = _product_errs(np.asarray(mods, float), np.asarray(errs, float),
+                                 np.ones((1, len(vals))))
     with value_prec(hiprec):
         if hiprec:
             import mpmath as mp
@@ -211,13 +212,11 @@ def certified_product(vals, mods, errs, hiprec):
             value = fc_to_mpc(P)
             rounding = (2 * P[3] * 2.0 ** -wp + 2.0 ** (1 - mp.mp.prec)) * fc_abs(P)
         else:
-            logs = np.log(mods[mods > 0.0])
             if logs[logs < 0].sum() < _LOG_TINY or logs[logs > 0].sum() > _LOG_HUGE:
                 raise ArithmeticError("the product leaves the double range; use hiprec")
             value = _pairwise_product(vals)
             rounding = 2 * (len(vals) - 1) * math.sqrt(5) * _U * abs(value)
-    err = _product_errs(mods, np.asarray(errs, float), np.ones((1, len(vals))))[0][0]
-    return ThetaValue(value, float(err) + rounding)
+    return ThetaValue(value, float(err[0]) + rounding)
 
 
 def value_product(tvs, hiprec):
@@ -481,10 +480,11 @@ _UNDERFLOW = 2.0 ** -1072
 
 @_plan_cache
 def _term_plan(terms):
-    """(signs, powers, picks, expo) of a tuple of signed monomials: the
-    distinct powers (c, k) of theta_{EVEN_CHARS[c]}, each term's powers as
-    positions in that list (in key order), and expo[i, c], the exponent
-    of theta_{EVEN_CHARS[c]} in term i."""
+    """(signs, powers, heads, picks, expo) of a tuple of signed monomials:
+    the distinct powers (c, k) of theta_{EVEN_CHARS[c]}; the distinct
+    heads, a term's first two powers as positions in that list, and each
+    term's (head index, positions of its other powers), in key order; and
+    expo[i, c], the exponent of theta_{EVEN_CHARS[c]} in term i."""
     col = {m: c for c, m in enumerate(EVEN_CHARS)}
     powers = sorted({(col[m], k) for _, key in terms for m, k in key})
     pos = {p: i for i, p in enumerate(powers)}
@@ -492,8 +492,10 @@ def _term_plan(terms):
     for i, (_, key) in enumerate(terms):
         for m, k in key:
             expo[i, col[m]] = k
-    picks = tuple(tuple(pos[col[m], k] for m, k in key) for _, key in terms)
-    return tuple(s for s, _ in terms), tuple(powers), picks, expo
+    full = [tuple(pos[col[m], k] for m, k in key) for _, key in terms]
+    heads = list(dict.fromkeys(p[:2] for p in full))
+    picks = tuple((heads.index(p[:2]), p[2:]) for p in full)
+    return tuple(s for s, _ in terms), tuple(powers), tuple(heads), picks, expo
 
 
 def _signed_sum_eval(terms, tau, eps, hiprec):
@@ -517,8 +519,9 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     (d - 1) (sqrt 5 u |v| + _UNDERFLOW max(1, max |theta|)^d), doubled
     to cover second-order terms; fsum_complex rounds each part of the
     total once, adding 2 u |total|.  The powers and products are CPython
-    complex arithmetic, term by term as reduce(mul) in key order, so the
-    value does not depend on the plan.
+    complex arithmetic, term by term as reduce(mul) in key order, the
+    product of each distinct pair of leading powers formed once and
+    shared, so the value does not depend on the plan.
 
     Rounding in high precision.  Each theta value enters a floating
     complex exactly (numeric.fc_from_mpc), the powers and products are
@@ -527,7 +530,7 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     covering second-order terms.  The signed monomials are added
     exactly (fc_sum) and the total rounded once to an mpc, adding
     2^(1 - prec) |total|."""
-    signs, powers, picks, expo = _term_plan(terms)
+    signs, powers, heads, picks, expo = _term_plan(terms)
     th = theta_all_even(tau, eps, hiprec)
     thetas = [th[m] for m in EVEN_CHARS]
     with value_prec(hiprec):
@@ -542,8 +545,9 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
             mods = [abs(t.value) for t in thetas]
             pw = [thetas[c].value ** k for c, k in powers]
             mul = operator.mul
-        monos = [reduce(mul, map(pw.__getitem__, p)) for p in picks]
-        errs, logs = _product_errs(np.array(mods), np.array([t.err for t in thetas]), expo)
+        head = [reduce(mul, map(pw.__getitem__, h)) for h in heads]
+        monos = [reduce(mul, map(pw.__getitem__, rest), head[i]) for i, rest in picks]
+        errs, logs, _ = _product_errs(np.array(mods), np.array([t.err for t in thetas]), expo)
         with np.errstate(over="ignore"):
             sizes = np.exp(logs)
         err = float(errs.sum())

@@ -63,10 +63,10 @@ outside E, with the factor |pi i/2| of the derivative, by
 
     W(rho) = (1/(2 lam)) (I_3 + (4/s) I_4 + (4/s^2) I_5) <= eps.
 
-Double precision runs _grid: numpy terms over the points of E's
-bounding square that lie in E, each point once, each class's terms
-summed by one math.fsum, so each S_r is exactly rounded whatever the
-order; _grid's docstring derives its bound.
+Double precision runs _grid: numpy terms over the points of E with
+k1 > 0 or k1 = 0 <= k0, since the term at -k is the term at k, and one
+exactly rounded math.fsum per component and group {r, -r} of classes,
+S_r = S_{-r}; _grid's docstring says how and derives its bound.
 
 High precision runs _walk, a row recurrence in Python integers.  The
 term at -k equals the term at k, so the walk visits only the rows
@@ -261,27 +261,35 @@ def _ellipse(y, b, eps, moments=False):
     return x, keep, math.exp(log_p), extent
 
 
+# The ten groups {r, -r} of the classes c = 4 r0 + r1, r = k mod 4, each
+# by its least class, the four with r = -r first: class c is in _GROUP[c].
+_GROUP = [(0, 2, 8, 10, 1, 4, 5, 6, 7, 9).index(min(c, 4 * (-(c // 4) % 4) + -c % 4))
+          for c in range(16)]
+
+
 @lru_cache(maxsize=64)
 def _class_points(K):
-    """(k0, k1, cls): the points of the square [-K, K]^2, each listed
-    once and sorted by its class cls = 4 r0 + r1, r = k mod 4.  Cached
-    per size, at most 64 sizes, as int16 (K <= _MAX_EXTENT, _ellipse's
-    cap) and int8: 5 bytes a point."""
-    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1),
-                                             indexing="ij"))
-    cls = 4 * (k0 % 4) + k1 % 4
-    perm = np.argsort(cls, kind="stable")
-    return k0[perm].astype(np.int16), k1[perm].astype(np.int16), cls[perm].astype(np.int8)
+    """(k0, k1, grp): the half square, the points of [-K, K]^2 with
+    k1 > 0 or k1 = 0 <= k0, sorted by the group of their class
+    (_GROUP), the origin first.  Cached per size, at most 64 sizes, as
+    int16 (K <= _MAX_EXTENT, _ellipse's cap) and int8: 5 bytes a point."""
+    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1)))
+    k0, k1 = k0[(k1 > 0) | (k0 >= 0)], k1[(k1 > 0) | (k0 >= 0)]
+    grp = np.array(_GROUP)[4 * (k0 % 4) + k1 % 4]
+    perm = np.argsort(grp, kind="stable")
+    return k0[perm].astype(np.int16), k1[perm].astype(np.int16), grp[perm].astype(np.int8)
 
 
 def _grid(t, eps, moments=False):
     """The numpy kernel behind every double-precision series, with the
     contract of _walk: t = (T11, T12, T22) as Python complex, b = 53.
-    sums[r0][r1] and the moment sums are (re, im) pairs, each component
-    one exactly rounded math.fsum over the terms of its class that lie
-    in E (the points of _class_points over E's bounding square, each
-    once; E's test comes before any exponential), bounds[r0][r1] is the
-    rounding bound of S_r, and cut is P(rho), or W(rho) with moments.
+    The term and the moment weights at -k are those at k, formed from
+    the same k_i k_j, so S_r = S_{-r}: each group {r, -r} is one exactly
+    rounded math.fsum per component over the points of the half square
+    (_class_points) in E, tested before any exponential, a term of a
+    self-mirror group doubled, exactly, for k and -k, the origin not.
+    sums[r0][r1] and the moment sums are those (re, im) pairs, bounds the
+    rounding bound of each S_r, and cut P(rho), or W(rho) with moments.
 
     The lattice values k and k_i k_j are exact, so forming q = k^T T k
     costs one rounding per monomial and one per addition: at most 3 u Q,
@@ -290,29 +298,31 @@ def _grid(t, eps, moments=False):
     rounded, adds 2 u |q| <= 2 u Q, and the complex exponential at most
     5 u (exp, cos and sin within one ulp each, and one product).  Each
     term is therefore off by at most 8 u |t| (1 + pi Q), the slack
-    covering second-order terms, and rounding a class sum adds u |S_r| per
-    component, counted as 2 u |S_r|."""
+    covering second-order terms; a doubled term by 8 u |2t| (1 + pi Q),
+    the charges of k and -k, which share Q and the computed term.  Rounding
+    a class sum adds u |S_r| per component, counted as 2 u |S_r|."""
     t11, t12, t22 = t
     _, keep, cut, extent = _ellipse((t11.imag, t12.imag, t22.imag), 53, eps, moments)
-    k0, k1, cls = _class_points(extent)
+    k0, k1, grp = _class_points(extent)
     k0, k1 = k0.astype(float), k1.astype(float)
     aa, ab, bb = k0 * k0, k0 * k1, k1 * k1
     inside = t11.imag * aa + (2 * t12.imag) * ab + t22.imag * bb <= keep
-    aa, ab, bb, cls = aa[inside], ab[inside], bb[inside], cls[inside]
+    aa, ab, bb, grp = aa[inside], ab[inside], bb[inside], grp[inside]
     terms = np.exp(1j * np.pi * (t11 * aa + (2 * t12) * ab + t22 * bb))
+    ends = np.cumsum(np.bincount(grp, minlength=10)).tolist()
+    terms[1:ends[3]] *= 2  # the self-mirror groups after the origin
     form_abs = abs(t11) * aa + (2 * abs(t12)) * np.abs(ab) + abs(t22) * bb
-    ends = np.cumsum(np.bincount(cls, minlength=16)).tolist()
     spans = list(zip([0] + ends, ends))
 
     def by_class(x):
         # the exactly rounded class sums of x, as a 4 x 4 list of pairs
         re, im = x.real.tolist(), x.imag.tolist()
         z = [(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in spans]
-        return [z[4 * r0:4 * r0 + 4] for r0 in range(4)]
+        return [[z[g] for g in _GROUP[4 * r0:4 * r0 + 4]] for r0 in range(4)]
 
     sums = by_class(terms)
-    weight = np.bincount(cls, np.abs(terms) * (1 + np.pi * form_abs), minlength=16).tolist()
-    bounds = [[8 * _U * weight[4 * r0 + r1] + 2 * _U * abs(complex(*sums[r0][r1]))
+    weight = np.bincount(grp, np.abs(terms) * (1 + np.pi * form_abs), minlength=10).tolist()
+    bounds = [[8 * _U * weight[_GROUP[4 * r0 + r1]] + 2 * _U * abs(complex(*sums[r0][r1]))
                for r1 in range(4)] for r0 in range(4)]
     if not moments:
         return sums, None, bounds, cut

@@ -6,10 +6,14 @@ chars.char_action tabulates, the table's entry for one characteristic,
 the slash action by direct evaluation at gamma tau with the brute-force
 720-coset sum it gives (the cross-check of forms.symmetrize_exact), the
 theta multiplier measured at a general point, a theta constant at an
-unreduced characteristic, and the doubled point 2 tau of the direct
-second-order sums."""
+unreduced characteristic, the doubled point 2 tau of the direct
+second-order sums, and the double kernel over E's full bounding square,
+each point once, that the half-square theta._grid replaced."""
 
 import cmath
+import math
+
+import numpy as np
 
 from azy5.chars import (act_char_vectors, char_action, char_index, reduction_sign,
                         xi_numerator)
@@ -19,8 +23,8 @@ from azy5.siegel import SiegelPoint
 from azy5.symplectic import (E11, E22, ESYM, FULL, GENERATORS, IDENTITY,
                              PRINCIPAL2, THETA0_2, SymplecticMatrix, coset_reps,
                              lower_translation, transform, translation)
-from azy5.theta import (_CHI8, _PROBE_MIN_ABS, _run_kernel, _theta, theta_all_even,
-                        trace_btc)
+from azy5.theta import (_CHI8, _PROBE_MIN_ABS, _U, _ellipse, _run_kernel, _theta,
+                        theta_all_even, trace_btc)
 
 
 def compose_perm(p, q):
@@ -174,3 +178,45 @@ def doubled(tau):
         with value_prec(True):
             mp_ent = tuple(tuple(z + z for z in row) for row in mp_ent)
     return SiegelPoint([[2 * z for z in row] for row in tau.mat], mp_entries=mp_ent)
+
+
+def _square_points(K):
+    """(k0, k1, cls): the points of the square [-K, K]^2, each listed
+    once and sorted by its class cls = 4 r0 + r1, r = k mod 4."""
+    k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1),
+                                             indexing="ij"))
+    cls = 4 * (k0 % 4) + k1 % 4
+    perm = np.argsort(cls, kind="stable")
+    return k0[perm].astype(np.int16), k1[perm].astype(np.int16), cls[perm].astype(np.int8)
+
+
+def grid_full_square(t, eps, moments=False):
+    """theta._grid's (sums, mom, bounds, cut) from every point of E's
+    bounding square that lies in E, each once, one exactly rounded
+    math.fsum per component and class: the double kernel before it
+    summed half the square."""
+    t11, t12, t22 = t
+    _, keep, cut, extent = _ellipse((t11.imag, t12.imag, t22.imag), 53, eps, moments)
+    k0, k1, cls = _square_points(extent)
+    k0, k1 = k0.astype(float), k1.astype(float)
+    aa, ab, bb = k0 * k0, k0 * k1, k1 * k1
+    inside = t11.imag * aa + (2 * t12.imag) * ab + t22.imag * bb <= keep
+    aa, ab, bb, cls = aa[inside], ab[inside], bb[inside], cls[inside]
+    terms = np.exp(1j * np.pi * (t11 * aa + (2 * t12) * ab + t22 * bb))
+    form_abs = abs(t11) * aa + (2 * abs(t12)) * np.abs(ab) + abs(t22) * bb
+    ends = np.cumsum(np.bincount(cls, minlength=16)).tolist()
+    spans = list(zip([0] + ends, ends))
+
+    def by_class(x):
+        re, im = x.real.tolist(), x.imag.tolist()
+        z = [(math.fsum(re[i:j]), math.fsum(im[i:j])) for i, j in spans]
+        return [z[4 * r0:4 * r0 + 4] for r0 in range(4)]
+
+    sums = by_class(terms)
+    weight = np.bincount(cls, np.abs(terms) * (1 + np.pi * form_abs), minlength=16).tolist()
+    bounds = [[8 * _U * weight[4 * r0 + r1] + 2 * _U * abs(complex(*sums[r0][r1]))
+               for r1 in range(4)] for r0 in range(4)]
+    if not moments:
+        return sums, None, bounds, cut
+    mom = [by_class(terms * w) for w in (aa, 2 * ab, bb)]
+    return sums, [[[m[r0][r1] for m in mom] for r1 in range(4)] for r0 in range(4)], bounds, cut

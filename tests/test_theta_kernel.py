@@ -15,11 +15,11 @@ from azy5.forms import chi5_determinant
 from azy5.numeric import value_prec
 from azy5.siegel import TAU_I, SiegelPoint, sample_taus
 from azy5.symplectic import THETA0_2, act_tau, coset_reps
-from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _ellipse,
+from azy5.theta import (_CLASSES, GUARD_BITS, MPRIME_ORDER, _chords, _ellipse, _grid,
                         _raw_entries, _run_kernel, _theta, _walk, theta_all_even,
                         theta_constant, theta_gradient_vector, theta_second_order,
                         theta_second_vector, truncation_radius)
-from reference import doubled, theta_raw
+from reference import doubled, grid_full_square, theta_raw
 
 # hiprec flag, eps, digits of the direct sum, allowance beyond err
 PRECISIONS = {
@@ -417,7 +417,7 @@ def test_gradient_against_direct_weighted_sum(name, prec, near_point):
     2 v1 v2, v2^2) e^{pi i v^T (2 tau) v}, summed directly."""
     hiprec, eps, dps, slack = PRECISIONS[prec]
     if name == "lam_min 0.05":
-        tau = near_point(0.05, 0.6, 0.7, 0.2, -0.3, 0.1)
+        tau = _lam_005(near_point)
     else:
         tau = POINTS[name]()
     R = _reference_radius(doubled(tau), dps)
@@ -436,6 +436,38 @@ def test_gradient_against_direct_weighted_sum(name, prec, near_point):
             ref = [2j * mp.pi * r for r in ref]
         for k in range(3):
             assert _diff(grad[k], ref[k], dps) <= eps + slack, (mpv, k)
+
+
+def _lam_005(near_point):
+    return near_point(0.05, 0.6, 0.7, 0.2, -0.3, 0.1)
+
+
+@pytest.mark.parametrize("name", ["skewed", "lam_min 0.05", "lam_min 0.12", "generic"])
+def test_half_square_grid_equals_full_square(name, near_point):
+    """_grid sums the half square k1 > 0 or k1 = 0 <= k0, one fsum per
+    group {r, -r}, the self-mirror groups doubled but for the origin.
+    Its class and moment sums at tau/2 and tau/4 are bit for bit those
+    of every point of the square once (reference.grid_full_square), so
+    S_r = S_{-r} for every class r; only the order of the rounding
+    bounds' array sums moves: two orders of a sum of n nonnegative
+    weights agree to 2 (n - 1) u relative, n at most the square's points."""
+    tau = {"skewed": _skewed, "generic": _generic, "lam_min 0.05": lambda: _lam_005(near_point),
+           "lam_min 0.12": lambda: _lam_012(near_point)}[name]()
+    T = tau.mat
+    for shift in (-1, -2):
+        t = [z * 2.0 ** shift for z in (T[0][0], T[0][1], T[1][1])]
+        for moments in (False, True):
+            sums, mom, bounds, cut = _grid(t, 1e-12, moments)
+            ref = grid_full_square(t, 1e-12, moments)
+            extent = _ellipse(tuple(z.imag for z in t), 53, 1e-12, moments)[3]
+            rel = 2 * (2 * extent + 1) ** 2 * 2.0 ** -53
+            assert repr((sums, mom, cut)) == repr((ref[0], ref[1], ref[3])), (shift, moments)
+            for r0 in range(4):
+                for r1 in range(4):
+                    m0, m1 = -r0 % 4, -r1 % 4
+                    assert sums[r0][r1] == sums[m0][m1]
+                    assert mom is None or mom[r0][r1] == mom[m0][m1]
+                    assert bounds[r0][r1] == pytest.approx(ref[2][r0][r1], rel=rel)
 
 
 @pytest.mark.parametrize("prec", sorted(PRECISIONS))

@@ -249,7 +249,11 @@ def cmd_azy_verify(args):
     rep.add_check("representative independence", worst, 1e-9)
 
     tol = 1e-15 if hiprec else 1e-6
-    errs = [phi_modularity_error(t, eps, hiprec) for t in taus]
+    try:
+        errs = [phi_modularity_error(t, eps, hiprec) for t in taus]
+    except ArithmeticError as exc:  # phi is 0 at a point, as on tau11 = tau22
+        errs = [(math.inf,) * 4]
+        rep.payload["modularityError"] = str(exc)
     for i, name in enumerate("JABC"):
         rep.add_check(f"phi modularity generator {name}", max(e[i] for e in errs), tol)
 
@@ -261,9 +265,13 @@ def cmd_azy_verify(args):
     rep.payload["lambdaSpread"] = est.spread
     rep.payload["normalization"] = est.normalization
 
-    per_rep, product_error = geometric_crosscheck(taus, eps, hiprec)
-    rep.add_check("geometric crosscheck per-representative",
-                  max(s for _, s in per_rep.values()), 1e-5)
+    try:
+        per_rep, product_error = geometric_crosscheck(taus, eps, hiprec)
+        spread = max(s for _, s in per_rep.values())
+    except ArithmeticError as exc:  # the median ratio is 0, as at two points on tau11 = tau22
+        spread = product_error = math.inf
+        rep.payload["crosscheckError"] = str(exc)
+    rep.add_check("geometric crosscheck per-representative", spread, 1e-5)
     rep.add_check("geometric crosscheck product", product_error, 1e-5)
 
     try:

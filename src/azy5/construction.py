@@ -108,6 +108,8 @@ def _law_errors(form, weight, unit, letters, tau, eps, hiprec):
     g in letters, in order: one evaluation of form(tau), and one transform
     and one evaluation of form per letter."""
     base = form(tau, eps, hiprec).value
+    if not base:
+        raise ArithmeticError(f"{form.__name__} is 0 at {tau!r}: its law has no ratio")
     errs = []
     for g in letters:
         point, det = transform(g, tau, hiprec)
@@ -206,4 +208,6 @@ def _median_spread(rs):
     pairwise distance over its modulus as a float."""
     re, im = median([r.real for r in rs]), median([r.imag for r in rs])
     med = type(rs[0])(re, im)
+    if not med:
+        raise ArithmeticError("the median ratio is 0: its spread has no scale")
     return med, float(max(abs(a - b) for a in rs for b in rs) / abs(med))

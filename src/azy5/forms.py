@@ -70,8 +70,6 @@ import math
 import operator
 from functools import lru_cache, partial, reduce
 
-import numpy as np
-
 from .chars import EVEN_CHARS, M0, char_action, chi_p, parity
 from .numeric import (fc_abs, fc_align, fc_from_mpc, fc_mul, fc_pow, fc_sum,
                       fc_to_mpc, fsum_complex, value_prec)
@@ -131,6 +129,7 @@ def _product_errs(mods, errs, expo):
     c = (m + 4) u (A + delta + 1) + 5u (delta = 0 in the zero branch):
     each error is multiplied by e^(c + 4u), the 4u for the roundings of
     that factor and product, and raised by 2^-1072 for subnormals."""
+    import numpy as np
     zero = mods == 0.0
     safe = mods + zero  # 1 in place of a zero modulus
     logs, l1p = np.log(safe), np.log1p(errs / safe)
@@ -202,6 +201,7 @@ def certified_product(vals, mods, errs, hiprec):
 
     The products stay CPython complex (or integer) arithmetic on Python
     lists: numpy's complex multiply rounds differently in the last bit."""
+    import numpy as np
     err, _, logs = _product_errs(np.asarray(mods, float), np.asarray(errs, float),
                                  np.ones((1, len(vals))))
     with value_prec(hiprec):
@@ -261,6 +261,7 @@ def _face_plan(faces):
     signed parts (Re Theta, Im Theta, -Re Theta, -Im Theta, and a zero at
     16 that pads every face to four terms); support[i, k] is 1 where
     face i has a nonzero coefficient on Theta_k."""
+    import numpy as np
     index = np.full((2, len(faces), 4), 16)
     for i, face in enumerate(faces):
         for j, k in enumerate(k for k, a in enumerate(face) if a):
@@ -286,6 +287,7 @@ def face_product(faces, thetas, hiprec):
     count 0: L = l and the factor is within d.  Summing the faces any
     other way, or multiplying them in numpy, would change the last bits
     of the value."""
+    import numpy as np
     index, support = _face_plan(faces)
     if hiprec:
         mant, e = fc_align([fc_from_mpc(t.value) for t in thetas])
@@ -485,6 +487,7 @@ def _term_plan(terms):
     heads, a term's first two powers as positions in that list, and each
     term's (head index, positions of its other powers), in key order; and
     expo[i, c], the exponent of theta_{EVEN_CHARS[c]} in term i."""
+    import numpy as np
     col = {m: c for c, m in enumerate(EVEN_CHARS)}
     powers = sorted({(col[m], k) for _, key in terms for m, k in key})
     pos = {p: i for i, p in enumerate(powers)}
@@ -530,6 +533,7 @@ def _signed_sum_eval(terms, tau, eps, hiprec):
     covering second-order terms.  The signed monomials are added
     exactly (fc_sum) and the total rounded once to an mpc, adding
     2^(1 - prec) |total|."""
+    import numpy as np
     signs, powers, heads, picks, expo = _term_plan(terms)
     th = theta_all_even(tau, eps, hiprec)
     thetas = [th[m] for m in EVEN_CHARS]

@@ -7,11 +7,13 @@ and mpmath mpc entries.  All Siegel-point transforms in this package are
 genus 2, where explicit 2x2 formulas beat general solvers and behave
 identically in both precisions.
 
-mpmath serves the high-precision path only, so this module and every
-other one import it inside the functions of that path (value_prec,
-fc_to_mpc, SiegelPoint.entries_mp, the hiprec branches of the theta
-kernel and of the products): a process that evaluates in double never
-loads it.
+Every module imports a numeric library inside the functions that read
+it, never at module level.  mpmath serves the high-precision path only
+(value_prec, fc_to_mpc, SiegelPoint.entries_mp, the hiprec branches of
+the theta kernel and of the products): a process that evaluates in
+double never loads it.  numpy serves the double grid of theta, the
+error bookkeeping of forms and the seeded sampler of siegel: `import
+azy5` and the exact commands (orbits, cosets, geometry) load neither.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ from __future__ import annotations
 import cmath
 from itertools import islice
 
-import numpy as np
-
 from .numeric import sym2_eig_bounds
 
 SAMPLE_SCALE = 0.1  # weight of the real part B of sample_tau's points
@@ -88,6 +86,7 @@ def sample_tau(rng):
     """Seeded generic sample: tau = i(1 + S) + SAMPLE_SCALE*B with S symmetric PSD
     of spectral norm <= 0.5 and B symmetric with entries in [-1, 1].  The
     imaginary part then has lambda_min >= 1."""
+    import numpy as np
     A = rng.uniform(-1.0, 1.0, size=(2, 2))
     S = A @ A.T
     _, lam_max = sym2_eig_bounds(((S[0, 0], S[0, 1]), (S[1, 0], S[1, 1])))
@@ -100,6 +99,7 @@ def sample_tau(rng):
 
 def sample_stream(seed):
     """sample_tau's points from one generator of seed, without end."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     while True:
         yield sample_tau(rng)

@@ -143,8 +143,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-import numpy as np
-
 from .chars import EVEN_CHARS, char_action, mdbl_of, mprime_of, parity
 from .numeric import (fc_cut, fc_fixed, fc_from_mpc, fc_inv, fc_mul, fc_to_mpc,
                       sym2_eig_bounds, value_prec)
@@ -273,6 +271,7 @@ def _class_points(K):
     k1 > 0 or k1 = 0 <= k0, sorted by the group of their class
     (_GROUP), the origin first.  Cached per size, at most 64 sizes, as
     int16 (K <= _MAX_EXTENT, _ellipse's cap) and int8: 5 bytes a point."""
+    import numpy as np
     k0, k1 = (x.ravel() for x in np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1)))
     k0, k1 = k0[(k1 > 0) | (k0 >= 0)], k1[(k1 > 0) | (k0 >= 0)]
     grp = np.array(_GROUP)[4 * (k0 % 4) + k1 % 4]
@@ -301,6 +300,7 @@ def _grid(t, eps, moments=False):
     covering second-order terms; a doubled term by 8 u |2t| (1 + pi Q),
     the charges of k and -k, which share Q and the computed term.  Rounding
     a class sum adds u |S_r| per component, counted as 2 u |S_r|."""
+    import numpy as np
     t11, t12, t22 = t
     _, keep, cut, extent = _ellipse((t11.imag, t12.imag, t22.imag), 53, eps, moments)
     k0, k1, grp = _class_points(extent)

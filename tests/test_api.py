@@ -1,8 +1,8 @@
 """The shape of the public API: no per-call precision and no knob that
 has a single value in use, one module that sets the working precision,
 no public name or method that only the tests use, no unused module-level
-import in the package, numpy only where arrays pay, and no mpmath in a
-process that evaluates in double."""
+import in the package, numpy only where arrays pay, no mpmath in a
+process that evaluates in double, and neither in the exact commands."""
 
 import ast
 import dataclasses
@@ -173,21 +173,27 @@ def test_no_unused_module_level_imports():
     assert not unused, unused
 
 
-def _imports_numpy(node):
+def _imports(node, lib):
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "numpy" for a in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        return any(a.name.split(".")[0] == lib for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == lib
 
 
 def test_numpy_only_in_the_array_kernels_and_the_sampler():
     """numpy is imported by forms (the error bookkeeping), theta (the
-    double grid) and siegel, where only the seeded sampler reads it; a
-    point stores nested tuples of Python complex, even when built from a
-    numpy array."""
+    double grid) and siegel, where only the seeded sampler reads it, and
+    no module imports numpy or mpmath at its top level; a point stores
+    nested tuples of Python complex, even when built from a numpy
+    array."""
     src = pathlib.Path(azy5.__file__).parent
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    users = {name for name, tree in trees.items() if any(map(_imports_numpy, ast.walk(tree)))}
+    users = {name for name, tree in trees.items()
+             if any(_imports(n, "numpy") for n in ast.walk(tree))}
     assert users == {"forms.py", "siegel.py", "theta.py"}
+    # and no module imports numpy or mpmath at its top level
+    top = [f"{name}: {lib}" for name, tree in trees.items() for node in tree.body
+           for lib in ("numpy", "mpmath") if _imports(node, lib)]
+    assert not top, top
     # the top-level statements of siegel.py that read np, by name
     readers = {getattr(node, "name", type(node).__name__) for node in trees["siegel.py"].body
                for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "np"}
@@ -198,21 +204,24 @@ def test_numpy_only_in_the_array_kernels_and_the_sampler():
     assert not hasattr(azy5.SiegelPoint, "entries")
 
 
-# The double commands, each run by azy5.cli.main in one process; TAU is
-# replaced by the path of a --tau file.
+# The exact commands, which read no array and no high-precision value.
+EXACT_COMMANDS = (["orbits"], ["cosets", "--generators"], ["cosets", "--subgroup", "principal-2"],
+                  ["geometry"])
+# The double commands; TAU is replaced by the path of a --tau file.
 DOUBLE_COMMANDS = (["verify", "--tau", "TAU"], ["verify"], ["forms", "--form", "azy"],
-                   ["lambda"], ["verify-addition"], ["verify-transform"], ["orbits"],
-                   ["geometry"], ["cosets"])
+                   ["lambda"], ["verify-addition"], ["verify-transform"])
 
 _UNLOADED = """
 import contextlib, io, json, sys
 import azy5
 import azy5.cli
-assert "mpmath" not in sys.modules, "import"
-for argv in json.loads(sys.argv[1]):
+exact, double = json.loads(sys.argv[1])
+loaded = lambda: {m for m in ("numpy", "mpmath") if m in sys.modules}
+assert not loaded(), "import"
+for argv in exact + double:
     with contextlib.redirect_stdout(io.StringIO()):
         assert azy5.cli.main(argv) == 0, argv
-    assert "mpmath" not in sys.modules, argv
+    assert loaded() == (set() if argv in exact else {"numpy"}), argv
 with contextlib.redirect_stdout(io.StringIO()):
     assert azy5.cli.main(["forms", "--form", "p2", "--hiprec"]) == 0
 assert "mpmath" in sys.modules
@@ -220,17 +229,18 @@ assert "mpmath" in sys.modules
 
 
 def test_double_commands_leave_mpmath_unloaded(tmp_path):
-    """mpmath belongs to the high-precision path: importing azy5 and
-    azy5.cli, and running each double command, leaves it unloaded, while
-    a --hiprec command loads it and passes.  In a fresh interpreter,
-    since the test session has loaded it."""
+    """numpy belongs to the double evaluations and mpmath to the
+    high-precision path: importing azy5 and azy5.cli, and running each
+    exact command, leaves both unloaded; each double command loads numpy
+    and not mpmath, and a --hiprec command loads mpmath and passes.  In a
+    fresh interpreter, since the test session has loaded both."""
     tau = tmp_path / "tau.json"
     tau.write_text(json.dumps(
         [{"g": 2, "entries": [[[0.13, 1.0], [-0.21, 0.3]], [[-0.21, 0.3], [0.37, 0.8]]]},
          {"g": 2, "entries": [[[0.13, 2.0], [-0.21, 0.6]], [[-0.21, 0.6], [0.37, 1.6]]]}]))
-    argvs = [[str(tau) if a == "TAU" else a for a in argv] for argv in DOUBLE_COMMANDS]
+    double = [[str(tau) if a == "TAU" else a for a in argv] for argv in DOUBLE_COMMANDS]
     src = pathlib.Path(azy5.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", _UNLOADED, json.dumps(argvs)],
+    run = subprocess.run([sys.executable, "-c", _UNLOADED, json.dumps([EXACT_COMMANDS, double])],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -170,22 +170,50 @@ def test_every_command_answers_or_refuses_by_name(tmp_path, capsys, s, hiprec):
             assert any(line.endswith("FAIL") for line in out.splitlines()[:-1]), (argv, out)
 
 
-@pytest.mark.parametrize("s, hiprec", [(20, False), (50, True)])
+# Point pairs on tau11 = tau22 (the Humbert surface H4), where phi is
+# exactly 0: the point of test_bounds with one point off H4, or with a
+# second point on it.
+_H4 = [[0.1 + 1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.1 + 1j]]
+_H4_PAIRS = {"h4-one": [_H4, [[0.1 + 1.2j, 0.1j], [0.1j, 1j]]],
+             "h4-two": [_H4, [[0.3 + 1.4j, -0.1 + 0.2j], [-0.1 + 0.2j, 0.3 + 1.4j]]]}
+_PHI_LAW = [f"phi modularity generator {g}" for g in "JABC"]
+_CUSP = ({"muError": "chi5 determinant is 0"}, ["chi5 determinant ratio constancy"])
+# Per point file: the reason each payload key names, and the checks that
+# fail with residual inf.
+_VANISHING = {
+    20: _CUSP,
+    50: _CUSP,
+    "h4-one": ({"modularityError": "phi is 0"}, _PHI_LAW),
+    "h4-two": ({"modularityError": "phi is 0", "crosscheckError": "median ratio is 0"},
+               _PHI_LAW + ["geometric crosscheck per-representative",
+                           "geometric crosscheck product"]),
+}
+
+
+@pytest.mark.parametrize("s, hiprec", [(20, False), (50, True)]
+                         + [(k, h) for k in _H4_PAIRS for h in (False, True)])
 def test_verify_fails_by_name_where_the_chi5_determinant_vanishes(tmp_path, s, hiprec):
-    """In the cusp the 4 x 4 chi5 determinant comes out exactly 0: verify
-    fails the ratio check with residual inf, names the reason in the
-    report and keeps every other check line."""
-    path = _cusp_file(tmp_path, s, 1.1 * s)
-    out, ref = tmp_path / "cusp.json", tmp_path / "ref.json"
+    """In the cusp the 4 x 4 chi5 determinant comes out exactly 0, and on
+    H4 phi does, and with two points there the median crosscheck ratio:
+    verify fails each check that divides by that 0 with residual inf,
+    names the reason in the report and keeps every other check line."""
+    if s in _H4_PAIRS:
+        path = tmp_path / "h4.json"
+        path.write_text(json.dumps([SiegelPoint(p).to_json() for p in _H4_PAIRS[s]]))
+    else:
+        path = _cusp_file(tmp_path, s, 1.1 * s)
+    out, ref = tmp_path / "vanishing.json", tmp_path / "ref.json"
     prec = ["--hiprec"] if hiprec else []
-    assert run(["verify", "--tau", path, "--out", str(out)] + prec) == 1
+    assert run(["verify", "--tau", str(path), "--out", str(out)] + prec) == 1
     assert run(["verify", "--out", str(ref)] + prec) == 0
     rep = json.loads(out.read_text())
     names = [c["name"] for c in rep["checks"]]
     assert names == [c["name"] for c in json.loads(ref.read_text())["checks"]]
-    assert rep["checks"][-1]["name"] == "chi5 determinant ratio constancy"
-    assert rep["checks"][-1]["residual"] == math.inf
-    assert "chi5 determinant is 0" in rep["payload"]["muError"]
+    reasons, infinite = _VANISHING[s]
+    assert [c["name"] for c in rep["checks"] if c["residual"] == math.inf] == infinite
+    assert all(c["verdict"] == "FAIL" for c in rep["checks"] if c["name"] in infinite)
+    for key, reason in reasons.items():
+        assert reason in rep["payload"][key]
 
 
 def test_empty_error_message_names_its_type(monkeypatch, capsys):
